@@ -13,7 +13,8 @@ import numpy as np
 
 from .datagen import Dataset
 from .features import FeatureMap, featurize_batch
-from .mps import MPS, canonicalize
+from .mps import MPS, _left_ortho_step, _right_ortho_step, canonicalize
+from .tensor import row_outer
 
 ARMIJO_C = 1e-4
 MAX_HALVINGS = 40
@@ -73,6 +74,17 @@ class EnvironmentCache:
 
     Environments on the label side of a labeled MPS carry the extra class
     axis.  Entries go stale (None) when the center moves past them.
+
+    When neither environment at the center carries the class axis (every
+    center of an unlabeled chain), ``apply`` and
+    ``grad_from_output_coeffs`` run on the local block
+    X_c = row_outer(L_c, phi_c) of shape (T, chi_l*f), built once per
+    center: the outputs are the row-wise dot of X_c @ core.reshape(chi_l*f,
+    chi_r) with R_c, the gradient is X_c.T @ (coeffs * R_c).  This is the
+    local design of the alternating linear scheme, as plain GEMMs without
+    einsum path planning.  The class-axis branches and the environment
+    moves stay on einsum: the classifier sweep's training is chaotic under
+    roundoff, and keeping them keeps its trace bitwise.
     """
 
     def __init__(self, cores, phi, label_site=None, center=0):
@@ -85,6 +97,7 @@ class EnvironmentCache:
         self.right = [None] * (n + 1)
         self.left[0] = np.ones((t, 1))
         self.right[n] = np.ones((t, 1))
+        self._block = None  # X_c of the current center, built on first use
         for j in range(n - 1, center, -1):
             self.right[j] = self._absorb_right(self.right[j + 1], cores[j], j)
         for j in range(center):
@@ -111,6 +124,7 @@ class EnvironmentCache:
         c = self.center
         self.left[c + 1] = self._absorb_left(self.left[c], new_core, c)
         self.right[c + 1] = None
+        self._block = None
         self.center = c + 1
 
     def move_left(self, new_core):
@@ -118,7 +132,15 @@ class EnvironmentCache:
         c = self.center
         self.right[c] = self._absorb_right(self.right[c + 1], new_core, c)
         self.left[c] = None
+        self._block = None
         self.center = c - 1
+
+    def _local_block(self) -> np.ndarray:
+        """X_c = row_outer(L_c, phi_c), shape (T, chi_l*f)."""
+        if self._block is None:
+            c = self.center
+            self._block = row_outer(self.left[c], self.phi[:, c])
+        return self._block
 
     def apply(self, core) -> np.ndarray:
         """Model outputs with ``core`` in the center slot: (T,) or (T, C)."""
@@ -134,8 +156,8 @@ class EnvironmentCache:
         if renv.ndim == 3:
             return np.einsum("tl,lfr,tf,trc->tc", lenv, core, phi_c, renv,
                              optimize=True)
-        return np.einsum("tl,lfr,tf,tr->t", lenv, core, phi_c, renv,
-                         optimize=True)
+        out = self._local_block() @ core.reshape(-1, core.shape[-1])
+        return (out * renv).sum(axis=1)
 
     def grad_from_output_coeffs(self, coeffs) -> np.ndarray:
         """Chain rule: d(loss)/d(core) from d(loss)/d(output) coefficients."""
@@ -151,8 +173,8 @@ class EnvironmentCache:
         if renv.ndim == 3:
             return np.einsum("tc,tl,tf,trc->lfr", coeffs, lenv, phi_c, renv,
                              optimize=True)
-        return np.einsum("t,tl,tf,tr->lfr", coeffs, lenv, phi_c, renv,
-                         optimize=True)
+        grad = self._local_block().T @ (coeffs[:, None] * renv)
+        return grad.reshape(lenv.shape[1], phi_c.shape[1], renv.shape[1])
 
 
 def data_loss(outputs: np.ndarray, y: np.ndarray, kind: str) -> float:
@@ -164,21 +186,31 @@ def data_loss(outputs: np.ndarray, y: np.ndarray, kind: str) -> float:
 
 
 def _true_class_probabilities(v: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """v_true^2 / sum(v^2) per row; 0 for an all-zero row."""
     sq = v**2
     total = sq.sum(axis=1)
-    return sq[np.arange(len(y)), y] / total
+    p_true = np.zeros(len(y))
+    np.divide(sq[np.arange(len(y)), y], total, out=p_true, where=total > 0.0)
+    return p_true
 
 
 def output_grad_coeffs(outputs: np.ndarray, y: np.ndarray, kind: str) -> np.ndarray:
-    """d(data term)/d(outputs), already divided by the sample count."""
+    """d(data term)/d(outputs), already divided by the sample count.
+
+    A cross-entropy row whose true-class probability ``data_loss`` clamps
+    at PROB_FLOOR (a zero true-class output or an all-zero row) gets a
+    zero row: the clamped loss is flat there.
+    """
     t = outputs.shape[0]
     if kind == MSE:
         return (outputs - y) / t
     # -ln(v_true^2 / sum v^2): d/dv_c = 2 v_c / sum(v^2) - 2 delta_{c,true}/v_true
     total = (outputs**2).sum(axis=1, keepdims=True)
-    g = 2.0 * outputs / total
     rows = np.arange(t)
-    g[rows, y] -= 2.0 / outputs[rows, y]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = 2.0 * outputs / total
+        g[rows, y] -= 2.0 / outputs[rows, y]
+    g[_true_class_probabilities(outputs, y) < PROB_FLOOR] = 0.0
     return g / t
 
 
@@ -348,10 +380,10 @@ def train_arrays(w0: MPS, phi_tr, y_tr, phi_val=None, y_val=None,
             cores[site] = new_core
             obj = obj_new
             if direction == "R":
-                _shift_right(cores, site)
+                _left_ortho_step(cores, site)
                 cache.move_right(cores[site])
             elif direction == "L":
-                _shift_left(cores, site)
+                _right_ortho_step(cores, site)
                 cache.move_left(cores[site])
         record(sweep, time.perf_counter() - started, obj)
         if use_best:
@@ -372,23 +404,6 @@ def _sweep_plan(n):
     plan += [(s, "L") for s in range(n - 1, 0, -1)]
     plan.append((0, None))
     return plan
-
-
-def _shift_right(cores, j):
-    core = cores[j]
-    mat = core.reshape(-1, core.shape[-1])
-    q, r = np.linalg.qr(mat)
-    cores[j] = q.reshape(core.shape[:-1] + (q.shape[1],))
-    cores[j + 1] = np.tensordot(r, cores[j + 1], axes=(1, 0))
-
-
-def _shift_left(cores, j):
-    core = cores[j]
-    mat = core.reshape(core.shape[0], -1)
-    q, r = np.linalg.qr(mat.T)
-    cores[j] = q.T.reshape((q.shape[1],) + core.shape[1:])
-    prev = cores[j - 1]
-    cores[j - 1] = np.tensordot(prev, r.T, axes=(prev.ndim - 1, 0))
 
 
 def frame_labels(d: Dataset, frame: Dataset) -> np.ndarray:

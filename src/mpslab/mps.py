@@ -9,7 +9,7 @@ All operations return new MPS values; cores are treated as immutable.
 import numpy as np
 
 from .errors import CapacityError, DimensionMismatchError
-from .tensor import svd_truncate
+from .tensor import row_outer, svd_truncate
 
 GAUGE_NONE = "none"
 GAUGE_MIXED = "mixed"
@@ -93,7 +93,13 @@ class MPS:
         """Contract with (T, N, f) featurized samples.
 
         Returns shape (T,) for a plain MPS, (T, C) for a labeled one.
-        Cost O(T N f chi^2) via a carried boundary vector per sample.
+        One pass carries a (T, chi) boundary block from the left up to the
+        stop site (the label site, else the last site), and a mirror pass
+        carries one from the right down to it, so the class axis never
+        rides along the chain.  Each step is one GEMM,
+        ``row_outer(carry, phi_j) @ core.reshape(chi_l*f, chi_r)``, with
+        no einsum path planning per call.  Cost O(T N f chi^2) +
+        O(T C chi^2).
         """
         phi = np.asarray(phi, dtype=np.float64)
         if phi.ndim != 3 or phi.shape[1] != self.n_sites:
@@ -105,24 +111,25 @@ class MPS:
             raise DimensionMismatchError(
                 f"local vectors have length {phi.shape[2]}, cores expect {self.phys_dim}"
             )
-        carry = np.ones((phi.shape[0], 1))
-        if self.label_site is None:
-            for j, core in enumerate(self.cores):
-                carry = np.einsum("tl,lfr,tf->tr", carry, core, phi[:, j],
-                                  optimize=True)
-            return carry[:, 0]
-        # contract toward the label core from both ends so the class axis
-        # never rides along the chain: O(N f chi^2) + O(C chi^2)
-        ls = self.label_site
-        for j in range(ls):
-            carry = np.einsum("tl,lfr,tf->tr", carry, self.cores[j],
-                              phi[:, j], optimize=True)
-        right = np.ones((phi.shape[0], 1))
-        for j in range(self.n_sites - 1, ls, -1):
-            right = np.einsum("tr,lfr,tf->tl", right, self.cores[j],
-                              phi[:, j], optimize=True)
-        return np.einsum("tl,lfcr,tf,tr->tc", carry, self.cores[ls],
-                         phi[:, ls], right, optimize=True)
+        t = phi.shape[0]
+        stop = self.n_sites - 1 if self.label_site is None else self.label_site
+        left = np.ones((t, 1))
+        for j in range(stop):
+            core = self.cores[j]
+            mat = core.reshape(-1, core.shape[-1])
+            left = row_outer(left, phi[:, j]) @ mat
+        right = np.ones((t, 1))
+        for j in range(self.n_sites - 1, stop, -1):
+            core = self.cores[j]
+            mat = core.reshape(core.shape[0], -1)
+            right = row_outer(phi[:, j], right) @ mat.T
+        core = self.cores[stop]
+        out = row_outer(left, phi[:, stop]) @ core.reshape(
+            core.shape[0] * core.shape[1], -1)
+        # (T, C, chi_r) with C = 1 without a label; close the right bond
+        out = out.reshape(t, -1, right.shape[1])
+        out = (out * right[:, None, :]).sum(axis=2)
+        return out if self.label_site is not None else out[:, 0]
 
     def to_full_tensor(self) -> np.ndarray:
         """Materialize the full weight tensor, shape (f, ..., f) [+ (C,) last].

@@ -56,6 +56,16 @@ def contract(a: np.ndarray, b: np.ndarray, pairs) -> np.ndarray:
     return np.tensordot(a, b, axes=(ax_a, ax_b))
 
 
+def row_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise outer product of (T, m) and (T, n) blocks as (T, m*n).
+
+    Column i*n + k holds a[:, i] * b[:, k], the C-order flattening of an
+    (m, n) pair, so the result multiplies a core reshaped to (m*n, ...) in
+    one GEMM.
+    """
+    return (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1)
+
+
 def svd_truncate(m: np.ndarray, max_rank: int, cutoff: float = 0.0) -> SvdResult:
     """SVD of matrix ``m`` keeping at most ``max_rank`` singular triples.
 

@@ -3,12 +3,13 @@ import pytest
 
 from mpslab.datagen import Dataset, TargetSpec, generate_dataset
 from mpslab.dmrg import (CROSS_ENTROPY, MSE, EnvironmentCache, TrainConfig,
-                         frame_labels, gradient_site, loss, optimize_site,
-                         site_gradient, site_loss, train)
+                         data_loss, frame_labels, gradient_site, loss,
+                         optimize_site, output_grad_coeffs, site_gradient,
+                         site_loss, train)
 from mpslab.exact import inversion_and_compression
 from mpslab.features import FeatureMap, featurize_batch
-from mpslab.mps import canonicalize, compress, random_init
-from mpslab.dmrg import _shift_left, _shift_right
+from mpslab.mps import (_left_ortho_step, _right_ortho_step, canonicalize,
+                        compress, random_init)
 
 FMAP3 = FeatureMap(dim=3)
 
@@ -103,6 +104,22 @@ class TestGradient:
             g = gradient_site(w, site, d, ridge)
             assert np.max(np.abs(g)) <= 1e-8
 
+    def test_cross_entropy_clamped_rows_have_zero_gradient(self):
+        outputs = np.array([[0.5, -1.0, 2.0],
+                            [0.0, 1.0, 3.0],   # zero true-class output
+                            [0.0, 0.0, 0.0],   # all-zero row
+                            [1.5, 0.2, -0.7]])
+        y = np.array([1, 0, 2, 0])
+        g = output_grad_coeffs(outputs, y, CROSS_ENTROPY)
+        assert np.all(np.isfinite(g))
+        np.testing.assert_array_equal(g[1:3], 0.0)
+        assert np.isfinite(data_loss(outputs, y, CROSS_ENTROPY))
+        # the unclamped rows keep the closed form bitwise
+        for i in (0, 3):
+            row = 2.0 * outputs[i] / np.sum(outputs[i] ** 2)
+            row[y[i]] -= 2.0 / outputs[i, y[i]]
+            np.testing.assert_array_equal(g[i], row / len(y))
+
     def test_ridge_only_gradient(self):
         w = random_init(4, 3, 3, scale=0.5, seed=9)
         phi = np.zeros((6, 4, 3))
@@ -170,12 +187,12 @@ class TestCache:
                                    rtol=1e-12, atol=1e-12)
         # walk right then back left, re-checking coherence at every stop
         for site in range(5):
-            _shift_right(cores, site)
+            _left_ortho_step(cores, site)
             cache.move_right(cores[site])
             np.testing.assert_allclose(cache.apply(cores[site + 1]), direct,
                                        rtol=1e-12, atol=1e-12)
         for site in range(5, 0, -1):
-            _shift_left(cores, site)
+            _right_ortho_step(cores, site)
             cache.move_left(cores[site])
             np.testing.assert_allclose(cache.apply(cores[site - 1]), direct,
                                        rtol=1e-12, atol=1e-12)
@@ -189,7 +206,7 @@ class TestCache:
         work, cache = make_cache(w, phi, 0)
         cores = [c.copy() for c in work.cores]
         for site in range(4):
-            _shift_right(cores, site)
+            _left_ortho_step(cores, site)
             cache.move_right(cores[site])
             np.testing.assert_allclose(cache.apply(cores[site + 1]), direct,
                                        rtol=1e-12, atol=1e-12)

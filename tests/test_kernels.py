@@ -1,0 +1,110 @@
+"""Property tests of the GEMM contraction kernels against brute force.
+
+``MPS.evaluate_batch`` is checked against the full weight tensor
+contracted with the full feature tensor, and every ``EnvironmentCache``
+center against ``evaluate_batch`` and an unoptimized einsum gradient.
+Roundoff is bounded relative to the same contraction of the absolute
+values of cores and features, so outputs that cancel to near zero are
+still held to 1e-12.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mpslab.dmrg import EnvironmentCache
+from mpslab.features import full_feature_tensor
+from mpslab.mps import (MPS, _left_ortho_step, _right_ortho_step,
+                        canonicalize, random_init)
+
+RTOL = 1e-12
+LABEL_DIM = 3
+
+
+@st.composite
+def chains(draw):
+    """(MPS, phi): N in 1..5, f in {2, 3}, chi in 1..4, label at none,
+    the first, a middle or the last site."""
+    n = draw(st.integers(1, 5))
+    f = draw(st.sampled_from([2, 3]))
+    chi = draw(st.integers(1, 4))
+    label_site = draw(st.sampled_from([None, 0, n // 2, n - 1]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    t = draw(st.integers(1, 6))
+    w = random_init(n, f, chi, scale=0.7, seed=seed, label_site=label_site,
+                    label_dim=LABEL_DIM if label_site is not None else None)
+    phi = np.random.default_rng(seed + 1).standard_normal((t, n, f))
+    return w, phi
+
+
+def absolute(w):
+    return MPS([np.abs(c) for c in w.cores], label_site=w.label_site)
+
+
+def assert_matches(got, ref, ref_abs):
+    """|got - ref| <= RTOL * (ref evaluated on absolute values)."""
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= RTOL * ref_abs)
+
+
+def full_contraction(w, phi):
+    """Outputs sum_s W[s] Phi_t[s] of every sample, and the same for |w|
+    and |phi|."""
+    axes = list(range(w.n_sites))
+    outs = [[np.tensordot(full_feature_tensor(p), full, axes=(axes, axes))
+             for p in sample]
+            for full, sample in ((w.to_full_tensor(), phi),
+                                 (absolute(w).to_full_tensor(), np.abs(phi)))]
+    return np.array(outs[0]), np.array(outs[1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(chains())
+def test_evaluate_batch_matches_full_tensor(case):
+    w, phi = case
+    ref, ref_abs = full_contraction(w, phi)
+    assert_matches(w.evaluate_batch(phi), ref, ref_abs)
+
+
+def einsum_gradient(coeffs, lenv, phi_c, renv, labeled_center):
+    """Brute-force d(sum_t coeffs_t . out_t)/d(core), no path planning."""
+    if labeled_center:
+        spec = "tc,tl,tf,tr->lfcr"
+    elif lenv.ndim == 3:
+        spec = "tc,tlc,tf,tr->lfr"
+    elif renv.ndim == 3:
+        spec = "tc,tl,tf,trc->lfr"
+    else:
+        spec = "t,tl,tf,tr->lfr"
+    return (np.einsum(spec, coeffs, lenv, phi_c, renv, optimize=False),
+            np.einsum(spec, np.abs(coeffs), np.abs(lenv), np.abs(phi_c),
+                      np.abs(renv), optimize=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(chains())
+def test_cache_matches_evaluate_and_einsum_at_every_center(case):
+    w, phi = case
+    n = w.n_sites
+    cores = [c.copy() for c in canonicalize(w, 0).cores]
+    cache = EnvironmentCache(cores, phi, label_site=w.label_site, center=0)
+    out_shape = (len(phi),) if w.label_site is None else (len(phi), LABEL_DIM)
+    coeffs = np.random.default_rng(n).standard_normal(out_shape)
+    # walk right to the last site, then back left to the first
+    for c, step in [(0, None)] + [(c, "R") for c in range(1, n)] + [
+            (c, "L") for c in range(n - 2, -1, -1)]:
+        if step == "R":
+            _left_ortho_step(cores, c - 1)
+            cache.move_right(cores[c - 1])
+        elif step == "L":
+            _right_ortho_step(cores, c + 1)
+            cache.move_left(cores[c + 1])
+        chain = MPS(cores, label_site=w.label_site)
+        ref_abs = absolute(chain).evaluate_batch(np.abs(phi))
+        assert_matches(cache.apply(cores[c]), chain.evaluate_batch(phi),
+                       ref_abs)
+        grad, grad_abs = einsum_gradient(coeffs, cache.left[c], phi[:, c],
+                                         cache.right[c + 1],
+                                         c == w.label_site)
+        assert_matches(cache.grad_from_output_coeffs(coeffs), grad,
+                       grad_abs)
