@@ -62,10 +62,16 @@ class TrainTrace:
     max_monotonicity_violation: float = 0.0
 
     def to_csv(self, path) -> None:
+        """One row per sweep: sweep, the three losses, objective, seconds,
+        then the three accuracies when they were recorded (classifier
+        training)."""
+        names = ["sweeps", "train_loss", "val_loss", "test_loss",
+                 "objective", "seconds"]
+        if self.train_accuracy:
+            names += ["train_accuracy", "val_accuracy", "test_accuracy"]
         with open(path, "w") as fh:
-            fh.write("sweep,train_loss,val_loss,test_loss\n")
-            for row in zip(self.sweeps, self.train_loss, self.val_loss,
-                           self.test_loss):
+            fh.write(",".join(["sweep"] + names[1:]) + "\n")
+            for row in zip(*(getattr(self, name) for name in names)):
                 fh.write(",".join(repr(v) for v in row) + "\n")
 
 

@@ -2,10 +2,12 @@
 label-noise scans with mean/sigma aggregation, CSV + SVG outputs, and a
 JSON manifest that reruns any scan bitwise."""
 
+import csv
 import json
+import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -13,12 +15,15 @@ from . import __version__
 from .classify import (corrupt_labels, load_idx, preprocess, subset,
                        train_classifier)
 from .datagen import TargetSpec, generate_dataset
-from .dmrg import CROSS_ENTROPY, TrainConfig, frame_labels, train
+from .dmrg import (CROSS_ENTROPY, MSE, TrainConfig, data_loss, frame_labels,
+                   train_arrays)
 from .errors import ScanAbortedError
-from .exact import (build_design_system, prediction_loss, solve_full_weight)
+from .exact import build_design_system, solve_full_weight
 from .features import FeatureMap, featurize_batch
 from .mps import compress
 from .svgplot import line_plot
+
+logger = logging.getLogger(__name__)
 
 TEST_SEED_OFFSET = 1_000_003
 VAL_SEED_OFFSET = 2_000_003
@@ -103,7 +108,12 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 @dataclass
 class ScanResult:
-    """Aggregated scan along one axis plus the raw per-replicate table."""
+    """Aggregated scan along one axis plus the raw per-replicate table.
+
+    ``failures`` holds one dict per failed replicate job: its job key
+    (replicate and the outer axis values) plus the exception's ``error``
+    type name and ``message``.
+    """
 
     axis_name: str
     axis: list
@@ -113,7 +123,7 @@ class ScanResult:
     raw_header: list
     raw_rows: list
     metric: str
-    failures: int = 0
+    failures: list = field(default_factory=list)
 
     @property
     def chi_star(self):
@@ -169,35 +179,49 @@ def _aggregate(rows, axis_values, metric):
 # ---------------------------------------------------------------------------
 # artificial-data scans
 
-def _regression_replicate(cfg_dict, eps, ntr, chi_values, rep):
-    """All bond dimensions for one training replicate. Returns row dicts."""
+def _shared_test_set(cfg: ExperimentConfig, eps):
+    """The test set every replicate of a scan at ``eps`` shares, and its
+    featurization."""
+    test_set = generate_dataset(cfg.target_spec(eps), cfg.n_test,
+                                cfg.base_seed + TEST_SEED_OFFSET)
+    return test_set, featurize_batch(cfg.feature_map(), test_set.features)
+
+
+def _regression_replicate(cfg_dict, eps, ntr, chi_values, rep, test_set,
+                          phi_te):
+    """All bond dimensions for one training replicate. Returns row dicts.
+
+    Every dataset is featurized once here and its features serve each chi;
+    ``test_set``/``phi_te`` come from ``_shared_test_set``.
+    """
     cfg = config_from_dict(cfg_dict)
     fmap = cfg.feature_map()
     spec = cfg.target_spec(eps)
     train_set = generate_dataset(spec, ntr, cfg.base_seed + rep)
-    test_set = generate_dataset(spec, cfg.n_test,
-                                cfg.base_seed + TEST_SEED_OFFSET)
-    phi_te = featurize_batch(fmap, test_set.features)
+    phi_tr = featurize_batch(fmap, train_set.features)
+    y_tr = train_set.labels
     y_te = frame_labels(test_set, train_set)
     full = solve_full_weight(build_design_system(train_set, fmap, cfg.ridge))
-    val_set = None
-    if cfg.method in (DMRG, BOTH):
+    training = cfg.method in (DMRG, BOTH)
+    if training:
         val_set = generate_dataset(spec, cfg.n_test,
                                    cfg.base_seed + VAL_SEED_OFFSET + rep)
+        phi_val = featurize_batch(fmap, val_set.features)
+        y_val = frame_labels(val_set, train_set)
+        tc = TrainConfig(sweeps=cfg.sweeps, cg_steps=cfg.cg_steps,
+                         ridge=cfg.ridge)
     rows = []
     for chi in chi_values:
         w, _ = compress(full, chi)
         row = {
             "axis": chi, "eps": eps, "ntr": ntr, "replicate": rep,
             "train_seed": cfg.base_seed + rep,
-            "inv_train_loss": prediction_loss(w, train_set, fmap),
-            "inv_test_loss": float(
-                0.5 * np.mean((w.evaluate_batch(phi_te) - y_te) ** 2)),
+            "inv_train_loss": data_loss(w.evaluate_batch(phi_tr), y_tr, MSE),
+            "inv_test_loss": data_loss(w.evaluate_batch(phi_te), y_te, MSE),
         }
-        if cfg.method in (DMRG, BOTH):
-            tc = TrainConfig(sweeps=cfg.sweeps, cg_steps=cfg.cg_steps,
-                             ridge=cfg.ridge)
-            _, trace = train(w, train_set, val_set, test_set, tc, fmap)
+        if training:
+            _, trace = train_arrays(w, phi_tr, y_tr, phi_val, y_val, phi_te,
+                                    y_te, tc)
             best = trace.best_validation_sweep
             row.update({
                 "dmrg_train_loss": trace.train_loss[-1],
@@ -210,32 +234,41 @@ def _regression_replicate(cfg_dict, eps, ntr, chi_values, rep):
     return rows
 
 
-def _map_replicates(cfg, worker, arg_tuples):
-    """Run replicate jobs (optionally in a pool) with an ordered merge."""
+def _map_replicates(cfg, worker, jobs):
+    """Run replicate jobs (optionally in a pool) with an ordered merge.
+
+    ``jobs`` is a list of (key, args) pairs, where key is a dict naming
+    the job (replicate and outer axis values).  Returns (rows, failures),
+    one failure dict per job that raised: its key plus the exception's
+    ``error`` type name and ``message``.
+    """
     results = []
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = [pool.submit(worker, *args) for args in arg_tuples]
+            futures = [pool.submit(worker, *args) for _, args in jobs]
             for fut in futures:
                 try:
                     results.append(fut.result())
                 except Exception as exc:  # noqa: BLE001 - recorded, counted
                     results.append(exc)
     else:
-        for args in arg_tuples:
+        for _, args in jobs:
             try:
                 results.append(worker(*args))
             except Exception as exc:  # noqa: BLE001
                 results.append(exc)
-    rows, failures = [], 0
-    for res in results:
+    rows, failures = [], []
+    for (key, _), res in zip(jobs, results):
         if isinstance(res, Exception):
-            failures += 1
+            logger.warning("replicate job %s failed: %s: %s", key,
+                           type(res).__name__, res)
+            failures.append(dict(key, error=type(res).__name__,
+                                 message=str(res)))
         else:
             rows.extend(res)
-    if failures > 0.2 * len(arg_tuples):
+    if len(failures) > 0.2 * len(jobs):
         raise ScanAbortedError(
-            f"{failures} of {len(arg_tuples)} replicate jobs failed")
+            f"{len(failures)} of {len(jobs)} replicate jobs failed")
     return rows, failures
 
 
@@ -245,9 +278,11 @@ def run_bond_scan(cfg: ExperimentConfig, eps=None, ntr=None) -> ScanResult:
     eps = cfg.eps_list[0] if eps is None else eps
     ntr = cfg.ntr_list[0] if ntr is None else ntr
     cfg_dict = asdict(cfg)
-    args = [(cfg_dict, eps, ntr, list(cfg.chi_list), r)
+    test_set, phi_te = _shared_test_set(cfg, eps)
+    jobs = [({"replicate": r, "eps": eps, "ntr": ntr},
+             (cfg_dict, eps, ntr, list(cfg.chi_list), r, test_set, phi_te))
             for r in range(cfg.replicates)]
-    rows, failures = _map_replicates(cfg, _regression_replicate, args)
+    rows, failures = _map_replicates(cfg, _regression_replicate, jobs)
     metric = "inv_test_loss" if cfg.method == INVERSION else "dmrg_test_loss"
     mean, std, count = _aggregate(rows, list(cfg.chi_list), metric)
     header = sorted({k for r in rows for k in r}, key=_header_order)
@@ -262,9 +297,11 @@ def run_trainsize_scan(cfg: ExperimentConfig) -> ScanResult:
     chi = cfg.chi_list[0]
     eps = cfg.eps_list[0]
     cfg_dict = asdict(cfg)
-    args = [(cfg_dict, eps, ntr, [chi], r)
+    test_set, phi_te = _shared_test_set(cfg, eps)
+    jobs = [({"replicate": r, "eps": eps, "ntr": ntr},
+             (cfg_dict, eps, ntr, [chi], r, test_set, phi_te))
             for ntr in cfg.ntr_list for r in range(cfg.replicates)]
-    rows, failures = _map_replicates(cfg, _regression_replicate, args)
+    rows, failures = _map_replicates(cfg, _regression_replicate, jobs)
     for row in rows:
         row["axis"] = row["ntr"]
     metric = "inv_test_loss" if cfg.method == INVERSION else "dmrg_test_loss"
@@ -328,9 +365,11 @@ def run_mnist_bond_scan(cfg: ExperimentConfig, train_pool, test_set,
     cfg.validate()
     ntr = cfg.ntr_list[0] if ntr is None else ntr
     cfg_dict = asdict(cfg)
-    args = [(cfg_dict, list(cfg.chi_list), ntr, noise, r, train_pool, test_set)
+    jobs = [({"replicate": r, "ntr": ntr, "noise": noise},
+             (cfg_dict, list(cfg.chi_list), ntr, noise, r, train_pool,
+              test_set))
             for r in range(cfg.replicates)]
-    rows, failures = _map_replicates(cfg, _mnist_replicate, args)
+    rows, failures = _map_replicates(cfg, _mnist_replicate, jobs)
     mean, std, count = _aggregate(rows, list(cfg.chi_list), "test_error")
     header = sorted({k for r in rows for k in r}, key=_header_order)
     return ScanResult(axis_name="chi", axis=list(cfg.chi_list), mean=mean,
@@ -343,9 +382,10 @@ def run_mnist_trainsize_scan(cfg: ExperimentConfig, train_pool,
     cfg.validate()
     chi = cfg.chi_list[0]
     cfg_dict = asdict(cfg)
-    args = [(cfg_dict, [chi], ntr, 0.0, r, train_pool, test_set)
+    jobs = [({"replicate": r, "ntr": ntr, "noise": 0.0},
+             (cfg_dict, [chi], ntr, 0.0, r, train_pool, test_set))
             for ntr in cfg.ntr_list for r in range(cfg.replicates)]
-    rows, failures = _map_replicates(cfg, _mnist_replicate, args)
+    rows, failures = _map_replicates(cfg, _mnist_replicate, jobs)
     for row in rows:
         row["axis"] = row["ntr"]
     mean, std, count = _aggregate(rows, list(cfg.ntr_list), "test_error")
@@ -371,6 +411,7 @@ def run_noise_scan(cfg: ExperimentConfig, train_pool=None,
 # output files
 
 _HEADER_PRIORITY = ["axis", "eps", "ntr", "noise", "replicate", "train_seed"]
+_FAILURE_HEADER = ["replicate", "eps", "ntr", "noise", "error", "message"]
 
 
 def _header_order(key):
@@ -390,7 +431,8 @@ def _format_cell(value):
 
 
 def emit_outputs(scan: ScanResult, cfg: ExperimentConfig, out_dir) -> dict:
-    """Write raw.csv, summary.csv, figure.svg, and manifest.json."""
+    """Write raw.csv, summary.csv, failures.csv, figure.svg, and
+    manifest.json."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
 
@@ -408,6 +450,14 @@ def emit_outputs(scan: ScanResult, cfg: ExperimentConfig, out_dir) -> dict:
             fh.write(f"{_format_cell(v)},{repr(float(m))},"
                      f"{repr(float(s))},{int(n)}\n")
 
+    paths["failures"] = os.path.join(out_dir, "failures.csv")
+    with open(paths["failures"], "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(_FAILURE_HEADER)
+        for failure in scan.failures:
+            writer.writerow([_format_cell(failure.get(k, ""))
+                             for k in _FAILURE_HEADER])
+
     paths["figure"] = os.path.join(out_dir, "figure.svg")
     losses_positive = bool(np.all(scan.mean > 0))
     line_plot(
@@ -419,13 +469,16 @@ def emit_outputs(scan: ScanResult, cfg: ExperimentConfig, out_dir) -> dict:
         xlabel=scan.axis_name, ylabel=scan.metric, logy=losses_positive)
 
     paths["manifest"] = os.path.join(out_dir, "manifest.json")
-    write_manifest(cfg, paths["manifest"])
+    write_manifest(cfg, paths["manifest"], len(scan.failures))
     return paths
 
 
-def write_manifest(cfg: ExperimentConfig, path) -> None:
+def write_manifest(cfg: ExperimentConfig, path, failures: int) -> None:
+    """The config that reruns the scan, its conventions, and the number of
+    failed replicate jobs."""
     manifest = {
         "software_version": __version__,
+        "failures": failures,
         "conventions": {
             "test_frame": "training-set normalization statistics",
             "loss": "half mean squared error (regression), "
@@ -467,7 +520,8 @@ def emit_multi_outputs(multi: MultiScanResult, cfg: ExperimentConfig,
               xlabel=multi.scans[0].axis_name,
               ylabel=multi.scans[0].metric, logy=logy)
     paths["manifest"] = os.path.join(out_dir, "manifest.json")
-    write_manifest(cfg, paths["manifest"])
+    write_manifest(cfg, paths["manifest"],
+                   sum(len(scan.failures) for scan in multi.scans))
     return paths
 
 

@@ -293,13 +293,16 @@ def random_init(
 
 
 def save_mps(w: MPS, path) -> None:
-    """Persist to a versioned .npz record (sizes, bond profile, then cores)."""
+    """Persist to a versioned .npz record (sizes, bond profile, gauge, then
+    cores)."""
     payload = {
         "format_version": np.int64(FORMAT_VERSION),
         "n_sites": np.int64(w.n_sites),
         "phys_dim": np.int64(w.phys_dim),
         "label_site": np.int64(-1 if w.label_site is None else w.label_site),
         "bond_dims": np.asarray(w.bond_dims, dtype=np.int64),
+        "gauge": np.str_(w.gauge),
+        "center": np.int64(-1 if w.center is None else w.center),
     }
     for j, core in enumerate(w.cores):
         payload[f"core_{j}"] = np.ascontiguousarray(core)
@@ -307,11 +310,33 @@ def save_mps(w: MPS, path) -> None:
 
 
 def load_mps(path) -> MPS:
+    """Read a ``save_mps`` record.
+
+    The stored bond profile must match the cores; records written before
+    gauge and center were stored load as GAUGE_NONE with no center.
+    """
     with np.load(path) as data:
         version = int(data["format_version"])
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported MPS format version {version}")
         n = int(data["n_sites"])
         label_site = int(data["label_site"])
+        bond_dims = [int(d) for d in data["bond_dims"]]
+        gauge = str(data["gauge"]) if "gauge" in data else GAUGE_NONE
+        center = int(data["center"]) if "center" in data else -1
         cores = [data[f"core_{j}"] for j in range(n)]
-    return MPS(cores, label_site=None if label_site < 0 else label_site)
+    w = MPS(cores, label_site=None if label_site < 0 else label_site,
+            gauge=gauge, center=None if center < 0 else center)
+    if len(bond_dims) != n - 1:
+        raise ValueError(f"{path}: bond_dims lists {len(bond_dims)} bonds, "
+                         f"{n} cores have {n - 1}")
+    for j, (stored, actual) in enumerate(zip(bond_dims, w.bond_dims)):
+        if stored != actual:
+            raise ValueError(f"{path}: bond {j} (cores {j}-{j + 1}) is "
+                             f"stored as {stored}, the cores have {actual}")
+    if gauge not in (GAUGE_NONE, GAUGE_MIXED):
+        raise ValueError(f"{path}: unknown gauge {gauge!r}")
+    if w.center is not None and not w.center < n:
+        raise ValueError(f"{path}: center {w.center} out of range for "
+                         f"{n} sites")
+    return w

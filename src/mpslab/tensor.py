@@ -62,8 +62,22 @@ def row_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Column i*n + k holds a[:, i] * b[:, k], the C-order flattening of an
     (m, n) pair, so the result multiplies a core reshaped to (m*n, ...) in
     one GEMM.
+
+    A broadcast multiply runs its innermost loop over the n columns of b,
+    which is slow when n is short (the f = 2 or 3 feature columns of
+    ``row_outer(carry, phi_j)``).  When n < m, each column k instead fills
+    the strided slice out[:, :, k] with one multiply over all of a.  Every
+    entry is the same single product either way, so both forms are
+    bitwise equal.
     """
-    return (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1)
+    t, m = a.shape
+    n = b.shape[1]
+    if n >= m:
+        return (a[:, :, None] * b[:, None, :]).reshape(t, m * n)
+    out = np.empty((t, m, n), dtype=np.result_type(a, b))
+    for k in range(n):
+        np.multiply(a, b[:, k, None], out=out[:, :, k])
+    return out.reshape(t, m * n)
 
 
 def svd_truncate(m: np.ndarray, max_rank: int, cutoff: float = 0.0) -> SvdResult:

@@ -3,9 +3,9 @@ import pytest
 
 from mpslab.datagen import Dataset, TargetSpec, generate_dataset
 from mpslab.dmrg import (CROSS_ENTROPY, MSE, EnvironmentCache, TrainConfig,
-                         data_loss, frame_labels, gradient_site, loss,
-                         optimize_site, output_grad_coeffs, site_gradient,
-                         site_loss, train)
+                         TrainTrace, data_loss, frame_labels, gradient_site,
+                         loss, optimize_site, output_grad_coeffs,
+                         site_gradient, site_loss, train)
 from mpslab.exact import inversion_and_compression
 from mpslab.features import FeatureMap, featurize_batch
 from mpslab.mps import (_left_ortho_step, _right_ortho_step, canonicalize,
@@ -258,8 +258,27 @@ class TestTrain:
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "sweep,train_loss,val_loss,test_loss"
+        assert lines[0] == ("sweep,train_loss,val_loss,test_loss,objective,"
+                            "seconds")
         assert len(lines) == len(trace.sweeps) + 1
+        for line, obj, sec in zip(lines[1:], trace.objective, trace.seconds):
+            assert [float(v) for v in line.split(",")[4:]] == [obj, sec]
+
+    def test_trace_csv_accuracies(self, tmp_path):
+        trace = TrainTrace(sweeps=[0, 1], train_loss=[2.0, 1.5],
+                           val_loss=[np.nan, np.nan], test_loss=[2.1, 1.7],
+                           seconds=[0.0, 0.25], objective=[2.0, 1.5],
+                           train_accuracy=[0.1, 0.6],
+                           val_accuracy=[np.nan, np.nan],
+                           test_accuracy=[0.125, 0.5])
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path)
+        assert path.read_text().splitlines() == [
+            "sweep,train_loss,val_loss,test_loss,objective,seconds,"
+            "train_accuracy,val_accuracy,test_accuracy",
+            "0,2.0,nan,2.1,2.0,0.0,0.1,nan,0.125",
+            "1,1.5,nan,1.7,1.5,0.25,0.6,nan,0.5",
+        ]
 
     def test_single_site_chain(self):
         rng = np.random.default_rng(26)

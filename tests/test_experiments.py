@@ -1,16 +1,25 @@
 import csv
+import dataclasses
 import json
+import logging
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 from mpslab import cli, experiments
+from mpslab.datagen import generate_dataset
+from mpslab.dmrg import TrainConfig, frame_labels, train
 from mpslab.errors import ScanAbortedError
-from mpslab.experiments import (ExperimentConfig, ScanResult,
+from mpslab.exact import (build_design_system, prediction_loss,
+                          solve_full_weight)
+from mpslab.experiments import (TEST_SEED_OFFSET, VAL_SEED_OFFSET,
+                                ExperimentConfig, ScanResult,
                                 config_from_dict, emit_outputs,
                                 find_optimal_chi, run_bond_scan,
                                 run_epsilon_scan, run_trainsize_scan)
+from mpslab.features import featurize_batch
+from mpslab.mps import compress
 
 TINY = ExperimentConfig(chi_list=(2, 3, 4), ntr_list=(60,), eps_list=(0.3,),
                         replicates=3, base_seed=500, n_test=64)
@@ -71,12 +80,99 @@ class TestBondScan:
             assert {"inv_test_loss", "dmrg_test_loss",
                     "dmrg_best_sweep"} <= set(row)
 
+    def test_failed_replicate_recorded(self, tmp_path, monkeypatch, caplog):
+        replicate = experiments._regression_replicate
+
+        def flaky(cfg_dict, eps, ntr, chi_values, rep, *shared):
+            if rep == 3:
+                raise FloatingPointError("diverged, at replicate 3")
+            return replicate(cfg_dict, eps, ntr, chi_values, rep, *shared)
+
+        monkeypatch.setattr(experiments, "_regression_replicate", flaky)
+        cfg = dataclasses.replace(TINY, replicates=5)
+        with caplog.at_level(logging.WARNING, logger="mpslab.experiments"):
+            scan = run_bond_scan(cfg)
+        assert {r["replicate"] for r in scan.raw_rows} == {0, 1, 2, 4}
+        paths = emit_outputs(scan, cfg, tmp_path / "out")
+        with open(paths["failures"]) as fh:
+            failures = list(csv.DictReader(fh))
+        assert failures == [{"replicate": "3", "eps": "0.3", "ntr": "60",
+                             "noise": "", "error": "FloatingPointError",
+                             "message": "diverged, at replicate 3"}]
+        with open(paths["manifest"]) as fh:
+            assert json.load(fh)["failures"] == 1
+        assert "FloatingPointError" in caplog.text
+
     def test_abort_on_failures(self, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("boom")
         monkeypatch.setattr(experiments, "_regression_replicate", broken)
         with pytest.raises(ScanAbortedError):
             run_bond_scan(TINY)
+
+
+def per_chi_rows(cfg):
+    """A bond scan's raw rows recomputed without sharing: a fresh test set
+    per replicate, and each chi featurizes every dataset again."""
+    fmap = cfg.feature_map()
+    eps, ntr = cfg.eps_list[0], cfg.ntr_list[0]
+    spec = cfg.target_spec(eps)
+    tc = TrainConfig(sweeps=cfg.sweeps, cg_steps=cfg.cg_steps,
+                     ridge=cfg.ridge)
+    rows = []
+    for rep in range(cfg.replicates):
+        train_set = generate_dataset(spec, ntr, cfg.base_seed + rep)
+        test_set = generate_dataset(spec, cfg.n_test,
+                                    cfg.base_seed + TEST_SEED_OFFSET)
+        val_set = generate_dataset(spec, cfg.n_test,
+                                   cfg.base_seed + VAL_SEED_OFFSET + rep)
+        y_te = frame_labels(test_set, train_set)
+        full = solve_full_weight(build_design_system(train_set, fmap,
+                                                     cfg.ridge))
+        for chi in cfg.chi_list:
+            w, _ = compress(full, chi)
+            pred = w.evaluate_batch(featurize_batch(fmap, test_set.features))
+            row = {"axis": chi, "eps": eps, "ntr": ntr, "replicate": rep,
+                   "train_seed": cfg.base_seed + rep,
+                   "inv_train_loss": prediction_loss(w, train_set, fmap),
+                   "inv_test_loss": float(0.5 * np.mean((pred - y_te) ** 2))}
+            if cfg.method == "both":
+                _, trace = train(w, train_set, val_set, test_set, tc, fmap)
+                best = trace.best_validation_sweep
+                row.update({"dmrg_train_loss": trace.train_loss[-1],
+                            "dmrg_val_loss": trace.val_loss[best],
+                            "dmrg_test_loss": trace.test_loss[best],
+                            "dmrg_best_sweep": best,
+                            "dmrg_sweeps_run": trace.sweeps[-1]})
+            rows.append(row)
+    return rows
+
+
+class TestSharedWork:
+    """Shared test set and once-per-dataset features leave every raw row
+    bitwise equal to the per-chi recomputation."""
+
+    @pytest.mark.parametrize("cfg", [
+        TINY,
+        ExperimentConfig(chi_list=(2, 4), ntr_list=(60,), replicates=2,
+                         base_seed=11, n_test=48, method="both", sweeps=2,
+                         cg_steps=2)], ids=["inversion", "both"])
+    def test_rows_bitwise_equal_per_chi_recomputation(self, cfg):
+        assert run_bond_scan(cfg).raw_rows == per_chi_rows(cfg)
+
+    @pytest.mark.parametrize("scan", [run_bond_scan, run_trainsize_scan])
+    def test_test_set_generated_once_per_scan(self, scan, monkeypatch):
+        seeds = []
+
+        def counting(spec, n, seed):
+            seeds.append(seed)
+            return generate_dataset(spec, n, seed)
+
+        monkeypatch.setattr(experiments, "generate_dataset", counting)
+        cfg = dataclasses.replace(TINY, ntr_list=(40, 60), chi_list=(3,))
+        scan(cfg)
+        assert seeds.count(cfg.base_seed + TEST_SEED_OFFSET) == 1
+        assert len(seeds) > cfg.replicates
 
 
 class TestOtherScans:
@@ -118,6 +214,10 @@ class TestEmit:
             assert float(row["mean"]) == pytest.approx(np.mean(vals),
                                                        abs=1e-12)
         ET.parse(paths["figure"])  # well-formed XML
+        with open(paths["failures"]) as fh:
+            assert fh.read() == "replicate,eps,ntr,noise,error,message\n"
+        with open(paths["manifest"]) as fh:
+            assert json.load(fh)["failures"] == 0
 
     def test_manifest_rerun_bitwise(self, tmp_path):
         scan = run_bond_scan(TINY)
@@ -130,7 +230,6 @@ class TestEmit:
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         serial = run_bond_scan(TINY)
-        import dataclasses
         parallel = run_bond_scan(dataclasses.replace(TINY, jobs=2))
         np.testing.assert_array_equal(serial.mean, parallel.mean)
         assert serial.raw_rows == parallel.raw_rows

@@ -1,6 +1,7 @@
 """Property tests of the GEMM contraction kernels against brute force.
 
-``MPS.evaluate_batch`` is checked against the full weight tensor
+``tensor.row_outer`` is checked bitwise against one broadcast multiply,
+``MPS.evaluate_batch`` against the full weight tensor
 contracted with the full feature tensor, and every ``EnvironmentCache``
 center against ``evaluate_batch`` and an unoptimized einsum gradient.
 Roundoff is bounded relative to the same contraction of the absolute
@@ -16,9 +17,24 @@ from mpslab.dmrg import EnvironmentCache
 from mpslab.features import full_feature_tensor
 from mpslab.mps import (MPS, _left_ortho_step, _right_ortho_step,
                         canonicalize, random_init)
+from mpslab.tensor import row_outer
 
 RTOL = 1e-12
 LABEL_DIM = 3
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 64), st.integers(1, 30), st.integers(1, 4),
+       st.integers(0, 2**32 - 1))
+def test_row_outer_bitwise_equals_broadcast(t, m, n, seed):
+    """Both operand orders: (carry, phi_j) as the left pass passes them and
+    (phi_j, carry) as the right pass does, phi_j a strided column view."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((t, m))
+    b = rng.standard_normal((t, 3, n))[:, 1]
+    for x, y in ((a, b), (b, a)):
+        ref = (x[:, :, None] * y[:, None, :]).reshape(len(x), -1)
+        assert np.array_equal(row_outer(x, y), ref)
 
 
 @st.composite

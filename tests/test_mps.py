@@ -272,6 +272,39 @@ class TestSerialization:
             np.testing.assert_array_equal(ca, cb)
 
 
+    def test_round_trip_mixed_gauge(self, tmp_path):
+        w = canonicalize(random_init(5, 3, 4, scale=0.5, seed=32), 2)
+        path = tmp_path / "mixed.npz"
+        save_mps(w, path)
+        back = load_mps(path)
+        assert (back.gauge, back.center) == ("mixed", 2)
+        for ca, cb in zip(w.cores, back.cores):
+            np.testing.assert_array_equal(ca, cb)
+
+    def test_record_without_gauge_loads_ungauged(self, tmp_path):
+        w = canonicalize(random_init(4, 2, 3, scale=0.5, seed=33), 1)
+        path = tmp_path / "old.npz"
+        save_mps(w, path)
+        with np.load(path) as data:
+            payload = {k: data[k] for k in data if k not in ("gauge",
+                                                            "center")}
+        np.savez(path, **payload)
+        back = load_mps(path)
+        assert (back.gauge, back.center) == ("none", None)
+
+    def test_tampered_bond_dims_rejected(self, tmp_path):
+        w = random_init(5, 3, 6, scale=0.5, seed=34)
+        path = tmp_path / "tampered.npz"
+        save_mps(w, path)
+        with np.load(path) as data:
+            payload = {k: data[k] for k in data}
+        payload["bond_dims"] = payload["bond_dims"].copy()
+        payload["bond_dims"][2] += 1
+        np.savez(path, **payload)
+        with pytest.raises(ValueError, match="bond 2"):
+            load_mps(path)
+
+
 class TestValidation:
     def test_bond_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
