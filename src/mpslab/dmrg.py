@@ -6,6 +6,7 @@ Each center update runs a few Polak-Ribiere CG steps with an Armijo
 backtracking line search, so the training objective never increases.
 """
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -84,13 +85,21 @@ class EnvironmentCache:
     When neither environment at the center carries the class axis (every
     center of an unlabeled chain), ``apply`` and
     ``grad_from_output_coeffs`` run on the local block
-    X_c = row_outer(L_c, phi_c) of shape (T, chi_l*f), built once per
-    center: the outputs are the row-wise dot of X_c @ core.reshape(chi_l*f,
-    chi_r) with R_c, the gradient is X_c.T @ (coeffs * R_c).  This is the
-    local design of the alternating linear scheme, as plain GEMMs without
-    einsum path planning.  The class-axis branches and the environment
-    moves stay on einsum: the classifier sweep's training is chaotic under
-    roundoff, and keeping them keeps its trace bitwise.
+    X_c = row_outer(L_c, phi_c) of shape (T, chi_l*f): the outputs are the
+    row-wise dot of X_c @ core.reshape(chi_l*f, chi_r) with R_c, the
+    gradient is X_c.T @ (coeffs * R_c).  This is the local design of the
+    alternating linear scheme, as plain GEMMs.
+
+    Every other operation (the class-axis branches of ``apply`` and
+    ``grad_from_output_coeffs``, and every environment move) is
+    ``np.einsum(..., optimize=True)`` bit for bit, run by ``_contract``:
+    the path is planned once per subscripts and shapes, and the leading
+    pairwise steps that read only L_c, phi_c and R_c are computed once per
+    center.  The classifier sweep's training is chaotic under roundoff, so
+    these operations keep numpy's exact pairwise steps.
+
+    Products of L_c, phi_c and R_c (X_c, the memoized einsum steps) live
+    in a per-center memo that every move drops.
     """
 
     def __init__(self, cores, phi, label_site=None, center=0):
@@ -103,65 +112,68 @@ class EnvironmentCache:
         self.right = [None] * (n + 1)
         self.left[0] = np.ones((t, 1))
         self.right[n] = np.ones((t, 1))
-        self._block = None  # X_c of the current center, built on first use
+        self._memo = {}
+        # away from the center: nothing to share, so a fresh memo per site
         for j in range(n - 1, center, -1):
-            self.right[j] = self._absorb_right(self.right[j + 1], cores[j], j)
+            self.right[j] = self._absorb_right(self.right[j + 1], cores[j], j,
+                                               {})
         for j in range(center):
-            self.left[j + 1] = self._absorb_left(self.left[j], cores[j], j)
+            self.left[j + 1] = self._absorb_left(self.left[j], cores[j], j, {})
 
-    def _absorb_left(self, env, core, j):
-        phi_j = self.phi[:, j]
-        if j == self.label_site:
-            return np.einsum("tl,lfcr,tf->trc", env, core, phi_j, optimize=True)
-        if env.ndim == 3:
-            return np.einsum("tlc,lfr,tf->trc", env, core, phi_j, optimize=True)
-        return np.einsum("tl,lfr,tf->tr", env, core, phi_j, optimize=True)
+    def _absorb_left(self, env, core, j, memo):
+        """L_{j+1} from L_j and core j."""
+        lterm, cterm = _env_term("l", env), _core_term(core)
+        out = "trc" if "c" in lterm + cterm else "tr"
+        return _contract(f"{lterm},{cterm},tf->{out}",
+                         (env, core, self.phi[:, j]), 1, memo)
 
-    def _absorb_right(self, env, core, j):
-        phi_j = self.phi[:, j]
-        if j == self.label_site:
-            return np.einsum("tr,lfcr,tf->tlc", env, core, phi_j, optimize=True)
-        if env.ndim == 3:
-            return np.einsum("trc,lfr,tf->tlc", env, core, phi_j, optimize=True)
-        return np.einsum("tr,lfr,tf->tl", env, core, phi_j, optimize=True)
+    def _absorb_right(self, env, core, j, memo):
+        """R_j from R_{j+1} and core j."""
+        rterm, cterm = _env_term("r", env), _core_term(core)
+        out = "tlc" if "c" in rterm + cterm else "tl"
+        return _contract(f"{rterm},{cterm},tf->{out}",
+                         (env, core, self.phi[:, j]), 1, memo)
 
     def move_right(self, new_core):
         """Center c -> c+1 after ``new_core`` replaced core c."""
         c = self.center
-        self.left[c + 1] = self._absorb_left(self.left[c], new_core, c)
+        self.left[c + 1] = self._absorb_left(self.left[c], new_core, c,
+                                             self._memo)
         self.right[c + 1] = None
-        self._block = None
+        self._memo = {}
         self.center = c + 1
 
     def move_left(self, new_core):
         """Center c -> c-1 after ``new_core`` replaced core c."""
         c = self.center
-        self.right[c] = self._absorb_right(self.right[c + 1], new_core, c)
+        self.right[c] = self._absorb_right(self.right[c + 1], new_core, c,
+                                           self._memo)
         self.left[c] = None
-        self._block = None
+        self._memo = {}
         self.center = c - 1
 
     def _local_block(self) -> np.ndarray:
         """X_c = row_outer(L_c, phi_c), shape (T, chi_l*f)."""
-        if self._block is None:
+        if "X" not in self._memo:
             c = self.center
-            self._block = row_outer(self.left[c], self.phi[:, c])
-        return self._block
+            self._memo["X"] = row_outer(self.left[c], self.phi[:, c])
+        return self._memo["X"]
+
+    def _labeled(self) -> bool:
+        """Whether the class axis is at the center or in an environment."""
+        c = self.center
+        return (c == self.label_site or self.left[c].ndim == 3
+                or self.right[c + 1].ndim == 3)
 
     def apply(self, core) -> np.ndarray:
         """Model outputs with ``core`` in the center slot: (T,) or (T, C)."""
         c = self.center
         lenv, renv = self.left[c], self.right[c + 1]
-        phi_c = self.phi[:, c]
-        if c == self.label_site:
-            return np.einsum("tl,lfcr,tf,tr->tc", lenv, core, phi_c, renv,
-                             optimize=True)
-        if lenv.ndim == 3:
-            return np.einsum("tlc,lfr,tf,tr->tc", lenv, core, phi_c, renv,
-                             optimize=True)
-        if renv.ndim == 3:
-            return np.einsum("tl,lfr,tf,trc->tc", lenv, core, phi_c, renv,
-                             optimize=True)
+        if self._labeled():
+            spec = (f"{_env_term('l', lenv)},{_core_term(core)},tf,"
+                    f"{_env_term('r', renv)}->tc")
+            return _contract(spec, (lenv, core, self.phi[:, c], renv), 1,
+                             self._memo)
         out = self._local_block() @ core.reshape(-1, core.shape[-1])
         return (out * renv).sum(axis=1)
 
@@ -169,35 +181,116 @@ class EnvironmentCache:
         """Chain rule: d(loss)/d(core) from d(loss)/d(output) coefficients."""
         c = self.center
         lenv, renv = self.left[c], self.right[c + 1]
-        phi_c = self.phi[:, c]
-        if c == self.label_site:
-            return np.einsum("tc,tl,tf,tr->lfcr", coeffs, lenv, phi_c, renv,
-                             optimize=True)
-        if lenv.ndim == 3:
-            return np.einsum("tc,tlc,tf,tr->lfr", coeffs, lenv, phi_c, renv,
-                             optimize=True)
-        if renv.ndim == 3:
-            return np.einsum("tc,tl,tf,trc->lfr", coeffs, lenv, phi_c, renv,
-                             optimize=True)
+        if self._labeled():
+            cterm = "lfcr" if c == self.label_site else "lfr"
+            spec = (f"tc,{_env_term('l', lenv)},tf,"
+                    f"{_env_term('r', renv)}->{cterm}")
+            return _contract(spec, (coeffs, lenv, self.phi[:, c], renv), 0,
+                             self._memo)
         grad = self._local_block().T @ (coeffs[:, None] * renv)
-        return grad.reshape(lenv.shape[1], phi_c.shape[1], renv.shape[1])
+        return grad.reshape(lenv.shape[1], self.phi.shape[2], renv.shape[1])
+
+
+def _env_term(bond: str, env: np.ndarray) -> str:
+    """einsum term of an environment: "t" + bond, then "c" for a class axis."""
+    return "t" + bond + ("c" if env.ndim == 3 else "")
+
+
+def _core_term(core: np.ndarray) -> str:
+    """einsum term of a core: "lfr", or "lfcr" for the labeled core."""
+    return "lfcr" if core.ndim == 4 else "lfr"
+
+
+@functools.lru_cache(maxsize=1024)
+def _einsum_plan(subscripts: str, shapes: tuple, varying: int):
+    """numpy's ``optimize=True`` path for ``subscripts`` at ``shapes``,
+    split after its leading steps that do not read operand ``varying``.
+
+    Returns (head, rest, rest_path).  Each head entry is (positions, step,
+    step_path): numpy's pairwise step on the operands at ``positions``
+    (ascending) of the current operand list, which numpy pops and
+    replaces by the step's result at the end of the list.  ``step`` lists
+    those operands' terms in ascending order, so ``np.einsum`` with the
+    one-step ``step_path`` pops them back into numpy's order.  The result
+    is named as numpy names an intermediate: its indices sorted by (size,
+    letter).  ``rest`` and ``rest_path`` are the subscripts and explicit
+    path of the remaining steps on the operand list the head leaves.
+    """
+    dummies = [np.empty(shape) for shape in shapes]
+    path = np.einsum_path(subscripts, *dummies, optimize=True)[0][1:]
+    inputs, output = subscripts.split("->")
+    terms = inputs.split(",")
+    size = {}
+    for term, shape in zip(terms, shapes):
+        for index, n in zip(term, shape):
+            size[index] = max(size.get(index, 1), n)
+    free = [k != varying for k in range(len(terms))]
+    head = []
+    for positions in path:
+        positions = tuple(sorted(positions))
+        if not all(free[p] for p in positions):
+            break
+        taken = [terms[p] for p in positions]
+        for p in reversed(positions):
+            del terms[p], free[p]
+        kept = set(output).union(*terms)
+        result = "".join(sorted(set("".join(taken)) & kept,
+                                key=lambda index: (size[index], index)))
+        head.append((positions, ",".join(taken) + "->" + result,
+                     ("einsum_path", tuple(range(len(positions))))))
+        terms.append(result)
+        free.append(True)
+    rest = ",".join(terms) + "->" + output
+    return tuple(head), rest, ("einsum_path",) + tuple(path[len(head):])
+
+
+def _contract(subscripts: str, operands, varying: int, memo: dict):
+    """``np.einsum(subscripts, *operands, optimize=True)``, bit for bit.
+
+    Runs numpy's own pairwise steps, from a path planned once per
+    (subscripts, shapes).  The leading steps that do not read
+    ``operands[varying]`` are kept in ``memo`` under their subscripts, so
+    they are computed once for all calls whose other operands are the
+    same arrays under the same index letters (one center of a sweep).
+    """
+    head, rest, rest_path = _einsum_plan(
+        subscripts, tuple(op.shape for op in operands), varying)
+    operands = list(operands)
+    for positions, step, step_path in head:
+        args = [operands[p] for p in positions]
+        for p in reversed(positions):
+            del operands[p]
+        if step not in memo:
+            memo[step] = np.einsum(step, *args, optimize=step_path)
+        operands.append(memo[step])
+    return np.einsum(rest, *operands, optimize=rest_path)
 
 
 def data_loss(outputs: np.ndarray, y: np.ndarray, kind: str) -> float:
     """Data term of the training objective (no ridge)."""
     if kind == MSE:
         return float(0.5 * np.mean((outputs - y) ** 2))
-    p_true = _true_class_probabilities(outputs, y)
+    p_true, _ = _true_class_probabilities(outputs, y)
     return float(-np.mean(np.log(np.maximum(p_true, PROB_FLOOR))))
 
 
-def _true_class_probabilities(v: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """v_true^2 / sum(v^2) per row; 0 for an all-zero row."""
+def _true_class_probabilities(v: np.ndarray, y: np.ndarray):
+    """(p_true, total): v_true^2 / sum(v^2) per row, 0 for an all-zero
+    row, and the row totals sum(v^2)."""
     sq = v**2
     total = sq.sum(axis=1)
     p_true = np.zeros(len(y))
-    np.divide(sq[np.arange(len(y)), y], total, out=p_true, where=total > 0.0)
-    return p_true
+    np.divide(sq[_row_indices(len(y)), y], total, out=p_true,
+              where=total > 0.0)
+    return p_true, total
+
+
+@functools.lru_cache(maxsize=8)
+def _row_indices(t: int) -> np.ndarray:
+    """Read-only np.arange(t), to pick one entry per row of a (T, C) block."""
+    rows = np.arange(t)
+    rows.flags.writeable = False
+    return rows
 
 
 def output_grad_coeffs(outputs: np.ndarray, y: np.ndarray, kind: str) -> np.ndarray:
@@ -211,12 +304,12 @@ def output_grad_coeffs(outputs: np.ndarray, y: np.ndarray, kind: str) -> np.ndar
     if kind == MSE:
         return (outputs - y) / t
     # -ln(v_true^2 / sum v^2): d/dv_c = 2 v_c / sum(v^2) - 2 delta_{c,true}/v_true
-    total = (outputs**2).sum(axis=1, keepdims=True)
-    rows = np.arange(t)
+    p_true, total = _true_class_probabilities(outputs, y)
+    rows = _row_indices(t)
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = 2.0 * outputs / total
+        g = 2.0 * outputs / total[:, None]
         g[rows, y] -= 2.0 / outputs[rows, y]
-    g[_true_class_probabilities(outputs, y) < PROB_FLOOR] = 0.0
+    g[p_true < PROB_FLOOR] = 0.0
     return g / t
 
 

@@ -42,19 +42,25 @@ def design_matrix(phi: np.ndarray) -> np.ndarray:
 
 def build_design_system(d: Dataset, fmap: FeatureMap, ridge: float) -> DesignSystem:
     """Assemble A and b from a dataset; guarded to f^N <= 10^4."""
+    return build_design_system_arrays(featurize_batch(fmap, d.features),
+                                      d.labels, ridge)
+
+
+def build_design_system_arrays(phi: np.ndarray, y: np.ndarray,
+                               ridge: float) -> DesignSystem:
+    """A and b from featurized samples phi (T, N, f) and labels y (T,);
+    guarded to f^N <= 10^4."""
     if ridge <= 0.0:
         raise ValueError(f"ridge coefficient must be > 0, got {ridge}")
-    n = d.n_features
-    dim = fmap.dim**n
+    t, n, f = phi.shape
+    dim = f**n
     if dim > DESIGN_GUARD:
         raise CapacityError(f"design matrix would be {dim} x {dim}")
-    z = design_matrix(featurize_batch(fmap, d.features))
-    t = d.n_samples
+    z = design_matrix(phi)
     a = (z.T @ z) / t
     a[np.diag_indices_from(a)] += ridge
-    b = z.T @ d.labels / t
-    return DesignSystem(a=a, b=b, ridge=ridge, n_samples=t,
-                        shape=(fmap.dim,) * n)
+    b = z.T @ y / t
+    return DesignSystem(a=a, b=b, ridge=ridge, n_samples=t, shape=(f,) * n)
 
 
 def solve_full_weight(system: DesignSystem) -> np.ndarray:

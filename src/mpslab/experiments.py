@@ -18,7 +18,7 @@ from .datagen import TargetSpec, generate_dataset
 from .dmrg import (CROSS_ENTROPY, MSE, TrainConfig, data_loss, frame_labels,
                    train_arrays)
 from .errors import ScanAbortedError
-from .exact import build_design_system, solve_full_weight
+from .exact import build_design_system_arrays, solve_full_weight
 from .features import FeatureMap, featurize_batch
 from .mps import compress
 from .svgplot import line_plot
@@ -201,7 +201,8 @@ def _regression_replicate(cfg_dict, eps, ntr, chi_values, rep, test_set,
     phi_tr = featurize_batch(fmap, train_set.features)
     y_tr = train_set.labels
     y_te = frame_labels(test_set, train_set)
-    full = solve_full_weight(build_design_system(train_set, fmap, cfg.ridge))
+    full = solve_full_weight(build_design_system_arrays(phi_tr, y_tr,
+                                                        cfg.ridge))
     training = cfg.method in (DMRG, BOTH)
     if training:
         val_set = generate_dataset(spec, cfg.n_test,

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from mpslab import classify
+from mpslab import classify, dmrg
 from mpslab.classify import (ImageDataset, accuracy, corrupt_labels,
                              cross_entropy, export_predictions,
                              featurize_images, init_classifier_mps, load_idx,
@@ -254,3 +254,73 @@ class TestTraining:
         assert w.label_site == 98
         assert w.label_dim == 10
         assert w.max_bond == 6
+
+
+class EinsumCache(dmrg.EnvironmentCache):
+    """The environment cache with every class-axis operation and every
+    environment move one fused ``np.einsum(..., optimize=True)`` call, as
+    before the planned contractions: their bit-for-bit reference."""
+
+    def _absorb_left(self, env, core, j, memo):
+        phi_j = self.phi[:, j]
+        if core.ndim == 4:
+            return np.einsum("tl,lfcr,tf->trc", env, core, phi_j, optimize=True)
+        if env.ndim == 3:
+            return np.einsum("tlc,lfr,tf->trc", env, core, phi_j, optimize=True)
+        return np.einsum("tl,lfr,tf->tr", env, core, phi_j, optimize=True)
+
+    def _absorb_right(self, env, core, j, memo):
+        phi_j = self.phi[:, j]
+        if core.ndim == 4:
+            return np.einsum("tr,lfcr,tf->tlc", env, core, phi_j, optimize=True)
+        if env.ndim == 3:
+            return np.einsum("trc,lfr,tf->tlc", env, core, phi_j, optimize=True)
+        return np.einsum("tr,lfr,tf->tl", env, core, phi_j, optimize=True)
+
+    def apply(self, core):
+        c = self.center
+        lenv, renv, phi_c = self.left[c], self.right[c + 1], self.phi[:, c]
+        if c == self.label_site:
+            spec = "tl,lfcr,tf,tr->tc"
+        elif lenv.ndim == 3:
+            spec = "tlc,lfr,tf,tr->tc"
+        else:
+            spec = "tl,lfr,tf,trc->tc"
+        return np.einsum(spec, lenv, core, phi_c, renv, optimize=True)
+
+    def grad_from_output_coeffs(self, coeffs):
+        c = self.center
+        lenv, renv, phi_c = self.left[c], self.right[c + 1], self.phi[:, c]
+        if c == self.label_site:
+            spec = "tc,tl,tf,tr->lfcr"
+        elif lenv.ndim == 3:
+            spec = "tc,tlc,tf,tr->lfr"
+        else:
+            spec = "tc,tl,tf,trc->lfr"
+        return np.einsum(spec, coeffs, lenv, phi_c, renv, optimize=True)
+
+
+class TestBitwiseTraining:
+    def test_planned_contractions_match_fused_einsum(self, monkeypatch):
+        """A sweep from a random start is chaotic under roundoff, so equal
+        traces and cores show the planned, memoized contractions run
+        numpy's fused einsum steps exactly."""
+        rng = np.random.default_rng(14)
+        d = ImageDataset(rng.uniform(size=(64, 4, 4)),
+                         rng.integers(0, 10, 64))
+        test = ImageDataset(rng.uniform(size=(32, 4, 4)),
+                            rng.integers(0, 10, 32))
+        cfg = TrainConfig(sweeps=1, cg_steps=5, ridge=0.0,
+                          loss_kind=CROSS_ENTROPY, checkpoint="last",
+                          sweep_tol=0.0)
+        model, trace = train_classifier(d, None, test, 3, cfg, seed=15)
+        monkeypatch.setattr(dmrg, "EnvironmentCache", EinsumCache)
+        ref_model, ref_trace = train_classifier(d, None, test, 3, cfg,
+                                                seed=15)
+        for name in ("train_loss", "val_loss", "test_loss", "objective",
+                     "train_accuracy", "test_accuracy"):
+            np.testing.assert_array_equal(getattr(trace, name),
+                                          getattr(ref_trace, name))
+        assert trace.stalls == ref_trace.stalls
+        for core, ref in zip(model.cores, ref_model.cores):
+            assert np.array_equal(core, ref)

@@ -6,7 +6,9 @@ contracted with the full feature tensor, and every ``EnvironmentCache``
 center against ``evaluate_batch`` and an unoptimized einsum gradient.
 Roundoff is bounded relative to the same contraction of the absolute
 values of cores and features, so outputs that cancel to near zero are
-still held to 1e-12.
+still held to 1e-12.  On labeled chains the cache's planned, memoized
+contractions are held bit for bit to one fused
+``np.einsum(..., optimize=True)`` call each.
 """
 
 import numpy as np
@@ -124,3 +126,86 @@ def test_cache_matches_evaluate_and_einsum_at_every_center(case):
                                          c == w.label_site)
         assert_matches(cache.grad_from_output_coeffs(coeffs), grad,
                        grad_abs)
+
+
+# np.einsum subscripts of every labeled-chain operation, by where the
+# class axis is: at the center core, in L_c (center right of the label)
+# or in R_{c+1} (center left of the label).
+APPLY = {"center": "tl,lfcr,tf,tr->tc", "left": "tlc,lfr,tf,tr->tc",
+         "right": "tl,lfr,tf,trc->tc"}
+GRAD = {"center": "tc,tl,tf,tr->lfcr", "left": "tc,tlc,tf,tr->lfr",
+        "right": "tc,tl,tf,trc->lfr"}
+# by where the class axis is among the absorbed environment and core
+ABSORB_LEFT = {"core": "tl,lfcr,tf->trc", "env": "tlc,lfr,tf->trc",
+               None: "tl,lfr,tf->tr"}
+ABSORB_RIGHT = {"core": "tr,lfcr,tf->tlc", "env": "trc,lfr,tf->tlc",
+                None: "tr,lfr,tf->tl"}
+
+
+def fused(spec, *operands):
+    return np.einsum(spec, *operands, optimize=True)
+
+
+def class_axis_at(env, core):
+    return "core" if core.ndim == 4 else "env" if env.ndim == 3 else None
+
+
+@st.composite
+def labeled_chains(draw):
+    """(MPS, phi, seed): N in 1..6, f in {2, 3}, chi in 1..6, 1..10
+    classes, label at the first, a middle or the last site, T in 1..64."""
+    n = draw(st.integers(1, 6))
+    f = draw(st.sampled_from([2, 3]))
+    chi = draw(st.integers(1, 6))
+    classes = draw(st.integers(1, 10))
+    label_site = draw(st.sampled_from([0, n // 2, n - 1]))
+    t = draw(st.integers(1, 64))
+    seed = draw(st.integers(0, 2**32 - 1))
+    w = random_init(n, f, chi, scale=0.7, seed=seed, label_site=label_site,
+                    label_dim=classes)
+    phi = np.random.default_rng(seed + 1).standard_normal((t, n, f))
+    return w, phi, seed
+
+
+@settings(max_examples=100, deadline=None)
+@given(labeled_chains())
+def test_labeled_cache_bitwise_equals_fused_einsum(case):
+    """Planned, memoized contractions are np.einsum(optimize=True) bit for
+    bit: several apply and gradient calls at every center, walking right
+    then left, and every environment the cache builds or moves."""
+    w, phi, seed = case
+    n, label = w.n_sites, w.label_site
+    rng = np.random.default_rng(seed + 2)
+    cores = [c.copy() for c in canonicalize(w, 0).cores]
+    cache = EnvironmentCache(cores, phi, label_site=label, center=0)
+    for j in range(n - 1, 0, -1):
+        spec = ABSORB_RIGHT[class_axis_at(cache.right[j + 1], cores[j])]
+        assert np.array_equal(cache.right[j], fused(
+            spec, cache.right[j + 1], cores[j], phi[:, j]))
+    for c, step in [(0, None)] + [(c, "R") for c in range(1, n)] + [
+            (c, "L") for c in range(n - 2, -1, -1)]:
+        if step == "R":
+            _left_ortho_step(cores, c - 1)
+            spec = ABSORB_LEFT[class_axis_at(cache.left[c - 1], cores[c - 1])]
+            ref = fused(spec, cache.left[c - 1], cores[c - 1], phi[:, c - 1])
+            cache.move_right(cores[c - 1])
+            assert np.array_equal(cache.left[c], ref)
+        elif step == "L":
+            _right_ortho_step(cores, c + 1)
+            spec = ABSORB_RIGHT[class_axis_at(cache.right[c + 2],
+                                              cores[c + 1])]
+            ref = fused(spec, cache.right[c + 2], cores[c + 1], phi[:, c + 1])
+            cache.move_left(cores[c + 1])
+            assert np.array_equal(cache.right[c + 1], ref)
+        lenv, renv = cache.left[c], cache.right[c + 1]
+        where = ("center" if c == label else
+                 "left" if lenv.ndim == 3 else "right")
+        operands = (lenv, phi[:, c], renv)
+        for core in (cores[c], rng.standard_normal(cores[c].shape),
+                     rng.standard_normal(cores[c].shape)):
+            assert np.array_equal(cache.apply(core),
+                                  fused(APPLY[where], lenv, core,
+                                        *operands[1:]))
+            coeffs = rng.standard_normal((len(phi), w.label_dim))
+            assert np.array_equal(cache.grad_from_output_coeffs(coeffs),
+                                  fused(GRAD[where], coeffs, *operands))
