@@ -5,14 +5,14 @@ Run:  python demos/01_tensors_and_features.py
 
 import numpy as np
 
-from mpslab import FeatureMap, apply_scalar, contract, featurize, svd_truncate
+from mpslab import FeatureMap, apply_scalar, featurize, svd_truncate
 
 # --- general pairwise tensor contraction -------------------------------
 a = np.arange(24.0).reshape(2, 3, 4)
 b = np.arange(12.0).reshape(4, 3)
 
 # sum over (axis 2 of a, axis 0 of b) and (axis 1 of a, axis 1 of b)
-c = contract(a, b, [(2, 0), (1, 1)])
+c = np.tensordot(a, b, axes=([2, 1], [0, 1]))
 print("contract (2,3,4) x (4,3) over two axis pairs ->", c.shape, c)
 
 # --- truncated SVD with discarded-weight accounting --------------------

@@ -11,13 +11,13 @@ from .exact import (DesignSystem, build_design_system,
 from .features import FeatureMap, apply_scalar, featurize
 from .mps import (MPS, canonicalize, compress, load_mps, random_init,
                   save_mps, truncate)
-from .tensor import SvdResult, contract, solve_linear, svd_truncate
+from .tensor import SvdResult, solve_linear, svd_truncate
 
 __all__ = [
     "Dataset", "DesignSystem", "FeatureMap", "MPS", "SvdResult",
     "TargetSpec", "TrainConfig", "TrainTrace", "add_label_noise",
     "apply_scalar", "build_design_system", "build_nilpotent",
-    "build_target_mps", "canonicalize", "compress", "contract", "featurize",
+    "build_target_mps", "canonicalize", "compress", "featurize",
     "generate_dataset", "inversion_and_compression", "load_mps",
     "random_init", "random_orthogonal", "sample_features", "save_mps",
     "solve_full_weight", "solve_linear", "svd_truncate", "train", "truncate",

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import add_label_noise
-from .dmrg import CROSS_ENTROPY, PROB_FLOOR, TrainConfig, train_arrays
+from .dmrg import (CROSS_ENTROPY, PROB_FLOOR, TrainConfig, data_loss,
+                   train_arrays)
 from .errors import DegenerateOutputError, IdxFormatError
 from .features import TRIGONOMETRIC, FeatureMap, featurize_batch
 from .mps import MPS, random_init
@@ -23,10 +24,6 @@ LABELS_MAGIC = 0x00000801
 NUM_CLASSES = 10
 
 mnist_feature_map = FeatureMap(kind=TRIGONOMETRIC, dim=2)
-
-# cross_entropy increments this whenever a true-class probability had to be
-# clamped to stay finite
-clamp_events = 0
 
 
 @dataclass
@@ -119,14 +116,10 @@ def _batch_proba(w: MPS, phi: np.ndarray) -> np.ndarray:
 
 def cross_entropy(w: MPS, d: ImageDataset,
                   fmap: FeatureMap = mnist_feature_map) -> float:
-    """Mean negative log probability of the true class."""
-    global clamp_events
-    p = _batch_proba(w, featurize_images(d, fmap))
-    p_true = p[np.arange(d.count), d.labels]
-    n_zero = int(np.count_nonzero(p_true < PROB_FLOOR))
-    if n_zero:
-        clamp_events += n_zero
-    return float(-np.mean(np.log(np.maximum(p_true, PROB_FLOOR))))
+    """Mean negative log probability of the true class, each clamped at
+    ``PROB_FLOOR`` as in the training objective."""
+    return data_loss(w.evaluate_batch(featurize_images(d, fmap)), d.labels,
+                     CROSS_ENTROPY)
 
 
 def accuracy(w: MPS, d: ImageDataset,

@@ -17,8 +17,9 @@ from .datagen import TargetSpec, generate_dataset, save_dataset_csv
 from .dmrg import CROSS_ENTROPY, TrainConfig, train
 from .errors import ScanAbortedError
 from .exact import inversion_and_compression, prediction_loss
-from .experiments import (ExperimentConfig, config_from_dict, run_scenario,
-                          SCENARIOS)
+from .experiments import (NOISE_SEED_OFFSET, SCENARIOS, TEST_SEED_OFFSET,
+                          VAL_SEED_OFFSET, ExperimentConfig, config_from_dict,
+                          run_scenario)
 from .features import FeatureMap
 from .mps import save_mps
 
@@ -185,7 +186,8 @@ def _cmd_exact(args) -> int:
     spec = _target_spec(args)
     fmap = FeatureMap(dim=spec.phys_dim)
     train_set = generate_dataset(spec, args.ntr, args.seed)
-    test_set = generate_dataset(spec, args.n_test, args.seed + 1_000_003)
+    test_set = generate_dataset(spec, args.n_test,
+                                args.seed + TEST_SEED_OFFSET)
     model = inversion_and_compression(train_set, fmap, args.ridge, args.chi)
     from .dmrg import frame_labels
     from .features import featurize_batch
@@ -204,8 +206,10 @@ def _cmd_dmrg(args) -> int:
     spec = _target_spec(args)
     fmap = FeatureMap(dim=spec.phys_dim)
     train_set = generate_dataset(spec, args.ntr, args.seed)
-    test_set = generate_dataset(spec, args.n_test, args.seed + 1_000_003)
-    val_set = generate_dataset(spec, args.n_test, args.seed + 2_000_003)
+    test_set = generate_dataset(spec, args.n_test,
+                                args.seed + TEST_SEED_OFFSET)
+    val_set = generate_dataset(spec, args.n_test,
+                               args.seed + VAL_SEED_OFFSET)
     w0 = inversion_and_compression(train_set, fmap, args.ridge, args.chi)
     config = TrainConfig(sweeps=args.sweeps, cg_steps=args.cg_steps,
                          ridge=args.ridge)
@@ -231,7 +235,7 @@ def _cmd_mnist(args) -> int:
     if args.noise > 0.0:
         from .classify import corrupt_labels
         train_set = corrupt_labels(train_set, args.noise,
-                                   seed=args.seed + 3_000_017)
+                                   seed=args.seed + NOISE_SEED_OFFSET)
     config = TrainConfig(sweeps=args.sweeps, cg_steps=args.cg_steps,
                          ridge=0.0, loss_kind=CROSS_ENTROPY,
                          checkpoint="last", sweep_tol=0.0)

@@ -1,15 +1,18 @@
-"""Replicated scan harness: bond-dimension, train-size, epsilon, and
-label-noise scans with mean/sigma aggregation, CSV + SVG outputs, and a
-JSON manifest that reruns any scan bitwise."""
+"""Replicated scan harness: one runner for bond-dimension and train-size
+scans, swept over epsilon, training size or label noise, with mean/sigma
+aggregation, CSV + SVG outputs, and a JSON manifest that reruns any scan
+bitwise."""
 
 import csv
 import json
 import logging
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .classify import (corrupt_labels, load_idx, preprocess, subset,
@@ -112,7 +115,7 @@ class ScanResult:
 
     ``failures`` holds one dict per failed replicate job: its job key
     (replicate and the outer axis values) plus the exception's ``error``
-    type name and ``message``.
+    type name and ``message``.  ``seconds`` is the scan's wall time.
     """
 
     axis_name: str
@@ -124,23 +127,17 @@ class ScanResult:
     raw_rows: list
     metric: str
     failures: list = field(default_factory=list)
-
-    @property
-    def chi_star(self):
-        return find_optimal_chi(self)
+    seconds: float = 0.0
 
 
 @dataclass
 class MultiScanResult:
-    """A family of bond scans swept over an outer axis (eps or ntr)."""
+    """A family of bond scans swept over an outer axis (eps, ntr or
+    noise)."""
 
     outer_name: str
     outer_values: list
     scans: list
-
-    def chi_star_table(self):
-        return [(v,) + find_optimal_chi(s)
-                for v, s in zip(self.outer_values, self.scans)]
 
 
 def find_optimal_chi(scan: ScanResult):
@@ -177,7 +174,8 @@ def _aggregate(rows, axis_values, metric):
 
 
 # ---------------------------------------------------------------------------
-# artificial-data scans
+# artificial-data replicates; every worker takes (cfg, outer value, ntr,
+# chi values, replicate, *shared inputs) and returns one row dict per chi
 
 def _shared_test_set(cfg: ExperimentConfig, eps):
     """The test set every replicate of a scan at ``eps`` shares, and its
@@ -187,14 +185,12 @@ def _shared_test_set(cfg: ExperimentConfig, eps):
     return test_set, featurize_batch(cfg.feature_map(), test_set.features)
 
 
-def _regression_replicate(cfg_dict, eps, ntr, chi_values, rep, test_set,
-                          phi_te):
+def _regression_replicate(cfg, eps, ntr, chi_values, rep, test_set, phi_te):
     """All bond dimensions for one training replicate. Returns row dicts.
 
     Every dataset is featurized once here and its features serve each chi;
     ``test_set``/``phi_te`` come from ``_shared_test_set``.
     """
-    cfg = config_from_dict(cfg_dict)
     fmap = cfg.feature_map()
     spec = cfg.target_spec(eps)
     train_set = generate_dataset(spec, ntr, cfg.base_seed + rep)
@@ -273,56 +269,8 @@ def _map_replicates(cfg, worker, jobs):
     return rows, failures
 
 
-def run_bond_scan(cfg: ExperimentConfig, eps=None, ntr=None) -> ScanResult:
-    """Test loss versus bond dimension over replicate training sets."""
-    cfg.validate()
-    eps = cfg.eps_list[0] if eps is None else eps
-    ntr = cfg.ntr_list[0] if ntr is None else ntr
-    cfg_dict = asdict(cfg)
-    test_set, phi_te = _shared_test_set(cfg, eps)
-    jobs = [({"replicate": r, "eps": eps, "ntr": ntr},
-             (cfg_dict, eps, ntr, list(cfg.chi_list), r, test_set, phi_te))
-            for r in range(cfg.replicates)]
-    rows, failures = _map_replicates(cfg, _regression_replicate, jobs)
-    metric = "inv_test_loss" if cfg.method == INVERSION else "dmrg_test_loss"
-    mean, std, count = _aggregate(rows, list(cfg.chi_list), metric)
-    header = sorted({k for r in rows for k in r}, key=_header_order)
-    return ScanResult(axis_name="chi", axis=list(cfg.chi_list), mean=mean,
-                      std=std, count=count, raw_header=header, raw_rows=rows,
-                      metric=metric, failures=failures)
-
-
-def run_trainsize_scan(cfg: ExperimentConfig) -> ScanResult:
-    """Test loss versus training-set size at fixed bond dimension."""
-    cfg.validate()
-    chi = cfg.chi_list[0]
-    eps = cfg.eps_list[0]
-    cfg_dict = asdict(cfg)
-    test_set, phi_te = _shared_test_set(cfg, eps)
-    jobs = [({"replicate": r, "eps": eps, "ntr": ntr},
-             (cfg_dict, eps, ntr, [chi], r, test_set, phi_te))
-            for ntr in cfg.ntr_list for r in range(cfg.replicates)]
-    rows, failures = _map_replicates(cfg, _regression_replicate, jobs)
-    for row in rows:
-        row["axis"] = row["ntr"]
-    metric = "inv_test_loss" if cfg.method == INVERSION else "dmrg_test_loss"
-    mean, std, count = _aggregate(rows, list(cfg.ntr_list), metric)
-    header = sorted({k for r in rows for k in r}, key=_header_order)
-    return ScanResult(axis_name="ntr", axis=list(cfg.ntr_list), mean=mean,
-                      std=std, count=count, raw_header=header, raw_rows=rows,
-                      metric=metric, failures=failures)
-
-
-def run_epsilon_scan(cfg: ExperimentConfig) -> MultiScanResult:
-    """A bond scan per epsilon; chi*(eps) comes from the per-scan minima."""
-    cfg.validate()
-    scans = [run_bond_scan(cfg, eps=eps) for eps in cfg.eps_list]
-    return MultiScanResult(outer_name="eps", outer_values=list(cfg.eps_list),
-                           scans=scans)
-
-
 # ---------------------------------------------------------------------------
-# MNIST scans
+# MNIST replicates
 
 def load_mnist_pair(cfg: ExperimentConfig):
     train_pool = preprocess(load_idx(cfg.mnist_images, cfg.mnist_labels),
@@ -333,9 +281,7 @@ def load_mnist_pair(cfg: ExperimentConfig):
     return train_pool, test_set
 
 
-def _mnist_replicate(cfg_dict, chi_values, ntr, noise, rep, train_pool,
-                     test_set):
-    cfg = config_from_dict(cfg_dict)
+def _mnist_replicate(cfg, noise, ntr, chi_values, rep, train_pool, test_set):
     sub = subset(train_pool, ntr, seed=cfg.base_seed + rep)
     if noise > 0.0:
         sub = corrupt_labels(sub, noise,
@@ -361,51 +307,76 @@ def _mnist_replicate(cfg_dict, chi_values, ntr, noise, rep, train_pool,
     return rows
 
 
-def run_mnist_bond_scan(cfg: ExperimentConfig, train_pool, test_set,
-                        ntr=None, noise=0.0) -> ScanResult:
+# ---------------------------------------------------------------------------
+# scans
+
+def run_scan(cfg: ExperimentConfig, axis="chi", images=None, eps=None,
+             ntr=None, noise=0.0) -> ScanResult:
+    """A test metric against bond dimension or training size, over
+    replicate training sets.
+
+    ``axis="chi"`` runs ``cfg.chi_list`` at training size ``ntr``;
+    ``axis="ntr"`` runs ``cfg.ntr_list`` at ``chi_list[0]``.  With
+    ``images=(train_pool, test_set)`` each replicate trains classifiers at
+    label noise ``noise`` (metric ``test_error``); otherwise it fits
+    artificial data at ``eps`` against one shared test set (metric
+    ``inv_test_loss``, or ``dmrg_test_loss`` when DMRG runs).  ``eps`` and
+    ``ntr`` default to the first values of their grids.
+    """
     cfg.validate()
-    ntr = cfg.ntr_list[0] if ntr is None else ntr
-    cfg_dict = asdict(cfg)
-    jobs = [({"replicate": r, "ntr": ntr, "noise": noise},
-             (cfg_dict, list(cfg.chi_list), ntr, noise, r, train_pool,
-              test_set))
-            for r in range(cfg.replicates)]
-    rows, failures = _map_replicates(cfg, _mnist_replicate, jobs)
-    mean, std, count = _aggregate(rows, list(cfg.chi_list), "test_error")
+    if axis not in ("chi", "ntr"):
+        raise ValueError(f"unknown scan axis {axis!r}")
+    start = time.perf_counter()
+    if axis == "chi":
+        axis_values = chi_values = list(cfg.chi_list)
+        sizes = [cfg.ntr_list[0] if ntr is None else ntr]
+    else:
+        axis_values = sizes = list(cfg.ntr_list)
+        chi_values = [cfg.chi_list[0]]
+    if images is None:
+        worker, outer = _regression_replicate, "eps"
+        value = cfg.eps_list[0] if eps is None else eps
+        shared = _shared_test_set(cfg, value)
+        metric = ("inv_test_loss" if cfg.method == INVERSION
+                  else "dmrg_test_loss")
+    else:
+        worker, outer, value = _mnist_replicate, "noise", noise
+        shared, metric = images, "test_error"
+    jobs = [({"replicate": r, outer: value, "ntr": n},
+             (cfg, value, n, chi_values, r, *shared))
+            for n in sizes for r in range(cfg.replicates)]
+    rows, failures = _map_replicates(cfg, worker, jobs)
+    if axis == "ntr":
+        for row in rows:
+            row["axis"] = row["ntr"]
+    mean, std, count = _aggregate(rows, axis_values, metric)
     header = sorted({k for r in rows for k in r}, key=_header_order)
-    return ScanResult(axis_name="chi", axis=list(cfg.chi_list), mean=mean,
-                      std=std, count=count, raw_header=header, raw_rows=rows,
-                      metric="test_error", failures=failures)
+    seconds = time.perf_counter() - start
+    logger.info("%s scan: %d replicate jobs in %.2f s, %d failed", axis,
+                len(jobs), seconds, len(failures))
+    return ScanResult(axis_name=axis, axis=axis_values, mean=mean, std=std,
+                      count=count, raw_header=header, raw_rows=rows,
+                      metric=metric, failures=failures, seconds=seconds)
 
 
-def run_mnist_trainsize_scan(cfg: ExperimentConfig, train_pool,
-                             test_set) -> ScanResult:
+def run_bond_scan(cfg: ExperimentConfig, eps=None, ntr=None) -> ScanResult:
+    """Test loss versus bond dimension on artificial data; the name the
+    benchmark harness calls and traces."""
+    return run_scan(cfg, eps=eps, ntr=ntr)
+
+
+_OUTER_GRIDS = {"eps": "eps_list", "ntr": "ntr_list", "noise": "noise_levels"}
+
+
+def run_multi_scan(cfg: ExperimentConfig, outer, images=None
+                   ) -> MultiScanResult:
+    """A bond scan at each value of the ``outer`` grid ("eps", "ntr" or
+    "noise"); chi* per value comes from each scan's minimum."""
     cfg.validate()
-    chi = cfg.chi_list[0]
-    cfg_dict = asdict(cfg)
-    jobs = [({"replicate": r, "ntr": ntr, "noise": 0.0},
-             (cfg_dict, [chi], ntr, 0.0, r, train_pool, test_set))
-            for ntr in cfg.ntr_list for r in range(cfg.replicates)]
-    rows, failures = _map_replicates(cfg, _mnist_replicate, jobs)
-    for row in rows:
-        row["axis"] = row["ntr"]
-    mean, std, count = _aggregate(rows, list(cfg.ntr_list), "test_error")
-    header = sorted({k for r in rows for k in r}, key=_header_order)
-    return ScanResult(axis_name="ntr", axis=list(cfg.ntr_list), mean=mean,
-                      std=std, count=count, raw_header=header, raw_rows=rows,
-                      metric="test_error", failures=failures)
-
-
-def run_noise_scan(cfg: ExperimentConfig, train_pool=None,
-                   test_set=None) -> MultiScanResult:
-    """MNIST bond scans at each label-noise level (test error + train acc)."""
-    cfg.validate()
-    if train_pool is None:
-        train_pool, test_set = load_mnist_pair(cfg)
-    scans = [run_mnist_bond_scan(cfg, train_pool, test_set, noise=p)
-             for p in cfg.noise_levels]
-    return MultiScanResult(outer_name="noise",
-                           outer_values=list(cfg.noise_levels), scans=scans)
+    values = list(getattr(cfg, _OUTER_GRIDS[outer]))
+    scans = [run_scan(cfg, images=images, **{outer: v}) for v in values]
+    return MultiScanResult(outer_name=outer, outer_values=values,
+                           scans=scans)
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +400,13 @@ def _format_cell(value):
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
+
+
+def _band_series(scan: ScanResult, label) -> dict:
+    """The scan's mean curve with a one-sigma band, as a line_plot series."""
+    return {"x": scan.axis, "y": scan.mean,
+            "band": (scan.mean - scan.std, scan.mean + scan.std),
+            "label": label}
 
 
 def emit_outputs(scan: ScanResult, cfg: ExperimentConfig, out_dir) -> dict:
@@ -462,24 +440,28 @@ def emit_outputs(scan: ScanResult, cfg: ExperimentConfig, out_dir) -> dict:
     paths["figure"] = os.path.join(out_dir, "figure.svg")
     losses_positive = bool(np.all(scan.mean > 0))
     line_plot(
-        paths["figure"],
-        [{"x": scan.axis, "y": scan.mean,
-          "band": (scan.mean - scan.std, scan.mean + scan.std),
-          "label": scan.metric}],
+        paths["figure"], [_band_series(scan, scan.metric)],
         title=f"{cfg.scenario}: {scan.metric} vs {scan.axis_name}",
         xlabel=scan.axis_name, ylabel=scan.metric, logy=losses_positive)
 
     paths["manifest"] = os.path.join(out_dir, "manifest.json")
-    write_manifest(cfg, paths["manifest"], len(scan.failures))
+    write_manifest(cfg, paths["manifest"], [scan])
     return paths
 
 
-def write_manifest(cfg: ExperimentConfig, path, failures: int) -> None:
-    """The config that reruns the scan, its conventions, and the number of
-    failed replicate jobs."""
+def write_manifest(cfg: ExperimentConfig, path, scans) -> None:
+    """The config that reruns the scans, its conventions, their failed
+    replicate jobs and wall seconds, and the numerical software."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "software_version": __version__,
-        "failures": failures,
+        "failures": sum(len(scan.failures) for scan in scans),
+        "seconds": sum(scan.seconds for scan in scans),
+        "environment": {
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "blas": f"{blas['name']} {blas.get('version', '')}".strip(),
+        },
         "conventions": {
             "test_frame": "training-set normalization statistics",
             "loss": "half mean squared error (regression), "
@@ -506,13 +488,12 @@ def emit_multi_outputs(multi: MultiScanResult, cfg: ExperimentConfig,
                            if isinstance(value, float)
                            else f"{multi.outer_name}={value}")
         emit_outputs(scan, cfg, sub)
-        series.append({"x": scan.axis, "y": scan.mean,
-                       "band": (scan.mean - scan.std, scan.mean + scan.std),
-                       "label": f"{multi.outer_name}={value}"})
+        series.append(_band_series(scan, f"{multi.outer_name}={value}"))
     paths["chi_star"] = os.path.join(out_dir, "chi_star.csv")
     with open(paths["chi_star"], "w") as fh:
         fh.write(f"{multi.outer_name},chi_star,mean,std\n")
-        for value, chi, m, s in multi.chi_star_table():
+        for value, scan in zip(multi.outer_values, multi.scans):
+            chi, m, s = find_optimal_chi(scan)
             fh.write(f"{_format_cell(value)},{chi},{repr(m)},{repr(s)}\n")
     paths["figure"] = os.path.join(out_dir, "figure.svg")
     logy = all(np.all(s.mean > 0) for s in multi.scans)
@@ -521,37 +502,33 @@ def emit_multi_outputs(multi: MultiScanResult, cfg: ExperimentConfig,
               xlabel=multi.scans[0].axis_name,
               ylabel=multi.scans[0].metric, logy=logy)
     paths["manifest"] = os.path.join(out_dir, "manifest.json")
-    write_manifest(cfg, paths["manifest"],
-                   sum(len(scan.failures) for scan in multi.scans))
+    write_manifest(cfg, paths["manifest"], multi.scans)
     return paths
 
 
 # ---------------------------------------------------------------------------
 # scenario presets
 
+# Presets name only what differs from the ExperimentConfig defaults, which
+# are the paper's artificial-data grid (eps 0.3, ntr 300, chi 2..27).
+_PAPER_EPS = tuple(round(0.1 * k, 1) for k in range(1, 11))
+_IMAGES = dict(ntr_list=(1024,), chi_list=tuple(range(2, 21)), sweeps=100,
+               replicates=1)
 _PRESETS = {
-    "fig2": dict(method=INVERSION, eps_list=(0.3,),
-                 ntr_list=tuple(range(50, 801, 50)),
-                 chi_list=tuple(range(2, 28)), full_replicates=100),
-    "fig3": dict(method=INVERSION, eps_list=(0.1, 0.2, 0.3), ntr_list=(300,),
-                 chi_list=tuple(range(2, 28)), full_replicates=100),
-    "fig4": dict(method=BOTH, eps_list=(0.1, 0.3), ntr_list=(300,),
-                 chi_list=tuple(range(2, 28)), full_replicates=32),
-    "fig6": dict(method=BOTH, eps_list=(1.0,), ntr_list=(300,),
-                 chi_list=tuple(range(2, 28)), full_replicates=32),
-    "fig7": dict(method=INVERSION,
-                 eps_list=tuple(round(0.1 * k, 1) for k in range(1, 11)),
-                 ntr_list=(300,), chi_list=tuple(range(2, 28)),
-                 full_replicates=100),
-    "fig8": dict(method=BOTH,
-                 eps_list=tuple(round(0.1 * k, 1) for k in range(1, 11)),
-                 ntr_list=(300,), chi_list=tuple(range(2, 28)),
-                 full_replicates=32),
-    "fig5": dict(ntr_list=(1024,), chi_list=tuple(range(2, 21)), sweeps=100,
-                 cg_steps=5, replicates=1),
-    "fig9": dict(ntr_list=(1024,), noise_levels=(0.0, 0.1, 0.2),
-                 chi_list=tuple(range(2, 21)), sweeps=100, cg_steps=5,
-                 replicates=1),
+    "fig2": dict(method=INVERSION, ntr_list=tuple(range(50, 801, 50)),
+                 full_replicates=100, outer="ntr"),
+    "fig3": dict(method=INVERSION, eps_list=(0.1, 0.2, 0.3),
+                 full_replicates=100, outer="eps"),
+    "fig4": dict(method=BOTH, eps_list=(0.1, 0.3), full_replicates=32,
+                 outer="eps"),
+    "fig6": dict(method=BOTH, eps_list=(1.0,), full_replicates=32,
+                 outer="eps"),
+    "fig7": dict(method=INVERSION, eps_list=_PAPER_EPS, full_replicates=100,
+                 outer="eps"),
+    "fig8": dict(method=BOTH, eps_list=_PAPER_EPS, full_replicates=32,
+                 outer="eps"),
+    "fig5": _IMAGES,
+    "fig9": dict(_IMAGES, noise_levels=(0.0, 0.1, 0.2), outer="noise"),
 }
 
 
@@ -570,6 +547,7 @@ def scenario_config(cfg: ExperimentConfig) -> ExperimentConfig:
     updates = {}
     preset = dict(_PRESETS[cfg.scenario])
     full_replicates = preset.pop("full_replicates", None)
+    preset.pop("outer", None)
     for name, value in preset.items():
         if getattr(cfg, name) == getattr(base, name):
             updates[name] = value
@@ -578,42 +556,40 @@ def scenario_config(cfg: ExperimentConfig) -> ExperimentConfig:
     return replace(cfg, **updates)
 
 
+def _outer_axis(cfg: ExperimentConfig):
+    """The grid a scenario sweeps bond scans over, or None for one scan.
+
+    A custom run sweeps whichever grid has several values; several
+    training sizes at one chi make a single train-size scan instead.
+    """
+    if cfg.scenario != "custom":
+        return _PRESETS[cfg.scenario].get("outer")
+    if len(cfg.eps_list) > 1:
+        return "eps"
+    if len(cfg.ntr_list) > 1 and len(cfg.chi_list) > 1:
+        return "ntr"
+    return None
+
+
 def run_scenario(cfg: ExperimentConfig):
     """Dispatch a scenario and write its outputs; returns (result, paths)."""
     cfg = scenario_config(cfg)
     cfg.validate()
-    s = cfg.scenario
-    if s in ("fig3", "fig4", "fig6", "fig7", "fig8"):
-        result = run_epsilon_scan(cfg)
-        return result, emit_multi_outputs(result, cfg, cfg.out_dir)
-    if s == "fig2":
-        scans = [run_bond_scan(cfg, ntr=ntr) for ntr in cfg.ntr_list]
-        result = MultiScanResult("ntr", list(cfg.ntr_list), scans)
-        return result, emit_multi_outputs(result, cfg, cfg.out_dir)
-    if s == "fig5":
-        train_pool, test_set = load_mnist_pair(cfg)
-        bond = run_mnist_bond_scan(cfg, train_pool, test_set)
+    images = (load_mnist_pair(cfg) if cfg.scenario in ("fig5", "fig9")
+              else None)
+    if cfg.scenario == "fig5":
+        bond = run_scan(cfg, images=images)
         sizes = replace(cfg, chi_list=(6,),
                         ntr_list=(128, 256, 512, 1024, 2048, 4096))
-        size_scan = run_mnist_trainsize_scan(sizes, train_pool, test_set)
+        size_scan = run_scan(sizes, "ntr", images=images)
         paths = {f"bond_{k}": v for k, v in emit_outputs(
             bond, cfg, os.path.join(cfg.out_dir, "bond")).items()}
         paths.update({f"trainsize_{k}": v for k, v in emit_outputs(
             size_scan, sizes, os.path.join(cfg.out_dir, "trainsize")).items()})
         return (bond, size_scan), paths
-    if s == "fig9":
-        result = run_noise_scan(cfg)
-        return result, emit_multi_outputs(result, cfg, cfg.out_dir)
-    # custom: outer axis chosen by whichever grid has several values
-    if len(cfg.eps_list) > 1:
-        result = run_epsilon_scan(cfg)
-        return result, emit_multi_outputs(result, cfg, cfg.out_dir)
-    if len(cfg.ntr_list) > 1 and len(cfg.chi_list) == 1:
-        result = run_trainsize_scan(cfg)
+    outer = _outer_axis(cfg)
+    if outer is None:
+        result = run_scan(cfg, "ntr" if len(cfg.ntr_list) > 1 else "chi")
         return result, emit_outputs(result, cfg, cfg.out_dir)
-    if len(cfg.ntr_list) > 1:
-        scans = [run_bond_scan(cfg, ntr=ntr) for ntr in cfg.ntr_list]
-        result = MultiScanResult("ntr", list(cfg.ntr_list), scans)
-        return result, emit_multi_outputs(result, cfg, cfg.out_dir)
-    result = run_bond_scan(cfg)
-    return result, emit_outputs(result, cfg, cfg.out_dir)
+    result = run_multi_scan(cfg, outer, images)
+    return result, emit_multi_outputs(result, cfg, cfg.out_dir)

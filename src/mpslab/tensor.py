@@ -1,4 +1,5 @@
-"""Dense multi-way array arithmetic: contraction, truncated SVD, linear solve.
+"""Dense multi-way array arithmetic: truncated SVD, linear solve, and the
+row-wise outer product behind the GEMM contractions.
 
 Tensors are plain float64 numpy arrays in C (row-major) order; every other
 module builds on the three operations here.
@@ -29,31 +30,6 @@ class SvdResult:
     @property
     def rank(self) -> int:
         return len(self.singular_values)
-
-
-def contract(a: np.ndarray, b: np.ndarray, pairs) -> np.ndarray:
-    """Contract tensor ``a`` with tensor ``b`` over the given axis pairs.
-
-    ``pairs`` is a sequence of (axis-of-a, axis-of-b) tuples.  The result
-    carries the free axes of ``a`` followed by the free axes of ``b``, each
-    in their original order.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    pairs = list(pairs)
-    ax_a = [p[0] for p in pairs]
-    ax_b = [p[1] for p in pairs]
-    if len(set(ax_a)) != len(ax_a) or len(set(ax_b)) != len(ax_b):
-        raise ValueError(f"repeated contraction axis in {pairs}")
-    for i, j in pairs:
-        if a.shape[i] != b.shape[j]:
-            raise DimensionMismatchError(
-                f"axis {i} of shape {a.shape} does not match "
-                f"axis {j} of shape {b.shape}"
-            )
-    if not pairs:
-        return np.multiply.outer(a, b)
-    return np.tensordot(a, b, axes=(ax_a, ax_b))
 
 
 def row_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -2,6 +2,8 @@ import csv
 import dataclasses
 import json
 import logging
+import os
+import struct
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -17,7 +19,7 @@ from mpslab.experiments import (TEST_SEED_OFFSET, VAL_SEED_OFFSET,
                                 ExperimentConfig, ScanResult,
                                 config_from_dict, emit_outputs,
                                 find_optimal_chi, run_bond_scan,
-                                run_epsilon_scan, run_trainsize_scan)
+                                run_multi_scan, run_scan)
 from mpslab.features import featurize_batch
 from mpslab.mps import compress
 
@@ -83,10 +85,10 @@ class TestBondScan:
     def test_failed_replicate_recorded(self, tmp_path, monkeypatch, caplog):
         replicate = experiments._regression_replicate
 
-        def flaky(cfg_dict, eps, ntr, chi_values, rep, *shared):
+        def flaky(cfg, eps, ntr, chi_values, rep, *shared):
             if rep == 3:
                 raise FloatingPointError("diverged, at replicate 3")
-            return replicate(cfg_dict, eps, ntr, chi_values, rep, *shared)
+            return replicate(cfg, eps, ntr, chi_values, rep, *shared)
 
         monkeypatch.setattr(experiments, "_regression_replicate", flaky)
         cfg = dataclasses.replace(TINY, replicates=5)
@@ -160,8 +162,8 @@ class TestSharedWork:
     def test_rows_bitwise_equal_per_chi_recomputation(self, cfg):
         assert run_bond_scan(cfg).raw_rows == per_chi_rows(cfg)
 
-    @pytest.mark.parametrize("scan", [run_bond_scan, run_trainsize_scan])
-    def test_test_set_generated_once_per_scan(self, scan, monkeypatch):
+    @pytest.mark.parametrize("axis", ["chi", "ntr"])
+    def test_test_set_generated_once_per_scan(self, axis, monkeypatch):
         seeds = []
 
         def counting(spec, n, seed):
@@ -170,14 +172,14 @@ class TestSharedWork:
 
         monkeypatch.setattr(experiments, "generate_dataset", counting)
         cfg = dataclasses.replace(TINY, ntr_list=(40, 60), chi_list=(3,))
-        scan(cfg)
+        run_scan(cfg, axis)
         assert seeds.count(cfg.base_seed + TEST_SEED_OFFSET) == 1
         assert len(seeds) > cfg.replicates
 
 
 class TestOtherScans:
     def test_epsilon_scan_single_value_reduces_to_bond_scan(self):
-        multi = run_epsilon_scan(TINY)
+        multi = run_multi_scan(TINY, "eps")
         direct = run_bond_scan(TINY)
         assert multi.outer_values == [0.3]
         np.testing.assert_array_equal(multi.scans[0].mean, direct.mean)
@@ -185,21 +187,23 @@ class TestOtherScans:
     def test_trainsize_scan_single_point(self):
         cfg = ExperimentConfig(chi_list=(4,), ntr_list=(80,), replicates=2,
                                base_seed=9, n_test=32)
-        scan = run_trainsize_scan(cfg)
+        scan = run_scan(cfg, "ntr")
         assert scan.axis == [80]
         assert scan.axis_name == "ntr"
 
     def test_trainsize_scan_axis(self):
         cfg = ExperimentConfig(chi_list=(4,), ntr_list=(60, 90), replicates=2,
                                base_seed=9, n_test=32)
-        scan = run_trainsize_scan(cfg)
+        scan = run_scan(cfg, "ntr")
         assert scan.axis == [60, 90]
         assert all(r["axis"] == r["ntr"] for r in scan.raw_rows)
 
 
 class TestEmit:
-    def test_files_and_contracts(self, tmp_path):
-        scan = run_bond_scan(TINY)
+    def test_files_and_contracts(self, tmp_path, caplog):
+        with caplog.at_level(logging.INFO, logger="mpslab.experiments"):
+            scan = run_bond_scan(TINY)
+        assert "chi scan: 3 replicate jobs in" in caplog.text
         paths = emit_outputs(scan, TINY, tmp_path / "out")
         with open(paths["summary"]) as fh:
             rows = list(csv.DictReader(fh))
@@ -217,7 +221,11 @@ class TestEmit:
         with open(paths["failures"]) as fh:
             assert fh.read() == "replicate,eps,ntr,noise,error,message\n"
         with open(paths["manifest"]) as fh:
-            assert json.load(fh)["failures"] == 0
+            manifest = json.load(fh)
+        assert manifest["failures"] == 0
+        assert manifest["seconds"] == scan.seconds > 0.0
+        assert manifest["environment"]["numpy"] == np.__version__
+        assert set(manifest["environment"]) == {"numpy", "scipy", "blas"}
 
     def test_manifest_rerun_bitwise(self, tmp_path):
         scan = run_bond_scan(TINY)
@@ -252,7 +260,7 @@ class TestMnistScans:
         pool, test = tiny_images
         cfg = ExperimentConfig(chi_list=(2, 3), ntr_list=(24,), replicates=2,
                                base_seed=5, sweeps=2, cg_steps=2)
-        scan = experiments.run_mnist_bond_scan(cfg, pool, test)
+        scan = run_scan(cfg, images=(pool, test))
         assert scan.metric == "test_error"
         assert len(scan.raw_rows) == 4
         assert all(0.0 <= r["test_error"] <= 1.0 for r in scan.raw_rows)
@@ -263,7 +271,7 @@ class TestMnistScans:
         cfg = ExperimentConfig(chi_list=(2,), ntr_list=(24,), replicates=1,
                                base_seed=5, sweeps=1, cg_steps=2,
                                noise_levels=(0.0, 0.25))
-        multi = experiments.run_noise_scan(cfg, pool, test)
+        multi = run_multi_scan(cfg, "noise", (pool, test))
         assert multi.outer_values == [0.0, 0.25]
         noises = {r["noise"] for s in multi.scans for r in s.raw_rows}
         assert noises == {0.0, 0.25}
@@ -272,7 +280,7 @@ class TestMnistScans:
         pool, test = tiny_images
         cfg = ExperimentConfig(chi_list=(2,), ntr_list=(16, 32), replicates=1,
                                base_seed=5, sweeps=1, cg_steps=2)
-        scan = experiments.run_mnist_trainsize_scan(cfg, pool, test)
+        scan = run_scan(cfg, "ntr", images=(pool, test))
         assert scan.axis == [16, 32]
 
 
@@ -288,6 +296,8 @@ class TestConfig:
             ExperimentConfig(method="newton").validate()
         with pytest.raises(ValueError):
             ExperimentConfig(chi_list=()).validate()
+        with pytest.raises(ValueError):
+            run_scan(ExperimentConfig(), axis="eps")
 
     def test_scenario_presets(self):
         cfg = experiments.scenario_config(ExperimentConfig(scenario="fig2"))
@@ -366,3 +376,98 @@ class TestCli:
                          "--out", str(out_dir)]) == 0
         assert (out_dir / "trace.csv").exists()
         assert (out_dir / "model.npz").exists()
+
+
+def write_idx(path, magic, array):
+    """An uncompressed IDX file holding ``array`` as unsigned bytes."""
+    array = np.asarray(array, dtype=np.uint8)
+    path.write_bytes(struct.pack(f">I{array.ndim}I", magic, *array.shape)
+                     + array.tobytes())
+    return str(path)
+
+
+# Each case: config fields, then the scan directories run_scenario writes
+# (relative to out_dir) with each one's summary.csv axis values and raw.csv
+# row count.  Image cases read the tiny IDX files written by idx_files.
+REGRESSION = dict(n_test=32, base_seed=21, replicates=2)
+SINGLE_KEYS = {"raw", "summary", "failures", "figure", "manifest"}
+MULTI_KEYS = {"chi_star", "figure", "manifest"}
+DISPATCH_CASES = {
+    "custom-bond": (
+        dict(REGRESSION, chi_list=(2, 3), ntr_list=(40,)),
+        SINGLE_KEYS, {".": ([2, 3], 4)}),
+    "custom-trainsize": (
+        dict(REGRESSION, chi_list=(3,), ntr_list=(30, 40)),
+        SINGLE_KEYS, {".": ([30, 40], 4)}),
+    "custom-multi-ntr": (
+        dict(REGRESSION, chi_list=(2, 3), ntr_list=(30, 40)),
+        MULTI_KEYS, {"ntr=30": ([2, 3], 4), "ntr=40": ([2, 3], 4)}),
+    "custom-multi-eps": (
+        dict(REGRESSION, chi_list=(2, 3), ntr_list=(40,),
+             eps_list=(0.2, 0.3)),
+        MULTI_KEYS, {"eps=0.2": ([2, 3], 4), "eps=0.3": ([2, 3], 4)}),
+    "fig2": (
+        dict(REGRESSION, scenario="fig2", chi_list=(2, 3), ntr_list=(30, 40)),
+        MULTI_KEYS, {"ntr=30": ([2, 3], 4), "ntr=40": ([2, 3], 4)}),
+    "fig6": (
+        dict(REGRESSION, scenario="fig6", chi_list=(2, 3), ntr_list=(40,),
+             sweeps=2, cg_steps=2),
+        MULTI_KEYS, {"eps=1": ([2, 3], 4)}),
+    "fig5": (
+        dict(scenario="fig5", chi_list=(2, 3), ntr_list=(16,), sweeps=1,
+             cg_steps=2, downsample=1),
+        {f"{scan}_{key}" for scan in ("bond", "trainsize")
+         for key in SINGLE_KEYS},
+        {"bond": ([2, 3], 2),
+         "trainsize": ([128, 256, 512, 1024, 2048, 4096], 6)}),
+    "fig9": (
+        dict(scenario="fig9", chi_list=(2,), ntr_list=(16,),
+             noise_levels=(0.0, 0.25), sweeps=1, cg_steps=2, downsample=1),
+        MULTI_KEYS, {"noise=0": ([2], 1), "noise=0.25": ([2], 1)}),
+}
+
+
+class TestScenarioDispatch:
+    """run_scenario through every branch on tiny grids."""
+
+    @pytest.fixture()
+    def idx_files(self, tmp_path):
+        # fig5's train-size scan draws up to 4096 training images
+        rng = np.random.default_rng(4)
+        files = {}
+        for prefix, count in (("mnist_", 4096), ("mnist_test_", 24)):
+            files[prefix + "images"] = write_idx(
+                tmp_path / f"{prefix}images.idx", 0x00000803,
+                rng.integers(0, 256, size=(count, 2, 2)))
+            files[prefix + "labels"] = write_idx(
+                tmp_path / f"{prefix}labels.idx", 0x00000801,
+                rng.integers(0, 10, size=count))
+        return files
+
+    @pytest.mark.parametrize("case", list(DISPATCH_CASES))
+    def test_branch_outputs(self, case, tmp_path, idx_files):
+        fields, keys, scans = DISPATCH_CASES[case]
+        if fields.get("scenario") in ("fig5", "fig9"):
+            fields = dict(fields, **idx_files)
+        out = tmp_path / "out"
+        _, paths = experiments.run_scenario(
+            ExperimentConfig(out_dir=str(out), **fields))
+        assert set(paths) == keys
+        assert all(os.path.isfile(path) for path in paths.values())
+        subdirs = sorted(entry.name for entry in out.iterdir()
+                         if entry.is_dir())
+        assert subdirs == sorted(name for name in scans if name != ".")
+        for name, (axis, rows) in scans.items():
+            with open(out / name / "summary.csv") as fh:
+                assert [int(r["axis"]) for r in csv.DictReader(fh)] == axis
+            with open(out / name / "raw.csv") as fh:
+                assert len(list(csv.DictReader(fh))) == rows
+        if keys == MULTI_KEYS:
+            with open(paths["chi_star"]) as fh:
+                assert len(list(csv.DictReader(fh))) == len(scans)
+            seconds = []
+            for name in scans:
+                with open(out / name / "manifest.json") as fh:
+                    seconds.append(json.load(fh)["seconds"])
+            with open(paths["manifest"]) as fh:
+                assert json.load(fh)["seconds"] == pytest.approx(sum(seconds))

@@ -1,80 +1,9 @@
-import itertools
 
 import numpy as np
 import pytest
 
 from mpslab.errors import DimensionMismatchError, SingularMatrixError
-from mpslab.tensor import contract, solve_linear, svd_truncate
-
-
-def brute_force_contract(a, b, pairs):
-    """Triple-loop oracle: sum over paired indices, free axes of a then b."""
-    ax_a = [p[0] for p in pairs]
-    ax_b = [p[1] for p in pairs]
-    free_a = [i for i in range(a.ndim) if i not in ax_a]
-    free_b = [i for i in range(b.ndim) if i not in ax_b]
-    shape = [a.shape[i] for i in free_a] + [b.shape[i] for i in free_b]
-    out = np.zeros(shape)
-    for idx_a in itertools.product(*(range(s) for s in a.shape)):
-        if any(idx_a[i] >= b.shape[j] for i, j in pairs):
-            continue
-        idx_b_bound = {j: idx_a[i] for i, j in pairs}
-        free_b_ranges = [range(b.shape[i]) for i in free_b]
-        for idx_free_b in itertools.product(*free_b_ranges):
-            idx_b = [0] * b.ndim
-            for j, v in idx_b_bound.items():
-                idx_b[j] = v
-            for j, v in zip(free_b, idx_free_b):
-                idx_b[j] = v
-            pos = tuple(idx_a[i] for i in free_a) + idx_free_b
-            out[pos] += a[idx_a] * b[tuple(idx_b)]
-    return out
-
-
-class TestContract:
-    def test_identity_contraction(self):
-        result = contract(np.eye(2), np.array([3.0, 4.0]), [(1, 0)])
-        np.testing.assert_allclose(result, [3.0, 4.0])
-
-    def test_dot_product(self):
-        result = contract(np.array([1.0, 2.0]), np.array([3.0, 4.0]), [(0, 0)])
-        assert result.shape == ()
-        assert result == pytest.approx(11.0)
-
-    def test_matches_triple_loop_oracle(self):
-        rng = np.random.default_rng(11)
-        a = rng.standard_normal((3, 4, 5))
-        b = rng.standard_normal((5, 4))
-        got = contract(a, b, [(2, 0), (1, 1)])
-        want = brute_force_contract(a, b, [(2, 0), (1, 1)])
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-
-    def test_free_axis_order(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((2, 3, 4))
-        b = rng.standard_normal((4, 5))
-        out = contract(a, b, [(2, 0)])
-        assert out.shape == (2, 3, 5)
-
-    def test_extent_mismatch_raises(self):
-        with pytest.raises(DimensionMismatchError):
-            contract(np.ones((2, 3)), np.ones((4, 2)), [(1, 0)])
-
-    def test_repeated_axis_raises(self):
-        with pytest.raises(ValueError):
-            contract(np.ones((2, 2)), np.ones((2, 2)), [(0, 0), (0, 1)])
-
-    def test_bilinearity(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            a1 = rng.standard_normal((3, 4))
-            a2 = rng.standard_normal((3, 4))
-            b = rng.standard_normal((4, 2))
-            alpha, beta = rng.standard_normal(2)
-            lhs = contract(alpha * a1 + beta * a2, b, [(1, 0)])
-            rhs = alpha * contract(a1, b, [(1, 0)]) + beta * contract(
-                a2, b, [(1, 0)])
-            np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+from mpslab.tensor import solve_linear, svd_truncate
 
 
 class TestSvdTruncate:
