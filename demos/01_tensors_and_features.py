@@ -5,7 +5,7 @@ Run:  python demos/01_tensors_and_features.py
 
 import numpy as np
 
-from mpslab import FeatureMap, apply_scalar, featurize, svd_truncate
+from mpslab import FeatureMap, featurize_batch, svd_truncate
 
 # --- general pairwise tensor contraction -------------------------------
 a = np.arange(24.0).reshape(2, 3, 4)
@@ -26,14 +26,17 @@ print("  ||m - approx||_F^2  :", np.sum((m - approx) ** 2))
 print("  discarded weight    :", res.discarded_weight)
 
 # --- feature maps -------------------------------------------------------
+# featurize_batch embeds a (T, N) feature matrix as (T, N, f) local vectors
 poly = FeatureMap(dim=3)
-print("\npolynomial map of x = 2:", apply_scalar(poly, 2.0))
+print("\npolynomial map of x = 2:",
+      featurize_batch(poly, np.array([[2.0]]))[0, 0])
 
 trig = FeatureMap(kind="trigonometric", dim=2)
-print("trigonometric map of x = 0.5:", apply_scalar(trig, 0.5))
+print("trigonometric map of x = 0.5:",
+      featurize_batch(trig, np.array([[0.5]]))[0, 0])
 
 # a sample becomes one local vector per feature; the f^N product tensor
 # is implicit
-x = np.array([0.5, -1.0, 2.0])
-print("\nlocal vectors for x =", x)
-print(featurize(poly, x))
+x = np.array([[0.5, -1.0, 2.0]])
+print("\nlocal vectors for x =", x[0])
+print(featurize_batch(poly, x)[0])

@@ -6,7 +6,7 @@ Run:  python demos/02_mps_basics.py
 import numpy as np
 
 from mpslab import FeatureMap, canonicalize, compress, random_init, truncate
-from mpslab.features import featurize, full_feature_tensor
+from mpslab.features import featurize_batch, full_feature_tensor
 
 fmap = FeatureMap(dim=3)
 
@@ -15,11 +15,12 @@ w = random_init(n=6, f=3, chi=8, scale=0.4, seed=0)
 print("random MPS:", w)
 
 # efficient evaluation agrees with the brute-force contraction
-x = np.random.default_rng(1).standard_normal(6)
-locals_ = featurize(fmap, x)
-fast = w.evaluate(locals_)
-slow = float(np.sum(w.to_full_tensor() * full_feature_tensor(locals_)))
-print(f"evaluate: {fast:.12f}   full contraction: {slow:.12f}")
+# (evaluate_batch contracts a (T, N, f) batch; here T = 1)
+x = np.random.default_rng(1).standard_normal((1, 6))
+phi = featurize_batch(fmap, x)
+fast = float(w.evaluate_batch(phi)[0])
+slow = float(np.sum(w.to_full_tensor() * full_feature_tensor(phi[0])))
+print(f"evaluate_batch: {fast:.12f}   full contraction: {slow:.12f}")
 
 # mixed canonical gauge concentrates the norm in the center core
 c = canonicalize(w, center=3)

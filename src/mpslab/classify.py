@@ -12,9 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import add_label_noise
-from .dmrg import (CROSS_ENTROPY, PROB_FLOOR, TrainConfig, data_loss,
-                   train_arrays)
-from .errors import DegenerateOutputError, IdxFormatError
+from .dmrg import CROSS_ENTROPY, PROB_FLOOR, TrainConfig, train_arrays
+from .errors import IdxFormatError
 from .features import TRIGONOMETRIC, FeatureMap, featurize_batch
 from .mps import MPS, random_init
 
@@ -99,37 +98,12 @@ def featurize_images(d: ImageDataset, fmap: FeatureMap = mnist_feature_map):
     return featurize_batch(fmap, flat)
 
 
-def predict_proba(w: MPS, locals_: np.ndarray) -> np.ndarray:
-    """Squared, normalized class outputs for one featurized sample."""
-    v = w.evaluate_labeled(locals_)
-    total = float(np.sum(v**2))
-    if total == 0.0:
-        raise DegenerateOutputError("all-zero output vector; probability undefined")
-    return v**2 / total
-
-
-def _batch_proba(w: MPS, phi: np.ndarray) -> np.ndarray:
+def predict_proba(w: MPS, phi: np.ndarray) -> np.ndarray:
+    """Squared, normalized class outputs for (T, N, f) featurized samples,
+    shape (T, C); an all-zero output row gives an all-zero row."""
     v = w.evaluate_batch(phi)
     total = (v**2).sum(axis=1, keepdims=True)
     return v**2 / np.maximum(total, PROB_FLOOR)
-
-
-def cross_entropy(w: MPS, d: ImageDataset,
-                  fmap: FeatureMap = mnist_feature_map) -> float:
-    """Mean negative log probability of the true class, each clamped at
-    ``PROB_FLOOR`` as in the training objective."""
-    return data_loss(w.evaluate_batch(featurize_images(d, fmap)), d.labels,
-                     CROSS_ENTROPY)
-
-
-def accuracy(w: MPS, d: ImageDataset,
-             fmap: FeatureMap = mnist_feature_map) -> float:
-    """Fraction of samples whose argmax probability hits the true class.
-
-    Ties break toward the lower class index.
-    """
-    p = _batch_proba(w, featurize_images(d, fmap))
-    return float(np.mean(np.argmax(p, axis=1) == d.labels))
 
 
 def subset(d: ImageDataset, count: int, seed) -> ImageDataset:
@@ -178,7 +152,7 @@ def train_classifier(train_set: ImageDataset, val_set, test_set, chi: int,
 def export_predictions(w: MPS, d: ImageDataset, path,
                        fmap: FeatureMap = mnist_feature_map) -> None:
     """CSV of per-image predictions: index,true,predicted,p0..p9."""
-    p = _batch_proba(w, featurize_images(d, fmap))
+    p = predict_proba(w, featurize_images(d, fmap))
     pred = np.argmax(p, axis=1)
     header = "index,true,predicted," + ",".join(
         f"p{c}" for c in range(d.num_classes))

@@ -5,23 +5,25 @@ Exit codes: 0 success, 2 validation failure, 3 aborted scan.
 
 import argparse
 import json
+import logging
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
-from .classify import (export_predictions, load_idx, preprocess, subset,
-                       train_classifier)
+from .classify import (corrupt_labels, export_predictions, load_idx,
+                       preprocess, subset, train_classifier)
 from .datagen import TargetSpec, generate_dataset, save_dataset_csv
-from .dmrg import CROSS_ENTROPY, TrainConfig, train
+from .dmrg import (CROSS_ENTROPY, MSE, TrainConfig, data_loss, frame_labels,
+                   train)
 from .errors import ScanAbortedError
-from .exact import inversion_and_compression, prediction_loss
+from .exact import inversion_and_compression
 from .experiments import (NOISE_SEED_OFFSET, SCENARIOS, TEST_SEED_OFFSET,
                           VAL_SEED_OFFSET, ExperimentConfig, config_from_dict,
                           run_scenario)
-from .features import FeatureMap
+from .features import FeatureMap, featurize_batch
 from .mps import save_mps
+
+LOG_FORMAT = "%(levelname)s %(name)s: %(message)s"
 
 
 def parse_int_list(text: str):
@@ -189,13 +191,13 @@ def _cmd_exact(args) -> int:
     test_set = generate_dataset(spec, args.n_test,
                                 args.seed + TEST_SEED_OFFSET)
     model = inversion_and_compression(train_set, fmap, args.ridge, args.chi)
-    from .dmrg import frame_labels
-    from .features import featurize_batch
-    y_te = frame_labels(test_set, train_set)
-    pred = model.evaluate_batch(featurize_batch(fmap, test_set.features))
-    test_loss = float(0.5 * np.mean((pred - y_te) ** 2))
-    print(f"chi={args.chi} train_loss={prediction_loss(model, train_set, fmap):.6e} "
-          f"test_loss={test_loss:.6e}")
+
+    def loss(d, y):
+        pred = model.evaluate_batch(featurize_batch(fmap, d.features))
+        return data_loss(pred, y, MSE)
+
+    print(f"chi={args.chi} train_loss={loss(train_set, train_set.labels):.6e} "
+          f"test_loss={loss(test_set, frame_labels(test_set, train_set)):.6e}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         save_mps(model, os.path.join(args.out, "model.npz"))
@@ -233,7 +235,6 @@ def _cmd_mnist(args) -> int:
                           args.downsample)
     train_set = subset(train_pool, args.ntr, seed=args.seed)
     if args.noise > 0.0:
-        from .classify import corrupt_labels
         train_set = corrupt_labels(train_set, args.noise,
                                    seed=args.seed + NOISE_SEED_OFFSET)
     config = TrainConfig(sweeps=args.sweeps, cg_steps=args.cg_steps,
@@ -273,6 +274,14 @@ def main(argv=None) -> int:
         "mnist": _cmd_mnist,
         "scan": _cmd_scan,
     }
+    # the package's INFO and WARNING lines (scan progress, failed replicate
+    # jobs) go to stderr while the command runs
+    log = logging.getLogger("mpslab")
+    level = log.level
+    handler = logging.StreamHandler()
+    handler.setFormatter(logging.Formatter(LOG_FORMAT))
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
     try:
         return handlers[args.command](args)
     except ScanAbortedError as exc:
@@ -281,6 +290,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

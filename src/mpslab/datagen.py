@@ -69,15 +69,8 @@ def build_nilpotent(size: int, epsilon: float) -> np.ndarray:
     return m
 
 
-def random_orthogonal(size: int, seed) -> np.ndarray:
-    """Haar-distributed orthogonal matrix (QR of a Gaussian, sign-fixed)."""
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
-    rng = np.random.default_rng(seed)
-    return _haar_orthogonal(size, rng)
-
-
 def _haar_orthogonal(size: int, rng) -> np.ndarray:
+    """Haar-distributed orthogonal matrix (QR of a Gaussian, sign-fixed)."""
     g = rng.standard_normal((size, size))
     q, r = np.linalg.qr(g)
     return q * np.sign(np.diag(r))

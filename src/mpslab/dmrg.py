@@ -313,17 +313,20 @@ def output_grad_coeffs(outputs: np.ndarray, y: np.ndarray, kind: str) -> np.ndar
     return g / t
 
 
-def site_loss(cache: EnvironmentCache, core, y, kind, ridge) -> float:
-    """Training objective as a function of the center core (mixed gauge)."""
-    value = data_loss(cache.apply(core), y, kind)
+def site_loss(cache: EnvironmentCache, core, y, kind, ridge):
+    """(training objective, model outputs) with ``core`` in the center
+    slot (mixed gauge); ``site_gradient`` at that core takes the outputs."""
+    outputs = cache.apply(core)
+    value = data_loss(outputs, y, kind)
     if ridge:
         value += 0.5 * ridge * float(np.sum(core**2))
-    return value
+    return value, outputs
 
 
-def site_gradient(cache: EnvironmentCache, core, y, kind, ridge) -> np.ndarray:
-    grad = cache.grad_from_output_coeffs(
-        output_grad_coeffs(cache.apply(core), y, kind))
+def site_gradient(cache: EnvironmentCache, core, outputs, y, kind,
+                  ridge) -> np.ndarray:
+    """Gradient of the objective at ``core`` from its ``site_loss`` outputs."""
+    grad = cache.grad_from_output_coeffs(output_grad_coeffs(outputs, y, kind))
     if ridge:
         grad = grad + ridge * core
     return grad
@@ -335,8 +338,9 @@ def optimize_site(cache: EnvironmentCache, core, y, config: TrainConfig):
     Returns (new_core, final_objective, stalled).  The objective never
     increases: a failed line search keeps the old core.
     """
-    f0 = site_loss(cache, core, y, config.loss_kind, config.ridge)
-    g = site_gradient(cache, core, y, config.loss_kind, config.ridge)
+    kind, ridge = config.loss_kind, config.ridge
+    f0, out = site_loss(cache, core, y, kind, ridge)
+    g = site_gradient(cache, core, out, y, kind, ridge)
     d = -g
     stalled = False
     alpha_prev = 1.0
@@ -354,7 +358,7 @@ def optimize_site(cache: EnvironmentCache, core, y, config: TrainConfig):
         accepted = False
         for _ in range(MAX_HALVINGS + 1):
             candidate = core + alpha * d
-            f1 = site_loss(cache, candidate, y, config.loss_kind, config.ridge)
+            f1, out = site_loss(cache, candidate, y, kind, ridge)
             if f1 <= f0 + ARMIJO_C * alpha * g_dot_d:
                 accepted = True
                 break
@@ -364,7 +368,7 @@ def optimize_site(cache: EnvironmentCache, core, y, config: TrainConfig):
             break
         alpha_prev = alpha
         core, f0 = candidate, f1
-        g_new = site_gradient(cache, core, y, config.loss_kind, config.ridge)
+        g_new = site_gradient(cache, core, out, y, kind, ridge)
         beta = max(0.0, float(np.sum(g_new * (g_new - g))) / gnorm2)
         d = -g_new + beta * d
         g = g_new
@@ -380,25 +384,6 @@ def _initial_step(cache, core, d, g_dot_d, config, alpha_prev):
             return None
         return -g_dot_d / curvature
     return min(1.0, 4.0 * alpha_prev)
-
-
-def loss(w: MPS, d: Dataset, ridge: float, fmap: FeatureMap | None = None) -> float:
-    """Regularized half-MSE objective of a regression MPS on a dataset."""
-    if fmap is None:
-        fmap = FeatureMap(dim=w.phys_dim)
-    pred = w.evaluate_batch(featurize_batch(fmap, d.features))
-    return data_loss(pred, d.labels, MSE) + 0.5 * ridge * w.norm_squared()
-
-
-def gradient_site(w: MPS, site: int, d: Dataset, ridge: float,
-                  fmap: FeatureMap | None = None) -> np.ndarray:
-    """Gradient of the objective w.r.t. the core at ``site`` (mixed gauge)."""
-    if fmap is None:
-        fmap = FeatureMap(dim=w.phys_dim)
-    work = canonicalize(w, site)
-    cache = EnvironmentCache(work.cores, featurize_batch(fmap, d.features),
-                             label_site=w.label_site, center=site)
-    return site_gradient(cache, work.cores[site], d.labels, MSE, ridge)
 
 
 def _accuracy(outputs: np.ndarray, y: np.ndarray) -> float:
@@ -450,7 +435,7 @@ def train_arrays(w0: MPS, phi_tr, y_tr, phi_val=None, y_val=None,
 
     def objective_now():
         return site_loss(cache, cores[cache.center], y_tr, config.loss_kind,
-                         config.ridge)
+                         config.ridge)[0]
 
     def checkpoint(sweep):
         nonlocal best_val, best_cores

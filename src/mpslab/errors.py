@@ -17,10 +17,6 @@ class DegenerateDataError(RuntimeError):
     """Generated labels carry no variance; normalization is undefined."""
 
 
-class DegenerateOutputError(RuntimeError):
-    """Classifier output vector is identically zero; probabilities undefined."""
-
-
 class IdxFormatError(ValueError):
     """IDX file is malformed; the message names the failing byte offset."""
 

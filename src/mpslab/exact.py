@@ -40,14 +40,8 @@ def design_matrix(phi: np.ndarray) -> np.ndarray:
     return z
 
 
-def build_design_system(d: Dataset, fmap: FeatureMap, ridge: float) -> DesignSystem:
-    """Assemble A and b from a dataset; guarded to f^N <= 10^4."""
-    return build_design_system_arrays(featurize_batch(fmap, d.features),
-                                      d.labels, ridge)
-
-
-def build_design_system_arrays(phi: np.ndarray, y: np.ndarray,
-                               ridge: float) -> DesignSystem:
+def build_design_system(phi: np.ndarray, y: np.ndarray,
+                        ridge: float) -> DesignSystem:
     """A and b from featurized samples phi (T, N, f) and labels y (T,);
     guarded to f^N <= 10^4."""
     if ridge <= 0.0:
@@ -72,12 +66,7 @@ def solve_full_weight(system: DesignSystem) -> np.ndarray:
 def inversion_and_compression(d: Dataset, fmap: FeatureMap, ridge: float,
                               max_bond: int) -> MPS:
     """Exact ridge solution compressed to the requested bond dimension."""
-    full = solve_full_weight(build_design_system(d, fmap, ridge))
+    phi = featurize_batch(fmap, d.features)
+    full = solve_full_weight(build_design_system(phi, d.labels, ridge))
     w, _ = compress(full, max_bond)
     return w
-
-
-def prediction_loss(w: MPS, d: Dataset, fmap: FeatureMap) -> float:
-    """Half mean squared prediction error (no ridge term)."""
-    pred = w.evaluate_batch(featurize_batch(fmap, d.features))
-    return float(0.5 * np.mean((pred - d.labels) ** 2))

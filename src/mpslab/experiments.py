@@ -21,7 +21,7 @@ from .datagen import TargetSpec, generate_dataset
 from .dmrg import (CROSS_ENTROPY, MSE, TrainConfig, data_loss, frame_labels,
                    train_arrays)
 from .errors import ScanAbortedError
-from .exact import build_design_system_arrays, solve_full_weight
+from .exact import build_design_system, solve_full_weight
 from .features import FeatureMap, featurize_batch
 from .mps import compress
 from .svgplot import line_plot
@@ -197,8 +197,7 @@ def _regression_replicate(cfg, eps, ntr, chi_values, rep, test_set, phi_te):
     phi_tr = featurize_batch(fmap, train_set.features)
     y_tr = train_set.labels
     y_te = frame_labels(test_set, train_set)
-    full = solve_full_weight(build_design_system_arrays(phi_tr, y_tr,
-                                                        cfg.ridge))
+    full = solve_full_weight(build_design_system(phi_tr, y_tr, cfg.ridge))
     training = cfg.method in (DMRG, BOTH)
     if training:
         val_set = generate_dataset(spec, cfg.n_test,
@@ -527,7 +526,9 @@ _PRESETS = {
                  outer="eps"),
     "fig8": dict(method=BOTH, eps_list=_PAPER_EPS, full_replicates=32,
                  outer="eps"),
-    "fig5": _IMAGES,
+    # fig5 follows its bond scan with a train-size scan on this grid
+    "fig5": dict(_IMAGES, trainsize=dict(
+        chi_list=(6,), ntr_list=(128, 256, 512, 1024, 2048, 4096))),
     "fig9": dict(_IMAGES, noise_levels=(0.0, 0.1, 0.2), outer="noise"),
 }
 
@@ -548,6 +549,7 @@ def scenario_config(cfg: ExperimentConfig) -> ExperimentConfig:
     preset = dict(_PRESETS[cfg.scenario])
     full_replicates = preset.pop("full_replicates", None)
     preset.pop("outer", None)
+    preset.pop("trainsize", None)
     for name, value in preset.items():
         if getattr(cfg, name) == getattr(base, name):
             updates[name] = value
@@ -571,6 +573,14 @@ def _outer_axis(cfg: ExperimentConfig):
     return None
 
 
+def _check_pool(train_pool, sizes) -> None:
+    """Fail before any job runs when a training size exceeds the pool."""
+    for n in sizes:
+        if n > train_pool.count:
+            raise ValueError(f"training size {n} exceeds the "
+                             f"{train_pool.count}-image training pool")
+
+
 def run_scenario(cfg: ExperimentConfig):
     """Dispatch a scenario and write its outputs; returns (result, paths)."""
     cfg = scenario_config(cfg)
@@ -578,15 +588,17 @@ def run_scenario(cfg: ExperimentConfig):
     images = (load_mnist_pair(cfg) if cfg.scenario in ("fig5", "fig9")
               else None)
     if cfg.scenario == "fig5":
+        sizes = replace(cfg, **_PRESETS["fig5"]["trainsize"])
+        _check_pool(images[0], (cfg.ntr_list[0],) + sizes.ntr_list)
         bond = run_scan(cfg, images=images)
-        sizes = replace(cfg, chi_list=(6,),
-                        ntr_list=(128, 256, 512, 1024, 2048, 4096))
-        size_scan = run_scan(sizes, "ntr", images=images)
         paths = {f"bond_{k}": v for k, v in emit_outputs(
             bond, cfg, os.path.join(cfg.out_dir, "bond")).items()}
+        size_scan = run_scan(sizes, "ntr", images=images)
         paths.update({f"trainsize_{k}": v for k, v in emit_outputs(
             size_scan, sizes, os.path.join(cfg.out_dir, "trainsize")).items()})
         return (bond, size_scan), paths
+    if images is not None:
+        _check_pool(images[0], cfg.ntr_list[:1])
     outer = _outer_axis(cfg)
     if outer is None:
         result = run_scan(cfg, "ntr" if len(cfg.ntr_list) > 1 else "chi")

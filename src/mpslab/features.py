@@ -34,26 +34,6 @@ class FeatureMap:
             raise ValueError("trigonometric map has fixed dimension 2")
 
 
-def apply_scalar(fmap: FeatureMap, x: float) -> np.ndarray:
-    """Embed one scalar feature into a length-f vector."""
-    if not np.isfinite(x):
-        raise ValueError(f"feature value must be finite, got {x}")
-    if fmap.kind == POLYNOMIAL:
-        return np.float64(x) ** np.arange(fmap.dim)
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"trigonometric map needs x in [0, 1], got {x}")
-    half_pi_x = 0.5 * np.pi * x
-    return np.array([np.cos(half_pi_x), np.sin(half_pi_x)])
-
-
-def featurize(fmap: FeatureMap, x: np.ndarray) -> np.ndarray:
-    """Embed a length-N sample into an (N, f) array of local vectors."""
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if x.size == 0:
-        raise ValueError("cannot featurize an empty sample")
-    return featurize_batch(fmap, x[None, :])[0]
-
-
 def featurize_batch(fmap: FeatureMap, x: np.ndarray) -> np.ndarray:
     """Embed a (T, N) feature matrix into a (T, N, f) array."""
     x = np.asarray(x, dtype=np.float64)

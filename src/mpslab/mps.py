@@ -77,18 +77,6 @@ class MPS:
             center=self.center,
         )
 
-    def evaluate(self, locals_: np.ndarray) -> float:
-        """Contract with one featurized sample; a single left-to-right pass."""
-        if self.label_site is not None:
-            raise ValueError("labeled MPS evaluates to a vector; use evaluate_labeled")
-        return float(self.evaluate_batch(np.asarray(locals_)[None])[0])
-
-    def evaluate_labeled(self, locals_: np.ndarray) -> np.ndarray:
-        """Contract with one featurized sample, keeping the label axis open."""
-        if self.label_site is None:
-            raise ValueError("MPS has no label axis; use evaluate")
-        return self.evaluate_batch(np.asarray(locals_)[None])[0]
-
     def evaluate_batch(self, phi: np.ndarray) -> np.ndarray:
         """Contract with (T, N, f) featurized samples.
 

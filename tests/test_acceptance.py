@@ -20,8 +20,7 @@ from mpslab.exact import inversion_and_compression
 from mpslab.experiments import (ExperimentConfig, emit_outputs,
                                 find_optimal_chi, has_significant_ushape,
                                 run_bond_scan)
-from mpslab.features import (FeatureMap, featurize, featurize_batch,
-                             full_feature_tensor)
+from mpslab.features import FeatureMap, featurize_batch, full_feature_tensor
 from mpslab.mps import canonicalize, compress, random_init
 from mpslab.tensor import svd_truncate
 
@@ -56,10 +55,9 @@ def test_criterion_01_oracle_equivalence():
         n = int(rng.integers(2, 7))
         chi = int(rng.integers(1, 28))
         w = random_init(n, 3, chi, scale=0.7, seed=trial)
-        x = rng.standard_normal(n)
-        locals_ = featurize(FMAP3, x)
-        fast = w.evaluate(locals_)
-        slow = float(np.sum(w.to_full_tensor() * full_feature_tensor(locals_)))
+        phi = featurize_batch(FMAP3, rng.standard_normal((1, n)))
+        fast = float(w.evaluate_batch(phi)[0])
+        slow = float(np.sum(w.to_full_tensor() * full_feature_tensor(phi[0])))
         worst = max(worst, abs(fast - slow) / max(abs(slow), 1e-300))
     ok = worst <= 1e-10
     report(1, ok, f"100 evaluate-vs-full-contraction pairs, worst rel err "
@@ -120,7 +118,8 @@ def test_criterion_02_gradient_correctness():
                 continue
             found += 1
             cache, core, y, ridge = instance
-            grad = site_gradient(cache, core, y, kind, ridge)
+            _, outputs = site_loss(cache, core, y, kind, ridge)
+            grad = site_gradient(cache, core, outputs, y, kind, ridge)
             fd = np.zeros_like(core)
             it = np.nditer(core, flags=["multi_index"])
             for _ in it:
@@ -128,8 +127,9 @@ def test_criterion_02_gradient_correctness():
                 up, down = core.copy(), core.copy()
                 up[idx] += step
                 down[idx] -= step
-                fd[idx] = (site_loss(cache, up, y, kind, ridge) -
-                           site_loss(cache, down, y, kind, ridge)) / (2 * step)
+                fd[idx] = (site_loss(cache, up, y, kind, ridge)[0]
+                           - site_loss(cache, down, y, kind, ridge)[0]
+                           ) / (2 * step)
             mask = np.abs(fd) > 1e-8
             if np.any(mask):
                 rel = np.max(np.abs((grad[mask] - fd[mask]) / fd[mask]))

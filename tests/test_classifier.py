@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from mpslab import dmrg
-from mpslab.classify import (ImageDataset, accuracy, corrupt_labels,
-                             cross_entropy, export_predictions,
-                             featurize_images, init_classifier_mps, load_idx,
-                             mnist_feature_map, predict_proba, preprocess,
-                             subset, train_classifier)
-from mpslab.dmrg import CROSS_ENTROPY, TrainConfig
-from mpslab.errors import DegenerateOutputError, IdxFormatError
-from mpslab.features import featurize
+from mpslab.classify import (ImageDataset, corrupt_labels,
+                             export_predictions, featurize_images,
+                             init_classifier_mps, load_idx, mnist_feature_map,
+                             predict_proba, preprocess, subset,
+                             train_classifier)
+from mpslab.dmrg import CROSS_ENTROPY, TrainConfig, data_loss
+from mpslab.errors import IdxFormatError
+from mpslab.features import featurize_batch
 from mpslab.mps import MPS, random_init
 
 
@@ -45,6 +45,18 @@ def single_site_classifier(weights):
     """N=1 labeled MPS: outputs v_c = sum_f weights[f, c] * phi_f."""
     w = np.asarray(weights, dtype=np.float64)
     return MPS([w.reshape(1, w.shape[0], w.shape[1], 1)], label_site=0)
+
+
+def cross_entropy(w, d):
+    """Mean clamped cross-entropy of a classifier on images, as the
+    trainer records it."""
+    return data_loss(w.evaluate_batch(featurize_images(d)), d.labels,
+                     CROSS_ENTROPY)
+
+
+def accuracy(w, d):
+    """Classifier accuracy on images, as the trainer records it."""
+    return dmrg._accuracy(w.evaluate_batch(featurize_images(d)), d.labels)
 
 
 class TestIdx:
@@ -115,40 +127,46 @@ class TestPreprocess:
 
 
 class TestPredictProba:
-    def locals_for(self, x):
-        return featurize(mnist_feature_map, np.array([x]))
+    def locals_for(self, *xs):
+        """(T, 1, 2) featurized one-pixel samples."""
+        return featurize_batch(mnist_feature_map, np.array(xs)[:, None])
 
     def test_uniform_outputs(self):
         w = single_site_classifier(np.stack([np.ones(10), np.zeros(10)]))
         p = predict_proba(w, self.locals_for(0.0))  # phi = (1, 0)
-        np.testing.assert_allclose(p, np.full(10, 0.1), atol=1e-15)
+        np.testing.assert_allclose(p, np.full((1, 10), 0.1), atol=1e-15)
 
     def test_one_hot(self):
         weights = np.zeros((2, 10))
         weights[0, 0] = 2.0
         p = predict_proba(single_site_classifier(weights), self.locals_for(0.0))
-        np.testing.assert_allclose(p, np.eye(10)[0], atol=1e-15)
+        np.testing.assert_allclose(p, np.eye(10)[:1], atol=1e-15)
 
     def test_sign_invariance(self):
         weights = np.zeros((2, 10))
         weights[0, 0] = 1.0
         weights[0, 1] = -1.0
         p = predict_proba(single_site_classifier(weights), self.locals_for(0.0))
-        assert p[0] == pytest.approx(0.5)
-        assert p[1] == pytest.approx(0.5)
+        assert p[0, 0] == pytest.approx(0.5)
+        assert p[0, 1] == pytest.approx(0.5)
 
     def test_simplex(self):
         rng = np.random.default_rng(3)
         w = single_site_classifier(rng.standard_normal((2, 10)))
-        for x in rng.uniform(0, 1, size=5):
-            p = predict_proba(w, self.locals_for(x))
-            assert np.all(p >= 0)
-            assert p.sum() == pytest.approx(1.0, abs=1e-12)
+        p = predict_proba(w, self.locals_for(*rng.uniform(0, 1, size=5)))
+        assert p.shape == (5, 10)
+        assert np.all(p >= 0)
+        np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
     def test_degenerate_output(self):
-        w = single_site_classifier(np.zeros((2, 10)))
-        with pytest.raises(DegenerateOutputError):
-            predict_proba(w, self.locals_for(0.3))
+        # an all-zero output row has no probabilities: it reads all zero,
+        # where the training loss clamps it at PROB_FLOOR
+        weights = np.zeros((2, 10))
+        weights[1, 4] = 1.0  # v = sin(pi x / 2) on class 4, zero at x = 0
+        p = predict_proba(single_site_classifier(weights),
+                          self.locals_for(0.0, 1.0))
+        np.testing.assert_array_equal(p[0], np.zeros(10))
+        np.testing.assert_allclose(p[1], np.eye(10)[4], atol=1e-15)
 
 
 class TestCrossEntropy:
@@ -173,7 +191,7 @@ class TestCrossEntropy:
         phi = featurize_images(d)
         direct = []
         for i in range(8):
-            v = w.evaluate_labeled(phi[i])
+            v = w.evaluate_batch(phi[i:i + 1])[0]
             p = v**2 / np.sum(v**2)
             direct.append(-np.log(p[d.labels[i]]))
         assert cross_entropy(w, d) == pytest.approx(np.mean(direct), abs=1e-12)

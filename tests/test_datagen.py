@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from mpslab.datagen import (TargetSpec, add_label_noise,
+from mpslab.datagen import (TargetSpec, _haar_orthogonal, add_label_noise,
                             build_nilpotent, build_target_mps,
                             generate_dataset, load_dataset_csv,
-                            normalize_labels, random_orthogonal,
-                            sample_features, save_dataset_csv)
+                            normalize_labels, sample_features,
+                            save_dataset_csv)
 from mpslab.errors import DegenerateDataError
 from mpslab.features import FeatureMap, featurize_batch
 from mpslab.mps import compress
@@ -54,22 +54,26 @@ class TestNilpotent:
                                           np.zeros((size, size)))
 
 
+def haar_orthogonal(size, seed):
+    return _haar_orthogonal(size, np.random.default_rng(seed))
+
+
 class TestRandomOrthogonal:
     def test_orthogonality(self):
         for size in (1, 3, 27):
-            u = random_orthogonal(size, seed=size)
+            u = haar_orthogonal(size, seed=size)
             assert np.max(np.abs(u.T @ u - np.eye(size))) <= 1e-12
 
     def test_size_one_sign(self):
-        assert abs(random_orthogonal(1, seed=4)[0, 0]) == pytest.approx(1.0)
+        assert abs(haar_orthogonal(1, seed=4)[0, 0]) == pytest.approx(1.0)
 
     def test_deterministic(self):
-        np.testing.assert_array_equal(random_orthogonal(5, seed=9),
-                                      random_orthogonal(5, seed=9))
+        np.testing.assert_array_equal(haar_orthogonal(5, seed=9),
+                                      haar_orthogonal(5, seed=9))
 
     def test_conjugated_powers(self):
         m = build_nilpotent(6, 0.4)
-        u = random_orthogonal(6, seed=11)
+        u = haar_orthogonal(6, seed=11)
         conj = u @ m @ u.T
         for k in range(1, 7):
             lhs = np.linalg.matrix_power(conj, k)

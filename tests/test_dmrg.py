@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from mpslab.datagen import Dataset, TargetSpec, generate_dataset
+from mpslab import dmrg
 from mpslab.dmrg import (CROSS_ENTROPY, MSE, EnvironmentCache, TrainConfig,
-                         TrainTrace, data_loss, frame_labels, gradient_site,
-                         loss, optimize_site, output_grad_coeffs,
-                         site_gradient, site_loss, train)
+                         TrainTrace, data_loss, frame_labels, optimize_site,
+                         output_grad_coeffs, site_gradient, site_loss, train)
 from mpslab.exact import inversion_and_compression
 from mpslab.features import FeatureMap, featurize_batch
 from mpslab.mps import (_left_ortho_step, _right_ortho_step, canonicalize,
@@ -23,8 +23,8 @@ def finite_difference(cache, core, y, kind, ridge, step=1e-5):
         up[idx] += step
         down = core.copy()
         down[idx] -= step
-        fd[idx] = (site_loss(cache, up, y, kind, ridge) -
-                   site_loss(cache, down, y, kind, ridge)) / (2 * step)
+        fd[idx] = (site_loss(cache, up, y, kind, ridge)[0] -
+                   site_loss(cache, down, y, kind, ridge)[0]) / (2 * step)
     return fd
 
 
@@ -33,6 +33,27 @@ def make_cache(w, phi, center):
     cache = EnvironmentCache(work.cores, phi, label_site=w.label_site,
                              center=center)
     return work, cache
+
+
+def gradient_at(cache, core, y, kind, ridge):
+    """site_gradient at ``core``, from site_loss's outputs there."""
+    _, outputs = site_loss(cache, core, y, kind, ridge)
+    return site_gradient(cache, core, outputs, y, kind, ridge)
+
+
+def gradient_site(w, site, d, ridge):
+    """MSE objective gradient w.r.t. the core at ``site`` of a regression
+    MPS, in mixed gauge at that site."""
+    phi = featurize_batch(FeatureMap(dim=w.phys_dim), d.features)
+    work, cache = make_cache(w, phi, site)
+    return gradient_at(cache, work.cores[site], d.labels, MSE, ridge)
+
+
+def loss(w, d, ridge):
+    """Regularized half-MSE objective of a regression MPS on a dataset."""
+    phi = featurize_batch(FeatureMap(dim=w.phys_dim), d.features)
+    return (data_loss(w.evaluate_batch(phi), d.labels, MSE)
+            + 0.5 * ridge * w.norm_squared())
 
 
 class TestLoss:
@@ -59,10 +80,16 @@ class TestLoss:
         assert loss(w, d, ridge) <= 0.5 * ridge * w.norm_squared() + 1e-6
 
     def test_ridge_term_uses_mps_norm(self):
+        # in mixed gauge the center core's norm is the whole MPS's, so the
+        # site objective is the global ridge objective at every center
         d = generate_dataset(TargetSpec(seed=1), 64, seed=4)
         w = random_init(6, 3, 4, scale=0.3, seed=5)
-        assert loss(w, d, 0.1) == pytest.approx(
-            loss(w, d, 0.0) + 0.05 * w.norm_squared(), rel=1e-12)
+        phi = featurize_batch(FMAP3, d.features)
+        for site in (0, 3, 5):
+            work, cache = make_cache(w, phi, site)
+            value, _ = site_loss(cache, work.cores[site], d.labels, MSE, 0.1)
+            assert value == pytest.approx(loss(w, d, 0.1), rel=1e-12)
+            assert value > loss(w, d, 0.0)
 
 
 class TestGradient:
@@ -75,7 +102,7 @@ class TestGradient:
             site = trial % 5
             work, cache = make_cache(w, phi, site)
             core = work.cores[site]
-            g = site_gradient(cache, core, y, MSE, 1e-4)
+            g = gradient_at(cache, core, y, MSE, 1e-4)
             fd = finite_difference(cache, core, y, MSE, 1e-4)
             mask = np.abs(fd) > 1e-8
             assert np.max(np.abs((g[mask] - fd[mask]) / fd[mask])) <= 1e-6
@@ -91,7 +118,7 @@ class TestGradient:
             site = [0, 2, 3, 4, 5][trial]
             work, cache = make_cache(w, phi, site)
             core = work.cores[site]
-            g = site_gradient(cache, core, y, CROSS_ENTROPY, 0.0)
+            g = gradient_at(cache, core, y, CROSS_ENTROPY, 0.0)
             fd = finite_difference(cache, core, y, CROSS_ENTROPY, 0.0)
             mask = np.abs(fd) > 1e-8
             assert np.max(np.abs((g[mask] - fd[mask]) / fd[mask])) <= 1e-6
@@ -126,7 +153,7 @@ class TestGradient:
         y = np.zeros(6)
         work, cache = make_cache(w, phi, 2)
         core = work.cores[2]
-        g = site_gradient(cache, core, y, MSE, 0.25)
+        g = gradient_at(cache, core, y, MSE, 0.25)
         np.testing.assert_array_equal(g, 0.25 * core)
 
 
@@ -167,12 +194,55 @@ class TestOptimizeSite:
         work, cache = make_cache(w, phi, 2)
         core = work.cores[2]
         cfg = TrainConfig(cg_steps=1, ridge=1e-6)
-        losses = [site_loss(cache, core, y, MSE, 1e-6)]
+        losses = [site_loss(cache, core, y, MSE, 1e-6)[0]]
         for _ in range(5):
             core, value, _ = optimize_site(cache, core, y, cfg)
             losses.append(value)
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
         assert losses[-1] < losses[0]
+
+
+    @pytest.mark.parametrize("kind", [MSE, CROSS_ENTROPY])
+    def test_one_apply_per_objective_evaluation(self, kind, monkeypatch):
+        """site_gradient reuses the outputs of site_loss at the same core:
+        every EnvironmentCache.apply call in optimize_site is a site_loss
+        call or an exact MSE step length."""
+        counts = dict.fromkeys(("apply", "site_loss", "site_gradient",
+                                "_initial_step"), 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(EnvironmentCache, "apply",
+                            counting("apply", EnvironmentCache.apply))
+        for name in ("site_loss", "site_gradient", "_initial_step"):
+            monkeypatch.setattr(dmrg, name,
+                                counting(name, getattr(dmrg, name)))
+        rng = np.random.default_rng(30)
+        if kind == MSE:
+            w = random_init(5, 3, 3, scale=0.8, seed=31)
+            phi = featurize_batch(FMAP3, rng.standard_normal((40, 5)))
+            y = rng.standard_normal(40)
+            exact_steps = 1
+        else:
+            w = random_init(5, 2, 3, scale=0.8, seed=31, label_site=2,
+                            label_dim=4)
+            phi = featurize_batch(FeatureMap(kind="trigonometric", dim=2),
+                                  rng.uniform(0, 1, size=(40, 5)))
+            y = rng.integers(0, 4, size=40)
+            exact_steps = 0
+        # class axis in the right environment, at the center, in the left
+        for site in (0, 2, 4):
+            work, cache = make_cache(w, phi, site)
+            counts.update(dict.fromkeys(counts, 0))
+            optimize_site(cache, work.cores[site], y,
+                          TrainConfig(cg_steps=5, loss_kind=kind))
+            assert counts["site_gradient"] >= 2  # an accepted CG step
+            assert counts["apply"] == (counts["site_loss"]
+                                       + exact_steps * counts["_initial_step"])
 
 
 class TestCache:

@@ -3,7 +3,10 @@ import dataclasses
 import json
 import logging
 import os
+import pathlib
 import struct
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -11,10 +14,9 @@ import pytest
 
 from mpslab import cli, experiments
 from mpslab.datagen import generate_dataset
-from mpslab.dmrg import TrainConfig, frame_labels, train
+from mpslab.dmrg import MSE, TrainConfig, data_loss, frame_labels, train
 from mpslab.errors import ScanAbortedError
-from mpslab.exact import (build_design_system, prediction_loss,
-                          solve_full_weight)
+from mpslab.exact import build_design_system, solve_full_weight
 from mpslab.experiments import (TEST_SEED_OFFSET, VAL_SEED_OFFSET,
                                 ExperimentConfig, ScanResult,
                                 config_from_dict, emit_outputs,
@@ -129,14 +131,17 @@ def per_chi_rows(cfg):
         val_set = generate_dataset(spec, cfg.n_test,
                                    cfg.base_seed + VAL_SEED_OFFSET + rep)
         y_te = frame_labels(test_set, train_set)
-        full = solve_full_weight(build_design_system(train_set, fmap,
-                                                     cfg.ridge))
+        full = solve_full_weight(build_design_system(
+            featurize_batch(fmap, train_set.features), train_set.labels,
+            cfg.ridge))
         for chi in cfg.chi_list:
             w, _ = compress(full, chi)
+            pred_tr = w.evaluate_batch(featurize_batch(fmap,
+                                                       train_set.features))
             pred = w.evaluate_batch(featurize_batch(fmap, test_set.features))
             row = {"axis": chi, "eps": eps, "ntr": ntr, "replicate": rep,
                    "train_seed": cfg.base_seed + rep,
-                   "inv_train_loss": prediction_loss(w, train_set, fmap),
+                   "inv_train_loss": data_loss(pred_tr, train_set.labels, MSE),
                    "inv_test_loss": float(0.5 * np.mean((pred - y_te) ** 2))}
             if cfg.method == "both":
                 _, trace = train(w, train_set, val_set, test_set, tc, fmap)
@@ -363,6 +368,23 @@ class TestCli:
                          "--out", str(tmp_path / "m")])
         assert code == 2
 
+    def test_scan_logs_progress_to_stderr(self, tmp_path):
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src)] + ([path] if path else [])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mpslab.cli", "scan", "--chi", "2,3",
+             "--ntr", "40", "--replicates", "2",
+             "--out", str(tmp_path / "scan")],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert "INFO mpslab.experiments: chi scan: 2 replicate jobs in" in (
+            proc.stderr)
+        assert "scan complete" in proc.stdout
+        assert "chi scan:" not in proc.stdout
+
     def test_exact_subcommand(self, capsys):
         assert cli.main(["exact", "--ntr", "80", "--chi", "4",
                          "--seed", "5", "--n-test", "64"]) == 0
@@ -384,6 +406,21 @@ def write_idx(path, magic, array):
     path.write_bytes(struct.pack(f">I{array.ndim}I", magic, *array.shape)
                      + array.tobytes())
     return str(path)
+
+
+def image_files(tmp_path, train_count):
+    """ExperimentConfig fields naming IDX files of ``train_count`` random
+    2x2 training images and 24 test images."""
+    rng = np.random.default_rng(4)
+    files = {}
+    for prefix, count in (("mnist_", train_count), ("mnist_test_", 24)):
+        files[prefix + "images"] = write_idx(
+            tmp_path / f"{prefix}images.idx", 0x00000803,
+            rng.integers(0, 256, size=(count, 2, 2)))
+        files[prefix + "labels"] = write_idx(
+            tmp_path / f"{prefix}labels.idx", 0x00000801,
+            rng.integers(0, 10, size=count))
+    return files
 
 
 # Each case: config fields, then the scan directories run_scenario writes
@@ -433,16 +470,7 @@ class TestScenarioDispatch:
     @pytest.fixture()
     def idx_files(self, tmp_path):
         # fig5's train-size scan draws up to 4096 training images
-        rng = np.random.default_rng(4)
-        files = {}
-        for prefix, count in (("mnist_", 4096), ("mnist_test_", 24)):
-            files[prefix + "images"] = write_idx(
-                tmp_path / f"{prefix}images.idx", 0x00000803,
-                rng.integers(0, 256, size=(count, 2, 2)))
-            files[prefix + "labels"] = write_idx(
-                tmp_path / f"{prefix}labels.idx", 0x00000801,
-                rng.integers(0, 10, size=count))
-        return files
+        return image_files(tmp_path, 4096)
 
     @pytest.mark.parametrize("case", list(DISPATCH_CASES))
     def test_branch_outputs(self, case, tmp_path, idx_files):
@@ -471,3 +499,60 @@ class TestScenarioDispatch:
                     seconds.append(json.load(fh)["seconds"])
             with open(paths["manifest"]) as fh:
                 assert json.load(fh)["seconds"] == pytest.approx(sum(seconds))
+
+
+class TestFig5:
+    """fig5 checks its training sizes against the image pool before any
+    job runs, and writes its bond scan before the train-size scan."""
+
+    FIELDS = dict(scenario="fig5", chi_list=(2, 3), sweeps=1, cg_steps=2,
+                  downsample=1)
+
+    @pytest.fixture()
+    def jobs(self, monkeypatch):
+        """Replicate jobs run, each answered with a fixed test error; jobs
+        at 512 or more training images fail."""
+        calls = []
+
+        def replicate(cfg, noise, ntr, chi_values, rep, train_pool,
+                      test_set):
+            calls.append((ntr, rep))
+            if ntr >= 512:
+                raise RuntimeError(f"no job at ntr={ntr}")
+            return [{"axis": chi, "ntr": ntr, "noise": noise,
+                     "replicate": rep, "test_error": 0.5}
+                    for chi in chi_values]
+
+        monkeypatch.setattr(experiments, "_mnist_replicate", replicate)
+        return calls
+
+    def test_small_pool_fails_before_any_job(self, tmp_path, jobs, capsys):
+        files = image_files(tmp_path, 300)
+        out = tmp_path / "out"
+        # the bond scan's 16 images fit; the train-size grid's 512 do not
+        with pytest.raises(ValueError, match="training size 512 exceeds "
+                                             "the 300-image training pool"):
+            experiments.run_scenario(ExperimentConfig(
+                out_dir=str(out), ntr_list=(16,), **self.FIELDS, **files))
+        code = cli.main(["scan", "--scenario", "fig5",
+                         "--images", files["mnist_images"],
+                         "--labels", files["mnist_labels"],
+                         "--test-images", files["mnist_test_images"],
+                         "--test-labels", files["mnist_test_labels"],
+                         "--out", str(out)])
+        assert code == 2
+        assert "training size 1024 exceeds" in capsys.readouterr().err
+        assert jobs == []
+        assert not out.exists()
+
+    def test_bond_scan_written_before_size_scan(self, tmp_path, jobs):
+        out = tmp_path / "out"
+        with pytest.raises(ScanAbortedError):
+            experiments.run_scenario(ExperimentConfig(
+                out_dir=str(out), ntr_list=(16,), **self.FIELDS,
+                **image_files(tmp_path, 4096)))
+        with open(out / "bond" / "raw.csv") as fh:
+            assert len(list(csv.DictReader(fh))) == 2
+        assert not (out / "trainsize").exists()
+        assert [ntr for ntr, _ in jobs] == [16, 128, 256, 512, 1024, 2048,
+                                            4096]

@@ -3,33 +3,51 @@ import itertools
 import numpy as np
 import pytest
 
-from mpslab.features import (FeatureMap, apply_scalar, featurize,
-                             featurize_batch, full_feature_tensor)
+from mpslab.features import (POLYNOMIAL, FeatureMap, featurize_batch,
+                             full_feature_tensor)
+
+
+def apply_scalar(fmap, x):
+    """Feature-map oracle: embed one scalar feature into a length-f
+    vector, straight from the map's definition."""
+    if not np.isfinite(x):
+        raise ValueError(f"feature value must be finite, got {x}")
+    if fmap.kind == POLYNOMIAL:
+        return np.float64(x) ** np.arange(fmap.dim)
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"trigonometric map needs x in [0, 1], got {x}")
+    half_pi_x = 0.5 * np.pi * x
+    return np.array([np.cos(half_pi_x), np.sin(half_pi_x)])
+
+
+def featurize_one(fmap, x):
+    """(N, f) local vectors of one sample, through the batch API."""
+    return featurize_batch(fmap, np.asarray(x, dtype=np.float64)[None, :])[0]
 
 
 def test_polynomial_basic():
     fmap = FeatureMap(dim=3)
-    np.testing.assert_allclose(apply_scalar(fmap, 2.0), [1.0, 2.0, 4.0])
-    np.testing.assert_allclose(apply_scalar(fmap, 0.0), [1.0, 0.0, 0.0])
+    np.testing.assert_allclose(featurize_one(fmap, [2.0, 0.0]),
+                               [[1.0, 2.0, 4.0], [1.0, 0.0, 0.0]])
 
 
 def test_trigonometric_endpoint():
     fmap = FeatureMap(kind="trigonometric", dim=2)
-    np.testing.assert_allclose(apply_scalar(fmap, 1.0), [0.0, 1.0], atol=1e-15)
-    np.testing.assert_allclose(apply_scalar(fmap, 0.0), [1.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(featurize_one(fmap, [1.0, 0.0]),
+                               [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
 
 
 def test_trigonometric_domain_error():
     fmap = FeatureMap(kind="trigonometric", dim=2)
     with pytest.raises(ValueError):
-        apply_scalar(fmap, 1.5)
+        featurize_batch(fmap, np.array([[1.5]]))
     with pytest.raises(ValueError):
         featurize_batch(fmap, np.array([[0.5, -0.1]]))
 
 
 def test_nonfinite_rejected():
     with pytest.raises(ValueError):
-        apply_scalar(FeatureMap(dim=3), np.inf)
+        featurize_batch(FeatureMap(dim=3), np.array([[1.0, np.inf]]))
 
 
 def test_invalid_map_parameters():
@@ -43,18 +61,21 @@ def test_invalid_map_parameters():
 
 def test_featurize_locals():
     fmap = FeatureMap(dim=3)
-    locals_ = featurize(fmap, np.array([1.0, 2.0]))
+    locals_ = featurize_one(fmap, [1.0, 2.0])
     np.testing.assert_allclose(locals_, [[1, 1, 1], [1, 2, 4]])
 
 
 def test_featurize_empty_raises():
+    fmap = FeatureMap(dim=3)
     with pytest.raises(ValueError):
-        featurize(FeatureMap(dim=3), np.array([]))
+        featurize_batch(fmap, np.zeros((1, 0)))
+    with pytest.raises(ValueError):
+        featurize_batch(fmap, np.array([]))
 
 
 def test_single_site_reduces_to_apply_scalar():
     fmap = FeatureMap(dim=4)
-    np.testing.assert_allclose(featurize(fmap, np.array([1.7]))[0],
+    np.testing.assert_allclose(featurize_one(fmap, [1.7])[0],
                                apply_scalar(fmap, 1.7))
 
 
@@ -63,7 +84,7 @@ def test_outer_product_matches_full_tensor():
     fmap = FeatureMap(dim=3)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(6)
-    locals_ = featurize(fmap, x)
+    locals_ = featurize_one(fmap, x)
     full = full_feature_tensor(locals_)
     assert full.shape == (3,) * 6
     for idx in itertools.product(range(3), repeat=6):
@@ -74,15 +95,19 @@ def test_outer_product_matches_full_tensor():
 def test_polynomial_recurrence():
     fmap = FeatureMap(dim=5)
     rng = np.random.default_rng(1)
-    for x in rng.standard_normal(10):
-        vec = apply_scalar(fmap, x)
+    vecs = featurize_one(fmap, rng.standard_normal(10))
+    for x, vec in zip(vecs[:, 1], vecs):
         np.testing.assert_allclose(vec[1:], x * vec[:-1], rtol=1e-12)
 
 
 def test_batch_agrees_with_single():
-    fmap = FeatureMap(dim=3)
+    """Every entry of a batch is the scalar oracle's vector."""
     rng = np.random.default_rng(2)
-    x = rng.standard_normal((4, 5))
-    batch = featurize_batch(fmap, x)
-    for i in range(4):
-        np.testing.assert_array_equal(batch[i], featurize(fmap, x[i]))
+    for fmap, x in ((FeatureMap(dim=3), rng.standard_normal((4, 5))),
+                    (FeatureMap(kind="trigonometric", dim=2),
+                     rng.uniform(0, 1, size=(4, 5)))):
+        batch = featurize_batch(fmap, x)
+        for i, j in itertools.product(range(4), range(5)):
+            np.testing.assert_allclose(batch[i, j],
+                                       apply_scalar(fmap, x[i, j]),
+                                       rtol=1e-15, atol=1e-15)

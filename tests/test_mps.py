@@ -2,17 +2,18 @@ import numpy as np
 import pytest
 
 from mpslab.errors import CapacityError, DimensionMismatchError
-from mpslab.features import FeatureMap, featurize, featurize_batch, full_feature_tensor
+from mpslab.features import FeatureMap, featurize_batch, full_feature_tensor
 from mpslab.mps import (MPS, canonicalize, compress, load_mps, random_init,
                         save_mps, truncate)
 
 FMAP3 = FeatureMap(dim=3)
 
 
-def full_contraction_oracle(w, x, fmap):
-    """Contract the materialized weight tensor with the full feature tensor."""
+def full_contraction_oracle(w, locals_):
+    """Contract the materialized weight tensor with one sample's full
+    feature tensor; ``locals_`` is its (N, f) local vectors."""
     full = w.to_full_tensor()
-    phi = full_feature_tensor(featurize(fmap, x))
+    phi = full_feature_tensor(locals_)
     if w.label_site is None:
         return float(np.sum(full * phi))
     return np.tensordot(full, phi, axes=(range(w.n_sites), range(w.n_sites)))
@@ -26,15 +27,16 @@ class TestEvaluate:
     def test_constant_mps(self):
         cores = [np.array([1.0, 0.0, 0.0]).reshape(1, 3, 1) for _ in range(5)]
         w = MPS(cores)
-        for x in random_samples(5, 10, 0):
-            assert w.evaluate(featurize(FMAP3, x)) == pytest.approx(1.0)
+        phi = featurize_batch(FMAP3, random_samples(5, 10, 0))
+        np.testing.assert_allclose(w.evaluate_batch(phi), np.ones(10))
 
     def test_matches_full_contraction_oracle(self):
         w = random_init(4, 3, 5, scale=0.7, seed=1)
-        for x in random_samples(4, 20, 2):
-            got = w.evaluate(featurize(FMAP3, x))
-            want = full_contraction_oracle(w, x, FMAP3)
-            assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+        phi = featurize_batch(FMAP3, random_samples(4, 20, 2))
+        got = w.evaluate_batch(phi)
+        for i, locals_ in enumerate(phi):
+            want = full_contraction_oracle(w, locals_)
+            assert got[i] == pytest.approx(want, rel=1e-10, abs=1e-12)
 
     def test_labeled_one_hot_slices(self):
         base = random_init(4, 3, 4, scale=0.5, seed=3)
@@ -45,39 +47,33 @@ class TestEvaluate:
         cores[1] = labeled_core
         w = MPS(cores, label_site=1)
         alt = MPS([c if j != 1 else slice1 for j, c in enumerate(base.cores)])
-        for x in random_samples(4, 5, 5):
-            locals_ = featurize(FMAP3, x)
-            out = w.evaluate_labeled(locals_)
-            assert out[0] == pytest.approx(base.evaluate(locals_), rel=1e-12)
-            assert out[1] == pytest.approx(alt.evaluate(locals_), rel=1e-12)
+        phi = featurize_batch(FMAP3, random_samples(4, 5, 5))
+        out = w.evaluate_batch(phi)
+        assert out.shape == (5, 2)
+        np.testing.assert_allclose(out[:, 0], base.evaluate_batch(phi),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(out[:, 1], alt.evaluate_batch(phi),
+                                   rtol=1e-12)
 
     def test_labeled_matches_full_tensor_oracle(self):
         w = random_init(4, 3, 4, scale=0.5, seed=6, label_site=2, label_dim=3)
-        for x in random_samples(4, 5, 7):
-            got = w.evaluate_labeled(featurize(FMAP3, x))
-            want = full_contraction_oracle(w, x, FMAP3)
-            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+        phi = featurize_batch(FMAP3, random_samples(4, 5, 7))
+        got = w.evaluate_batch(phi)
+        for i, locals_ in enumerate(phi):
+            want = full_contraction_oracle(w, locals_)
+            np.testing.assert_allclose(got[i], want, rtol=1e-10, atol=1e-12)
 
     def test_zero_label_core(self):
         w = random_init(3, 3, 2, scale=0.5, seed=8, label_site=1, label_dim=4)
         w.cores[1][:] = 0.0
-        out = w.evaluate_labeled(featurize(FMAP3, np.array([1.0, 2.0, 3.0])))
-        np.testing.assert_array_equal(out, np.zeros(4))
+        out = w.evaluate_batch(featurize_batch(FMAP3,
+                                               np.array([[1.0, 2.0, 3.0]])))
+        np.testing.assert_array_equal(out, np.zeros((1, 4)))
 
     def test_length_mismatch_raises(self):
         w = random_init(3, 3, 2, scale=1.0, seed=9)
         with pytest.raises(DimensionMismatchError):
-            w.evaluate(featurize(FMAP3, np.array([1.0, 2.0])))
-
-    def test_label_misuse_raises(self):
-        plain = random_init(3, 3, 2, scale=1.0, seed=10)
-        labeled = random_init(3, 3, 2, scale=1.0, seed=10, label_site=0,
-                              label_dim=2)
-        locals_ = featurize(FMAP3, np.zeros(3))
-        with pytest.raises(ValueError):
-            plain.evaluate_labeled(locals_)
-        with pytest.raises(ValueError):
-            labeled.evaluate(locals_)
+            w.evaluate_batch(featurize_batch(FMAP3, np.array([[1.0, 2.0]])))
 
 
 class TestFullTensor:
