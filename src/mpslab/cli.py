@@ -1,5 +1,8 @@
 """Command-line interface: mpslab gen|exact|dmrg|mnist|scan.
 
+``exact``, ``dmrg`` and ``mnist`` run replicate 0 of the one-point scan
+their flags describe, so they print what that scan's raw.csv holds.
+
 Exit codes: 0 success, 2 validation failure, 3 aborted scan.
 """
 
@@ -10,17 +13,12 @@ import os
 import sys
 
 from . import __version__
-from .classify import (corrupt_labels, export_predictions, load_idx,
-                       preprocess, subset, train_classifier)
-from .datagen import TargetSpec, generate_dataset, save_dataset_csv
-from .dmrg import (CROSS_ENTROPY, MSE, TrainConfig, data_loss, frame_labels,
-                   train)
+from .classify import export_predictions
+from .datagen import generate_dataset, save_dataset_csv
 from .errors import ScanAbortedError
-from .exact import inversion_and_compression
-from .experiments import (NOISE_SEED_OFFSET, SCENARIOS, TEST_SEED_OFFSET,
-                          VAL_SEED_OFFSET, ExperimentConfig, config_from_dict,
-                          run_scenario)
-from .features import FeatureMap, featurize_batch
+from .experiments import (DMRG, GRIDS, SCENARIOS, ExperimentConfig,
+                          config_from_dict, load_mnist_pair, run_scenario,
+                          run_single)
 from .mps import save_mps
 
 LOG_FORMAT = "%(levelname)s %(name)s: %(message)s"
@@ -44,24 +42,33 @@ def parse_float_list(text: str):
 
 
 def _add_target_flags(p):
-    p.add_argument("--n", type=int, default=6, help="number of features/sites")
-    p.add_argument("--f", type=int, default=3, help="feature map dimension")
-    p.add_argument("--eps", type=float, default=0.3,
+    """The artificial-data flags of gen, exact and dmrg."""
+    p.add_argument("--n", dest="n_sites", type=int,
+                   help="number of features/sites")
+    p.add_argument("--f", dest="phys_dim", type=int,
+                   help="feature map dimension")
+    p.add_argument("--eps", dest="eps_list", type=float,
                    help="data complexity parameter")
-    p.add_argument("--chi-t", type=int, default=27,
+    p.add_argument("--chi-t", dest="chi_target", type=int,
                    help="target nilpotent matrix size")
-    p.add_argument("--target-seed", type=int, default=0)
-    p.add_argument("--no-unitary", action="store_true",
+    p.add_argument("--target-seed", type=int)
+    p.add_argument("--no-unitary", dest="apply_unitary",
+                   action="store_false",
                    help="skip the per-site orthogonal conjugations")
+    p.add_argument("--ntr", dest="ntr_list", type=int, help="sample count")
+    p.add_argument("--seed", dest="base_seed", type=int, help="sampling seed")
 
 
-def _target_spec(args) -> TargetSpec:
-    return TargetSpec(n_sites=args.n, phys_dim=args.f, epsilon=args.eps,
-                      chi_target=args.chi_t, apply_unitary=not args.no_unitary,
-                      seed=args.target_seed)
+def _add_image_flags(p, required):
+    """The IDX file flags of mnist and of scan's image scenarios."""
+    for name in ("images", "labels", "test-images", "test-labels"):
+        p.add_argument(f"--{name}", dest="mnist_" + name.replace("-", "_"),
+                       required=required, help=f"IDX {name} file")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each flag's dest is the ExperimentConfig field it sets; a flag
+    without a default here takes the field's default."""
     parser = argparse.ArgumentParser(
         prog="mpslab",
         description="MPS regression/classification laboratory")
@@ -70,193 +77,122 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate an artificial dataset as CSV")
     _add_target_flags(p)
-    p.add_argument("--ntr", type=int, default=300, help="sample count")
-    p.add_argument("--seed", type=int, default=1000, help="sampling seed")
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("exact", help="train by inversion and compression")
     _add_target_flags(p)
-    p.add_argument("--ntr", type=int, default=300)
-    p.add_argument("--chi", type=int, default=27, help="bond dimension cap")
-    p.add_argument("--ridge", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=1000)
-    p.add_argument("--n-test", type=int, default=1024)
-    p.add_argument("--out", default=None, help="directory for model.npz")
+    p.add_argument("--chi", dest="chi_list", type=int, default=27,
+                   help="bond dimension cap")
+    p.add_argument("--ridge", type=float)
+    p.add_argument("--n-test", type=int)
+    p.add_argument("--out", help="directory for model.npz")
 
     p = sub.add_parser("dmrg", help="sweeping CG training from inversion init")
     _add_target_flags(p)
-    p.add_argument("--ntr", type=int, default=300)
-    p.add_argument("--chi", type=int, default=8)
-    p.add_argument("--ridge", type=float, default=1e-6)
-    p.add_argument("--sweeps", type=int, default=50)
-    p.add_argument("--cg-steps", type=int, default=5)
-    p.add_argument("--seed", type=int, default=1000)
-    p.add_argument("--n-test", type=int, default=1024)
-    p.add_argument("--out", default=None,
-                   help="directory for model.npz and trace.csv")
+    p.set_defaults(method=DMRG)
+    p.add_argument("--chi", dest="chi_list", type=int, default=8)
+    p.add_argument("--ridge", type=float)
+    p.add_argument("--sweeps", type=int)
+    p.add_argument("--cg-steps", type=int)
+    p.add_argument("--n-test", type=int)
+    p.add_argument("--out", help="directory for model.npz and trace.csv")
 
     p = sub.add_parser("mnist", help="train the image classifier")
-    p.add_argument("--images", required=True, help="IDX train images")
-    p.add_argument("--labels", required=True, help="IDX train labels")
-    p.add_argument("--test-images", required=True)
-    p.add_argument("--test-labels", required=True)
-    p.add_argument("--chi", type=int, default=6)
-    p.add_argument("--ntr", type=int, default=1024)
+    _add_image_flags(p, required=True)
+    p.add_argument("--chi", dest="chi_list", type=int, default=6)
+    p.add_argument("--ntr", dest="ntr_list", type=int, default=1024)
     p.add_argument("--sweeps", type=int, default=100)
-    p.add_argument("--cg-steps", type=int, default=5)
-    p.add_argument("--noise", type=float, default=0.0,
+    p.add_argument("--cg-steps", type=int)
+    p.add_argument("--noise", dest="noise_levels", type=float,
                    help="label corruption fraction")
-    p.add_argument("--downsample", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None,
-                   help="directory for model, trace, predictions")
+    p.add_argument("--downsample", type=int)
+    p.add_argument("--seed", dest="base_seed", type=int, default=0)
+    p.add_argument("--out", help="directory for model, trace, predictions")
 
     p = sub.add_parser("scan", help="replicated scans reproducing the figures")
-    p.add_argument("--scenario", choices=SCENARIOS, default="custom")
-    p.add_argument("--config", default=None,
-                   help="JSON config or manifest; flags override")
-    p.add_argument("--chi", type=parse_int_list, default=None,
+    p.add_argument("--scenario", choices=SCENARIOS,
+                   help="default: the config file's, else custom")
+    p.add_argument("--config", help="JSON config or manifest; flags override")
+    p.add_argument("--chi", dest="chi_list", type=parse_int_list,
                    metavar="2..27")
-    p.add_argument("--ntr", type=parse_int_list, default=None,
+    p.add_argument("--ntr", dest="ntr_list", type=parse_int_list,
                    metavar="50:800:50")
-    p.add_argument("--eps", type=parse_float_list, default=None,
+    p.add_argument("--eps", dest="eps_list", type=parse_float_list,
                    metavar="0.1,0.2,0.3")
-    p.add_argument("--replicates", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None, help="base seed")
-    p.add_argument("--method", choices=("inversion", "dmrg", "both"),
-                   default=None)
-    p.add_argument("--ridge", type=float, default=None)
-    p.add_argument("--sweeps", type=int, default=None)
-    p.add_argument("--cg-steps", type=int, default=None)
-    p.add_argument("--target-seed", type=int, default=None)
-    p.add_argument("--images", default=None)
-    p.add_argument("--labels", default=None)
-    p.add_argument("--test-images", default=None)
-    p.add_argument("--test-labels", default=None)
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--full", action="store_true",
+    p.add_argument("--replicates", type=int)
+    p.add_argument("--seed", dest="base_seed", type=int, help="base seed")
+    p.add_argument("--method", choices=("inversion", "dmrg", "both"))
+    p.add_argument("--ridge", type=float)
+    p.add_argument("--sweeps", type=int)
+    p.add_argument("--cg-steps", type=int)
+    p.add_argument("--target-seed", type=int)
+    _add_image_flags(p, required=False)
+    p.add_argument("--out", dest="out_dir", help="output directory")
+    p.add_argument("--full", action="store_true", default=None,
                    help="paper-scale replicate counts")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="parallel replicate workers")
+    p.add_argument("--jobs", type=int, help="parallel replicate workers")
     return parser
 
 
-def _scan_config(args) -> ExperimentConfig:
+def _config(args) -> ExperimentConfig:
+    """The config the flags name, over ``--config``'s file if given; a
+    single value fills a one-point grid."""
     data = {}
-    if args.config:
+    if getattr(args, "config", None):
         with open(args.config) as fh:
             data = json.load(fh)
-        if "config" in data:
-            data = data["config"]
-    overrides = {
-        "scenario": args.scenario if args.scenario != "custom" or not data
-        else None,
-        "chi_list": args.chi,
-        "ntr_list": args.ntr,
-        "eps_list": args.eps,
-        "replicates": args.replicates,
-        "base_seed": args.seed,
-        "method": args.method,
-        "ridge": args.ridge,
-        "sweeps": args.sweeps,
-        "cg_steps": args.cg_steps,
-        "target_seed": args.target_seed,
-        "mnist_images": args.images,
-        "mnist_labels": args.labels,
-        "mnist_test_images": args.test_images,
-        "mnist_test_labels": args.test_labels,
-        "out_dir": args.out,
-        "jobs": args.jobs,
-    }
-    if args.full:
-        overrides["full"] = True
-    for key, value in overrides.items():
-        if value is not None:
-            data[key] = value
+        data = data.get("config", data)
+    for name, value in vars(args).items():
+        if name in ExperimentConfig.__dataclass_fields__ and value is not None:
+            if name in GRIDS and not isinstance(value, tuple):
+                value = (value,)
+            data[name] = value
     return config_from_dict(data)
 
 
 def _cmd_gen(args) -> int:
-    d = generate_dataset(_target_spec(args), args.ntr, args.seed)
+    cfg = _config(args)
+    d = generate_dataset(cfg.target_spec(cfg.eps_list[0]), cfg.ntr_list[0],
+                         cfg.base_seed)
     save_dataset_csv(d, args.out)
-    print(f"wrote {args.ntr} samples to {args.out} "
+    print(f"wrote {d.n_samples} samples to {args.out} "
           f"(label mean {d.label_mean:.6g}, std {d.label_std:.6g})")
     return 0
 
 
-def _cmd_exact(args) -> int:
-    spec = _target_spec(args)
-    fmap = FeatureMap(dim=spec.phys_dim)
-    train_set = generate_dataset(spec, args.ntr, args.seed)
-    test_set = generate_dataset(spec, args.n_test,
-                                args.seed + TEST_SEED_OFFSET)
-    model = inversion_and_compression(train_set, fmap, args.ridge, args.chi)
+# result lines of the single-run commands, from the replicate's raw.csv row
+_RESULT_LINES = {
+    "exact": "chi={axis} train_loss={inv_train_loss:.6e} "
+             "test_loss={inv_test_loss:.6e}",
+    "dmrg": "chi={axis} sweeps={dmrg_sweeps_run} best_sweep={dmrg_best_sweep} "
+            "train_loss={dmrg_train_loss:.6e} val_loss={dmrg_val_loss:.6e} "
+            "test_loss={dmrg_test_loss:.6e}",
+    "mnist": "chi={axis} train_acc={train_accuracy:.4f} "
+             "test_acc={test_accuracy:.4f} train_xent={train_loss:.4f} "
+             "test_xent={test_loss:.4f}",
+}
 
-    def loss(d, y):
-        pred = model.evaluate_batch(featurize_batch(fmap, d.features))
-        return data_loss(pred, y, MSE)
 
-    print(f"chi={args.chi} train_loss={loss(train_set, train_set.labels):.6e} "
-          f"test_loss={loss(test_set, frame_labels(test_set, train_set)):.6e}")
+def _cmd_single(args) -> int:
+    """exact, dmrg, mnist: replicate 0 of the one-point scan the flags
+    describe; ``--out`` gets its model, trace and test predictions."""
+    cfg = _config(args)
+    images = load_mnist_pair(cfg) if args.command == "mnist" else None
+    row, model, trace = run_single(cfg, images)
+    print(_RESULT_LINES[args.command].format(**row))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         save_mps(model, os.path.join(args.out, "model.npz"))
-    return 0
-
-
-def _cmd_dmrg(args) -> int:
-    spec = _target_spec(args)
-    fmap = FeatureMap(dim=spec.phys_dim)
-    train_set = generate_dataset(spec, args.ntr, args.seed)
-    test_set = generate_dataset(spec, args.n_test,
-                                args.seed + TEST_SEED_OFFSET)
-    val_set = generate_dataset(spec, args.n_test,
-                               args.seed + VAL_SEED_OFFSET)
-    w0 = inversion_and_compression(train_set, fmap, args.ridge, args.chi)
-    config = TrainConfig(sweeps=args.sweeps, cg_steps=args.cg_steps,
-                         ridge=args.ridge)
-    model, trace = train(w0, train_set, val_set, test_set, config, fmap)
-    best = trace.best_validation_sweep
-    print(f"chi={args.chi} sweeps={trace.sweeps[-1]} best_sweep={best} "
-          f"train_loss={trace.train_loss[-1]:.6e} "
-          f"val_loss={trace.val_loss[best]:.6e} "
-          f"test_loss={trace.test_loss[best]:.6e}")
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        save_mps(model, os.path.join(args.out, "model.npz"))
-        trace.to_csv(os.path.join(args.out, "trace.csv"))
-    return 0
-
-
-def _cmd_mnist(args) -> int:
-    train_pool = preprocess(load_idx(args.images, args.labels),
-                            args.downsample)
-    test_set = preprocess(load_idx(args.test_images, args.test_labels),
-                          args.downsample)
-    train_set = subset(train_pool, args.ntr, seed=args.seed)
-    if args.noise > 0.0:
-        train_set = corrupt_labels(train_set, args.noise,
-                                   seed=args.seed + NOISE_SEED_OFFSET)
-    config = TrainConfig(sweeps=args.sweeps, cg_steps=args.cg_steps,
-                         ridge=0.0, loss_kind=CROSS_ENTROPY,
-                         checkpoint="last", sweep_tol=0.0)
-    model, trace = train_classifier(train_set, None, test_set, args.chi,
-                                    config, seed=args.seed)
-    print(f"chi={args.chi} train_acc={trace.train_accuracy[-1]:.4f} "
-          f"test_acc={trace.test_accuracy[-1]:.4f} "
-          f"train_xent={trace.train_loss[-1]:.4f} "
-          f"test_xent={trace.test_loss[-1]:.4f}")
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        save_mps(model, os.path.join(args.out, "model.npz"))
-        trace.to_csv(os.path.join(args.out, "trace.csv"))
-        export_predictions(model, test_set,
-                           os.path.join(args.out, "predictions.csv"))
+        if trace is not None:
+            trace.to_csv(os.path.join(args.out, "trace.csv"))
+        if images is not None:
+            export_predictions(model, images[1],
+                               os.path.join(args.out, "predictions.csv"))
     return 0
 
 
 def _cmd_scan(args) -> int:
-    cfg = _scan_config(args)
+    cfg = _config(args)
     _, paths = run_scenario(cfg)
     print(f"scan complete; outputs in {cfg.out_dir}")
     for name, path in sorted(paths.items()):
@@ -267,13 +203,8 @@ def _cmd_scan(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "gen": _cmd_gen,
-        "exact": _cmd_exact,
-        "dmrg": _cmd_dmrg,
-        "mnist": _cmd_mnist,
-        "scan": _cmd_scan,
-    }
+    command = {"gen": _cmd_gen, "scan": _cmd_scan}.get(args.command,
+                                                       _cmd_single)
     # the package's INFO and WARNING lines (scan progress, failed replicate
     # jobs) go to stderr while the command runs
     log = logging.getLogger("mpslab")
@@ -283,7 +214,7 @@ def main(argv=None) -> int:
     log.addHandler(handler)
     log.setLevel(logging.INFO)
     try:
-        return handlers[args.command](args)
+        return command(args)
     except ScanAbortedError as exc:
         print(f"scan aborted: {exc}", file=sys.stderr)
         return 3

@@ -184,19 +184,3 @@ def save_dataset_csv(d: Dataset, path) -> None:
         for row, y in zip(d.features, d.labels):
             writer.writerow([f"{v:.17g}" for v in row] + [f"{y:.17g}"])
 
-
-def load_dataset_csv(path) -> Dataset:
-    """Read a dataset written by save_dataset_csv.
-
-    The CSV carries samples only; the affine normalization record is reset
-    to the identity and the seed to -1 (unknown provenance).
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
-    data = np.asarray(rows)
-    if data.shape[1] != len(header):
-        raise ValueError("row width does not match header")
-    return Dataset(features=data[:, :-1], labels=data[:, -1],
-                   label_mean=0.0, label_std=1.0, seed=-1)

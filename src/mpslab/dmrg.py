@@ -47,7 +47,11 @@ class TrainConfig:
 
 @dataclass
 class TrainTrace:
-    """Per-sweep record of a training run (sweep 0 is the initial state)."""
+    """Per-sweep record of a training run (sweep 0 is the initial state).
+
+    ``cg_accepted`` counts the sweep's accepted CG steps and ``ls_trials``
+    its line-search objective evaluations (0 at sweep 0).
+    """
 
     sweeps: list = field(default_factory=list)
     train_loss: list = field(default_factory=list)
@@ -58,18 +62,22 @@ class TrainTrace:
     train_accuracy: list = field(default_factory=list)
     val_accuracy: list = field(default_factory=list)
     test_accuracy: list = field(default_factory=list)
+    cg_accepted: list = field(default_factory=list)
+    ls_trials: list = field(default_factory=list)
     best_validation_sweep: int = 0
     stalls: int = 0
     max_monotonicity_violation: float = 0.0
 
     def to_csv(self, path) -> None:
         """One row per sweep: sweep, the three losses, objective, seconds,
-        then the three accuracies when they were recorded (classifier
-        training)."""
+        then the three accuracies (classifier training) and the CG step
+        and line-search counters, each when recorded."""
         names = ["sweeps", "train_loss", "val_loss", "test_loss",
                  "objective", "seconds"]
         if self.train_accuracy:
             names += ["train_accuracy", "val_accuracy", "test_accuracy"]
+        if self.cg_accepted:
+            names += ["cg_accepted", "ls_trials"]
         with open(path, "w") as fh:
             fh.write(",".join(["sweep"] + names[1:]) + "\n")
             for row in zip(*(getattr(self, name) for name in names)):
@@ -335,14 +343,16 @@ def site_gradient(cache: EnvironmentCache, core, outputs, y, kind,
 def optimize_site(cache: EnvironmentCache, core, y, config: TrainConfig):
     """Polak-Ribiere CG with Armijo backtracking on the center core.
 
-    Returns (new_core, final_objective, stalled).  The objective never
-    increases: a failed line search keeps the old core.
+    Returns (new_core, final_objective, stalled, accepted, trials): the
+    accepted CG steps and the line-search objective evaluations.  The
+    objective never increases: a failed line search keeps the old core.
     """
     kind, ridge = config.loss_kind, config.ridge
     f0, out = site_loss(cache, core, y, kind, ridge)
     g = site_gradient(cache, core, out, y, kind, ridge)
     d = -g
     stalled = False
+    accepted = trials = 0
     alpha_prev = 1.0
     for _ in range(config.cg_steps):
         gnorm2 = float(np.sum(g * g))
@@ -355,24 +365,24 @@ def optimize_site(cache: EnvironmentCache, core, y, config: TrainConfig):
         alpha = _initial_step(cache, core, d, g_dot_d, config, alpha_prev)
         if alpha is None:
             break
-        accepted = False
         for _ in range(MAX_HALVINGS + 1):
+            trials += 1
             candidate = core + alpha * d
             f1, out = site_loss(cache, candidate, y, kind, ridge)
             if f1 <= f0 + ARMIJO_C * alpha * g_dot_d:
-                accepted = True
                 break
             alpha *= 0.5
-        if not accepted:
+        else:
             stalled = True
             break
+        accepted += 1
         alpha_prev = alpha
         core, f0 = candidate, f1
         g_new = site_gradient(cache, core, out, y, kind, ridge)
         beta = max(0.0, float(np.sum(g_new * (g_new - g))) / gnorm2)
         d = -g_new + beta * d
         g = g_new
-    return core, f0, stalled
+    return core, f0, stalled, accepted, trials
 
 
 def _initial_step(cache, core, d, g_dot_d, config, alpha_prev):
@@ -410,13 +420,15 @@ def train_arrays(w0: MPS, phi_tr, y_tr, phi_val=None, y_val=None,
     best_val = np.inf
     best_cores = None
 
-    def record(sweep, elapsed, objective):
+    def record(sweep, elapsed, objective, accepted=0, trials=0):
         model = MPS(cores, label_site=label_site)
         out_tr = model.evaluate_batch(phi_tr)
         trace.sweeps.append(sweep)
         trace.train_loss.append(data_loss(out_tr, y_tr, config.loss_kind))
         trace.objective.append(objective)
         trace.seconds.append(elapsed)
+        trace.cg_accepted.append(accepted)
+        trace.ls_trials.append(trials)
         if classifying:
             trace.train_accuracy.append(_accuracy(out_tr, y_tr))
         for phi, y, losses, accs in (
@@ -453,9 +465,12 @@ def train_arrays(w0: MPS, phi_tr, y_tr, phi_val=None, y_val=None,
     for sweep in range(1, config.sweeps + 1):
         started = time.perf_counter()
         obj = previous_objective
+        accepted = trials = 0
         for site, direction in _sweep_plan(n):
-            new_core, obj_new, stalled = optimize_site(cache, cores[site],
-                                                       y_tr, config)
+            new_core, obj_new, stalled, steps, tries = optimize_site(
+                cache, cores[site], y_tr, config)
+            accepted += steps
+            trials += tries
             if stalled:
                 trace.stalls += 1
             violation = obj_new - obj - 1e-12
@@ -469,7 +484,7 @@ def train_arrays(w0: MPS, phi_tr, y_tr, phi_val=None, y_val=None,
             elif direction == "L":
                 _right_ortho_step(cores, site)
                 cache.move_left(cores[site])
-        record(sweep, time.perf_counter() - started, obj)
+        record(sweep, time.perf_counter() - started, obj, accepted, trials)
         if use_best:
             checkpoint(sweep)
         if previous_objective - obj < config.sweep_tol:

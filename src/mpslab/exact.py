@@ -26,8 +26,6 @@ class DesignSystem:
 
     a: np.ndarray  # (f^N, f^N), symmetric positive definite
     b: np.ndarray  # (f^N,)
-    ridge: float
-    n_samples: int
     shape: tuple  # (f, ..., f) of the weight tensor
 
 
@@ -54,7 +52,7 @@ def build_design_system(phi: np.ndarray, y: np.ndarray,
     a = (z.T @ z) / t
     a[np.diag_indices_from(a)] += ridge
     b = z.T @ y / t
-    return DesignSystem(a=a, b=b, ridge=ridge, n_samples=t, shape=(f,) * n)
+    return DesignSystem(a=a, b=b, shape=(f,) * n)
 
 
 def solve_full_weight(system: DesignSystem) -> np.ndarray:

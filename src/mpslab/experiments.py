@@ -38,6 +38,8 @@ BOTH = "both"
 
 SCENARIOS = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
              "custom")
+IMAGE_SCENARIOS = ("fig5", "fig9")
+GRIDS = ("eps_list", "ntr_list", "chi_list", "noise_levels")
 
 
 @dataclass(frozen=True)
@@ -87,11 +89,20 @@ class ExperimentConfig:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.method not in (INVERSION, DMRG, BOTH):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
-        for name in ("eps_list", "ntr_list", "chi_list", "noise_levels"):
+        for name in GRIDS:
             if not getattr(self, name):
                 raise ValueError(f"{name} must be non-empty")
+        for name, value, least in (
+                ("replicates", self.replicates, 1), ("jobs", self.jobs, 1),
+                ("chi_list", min(self.chi_list), 1),
+                ("ntr_list", min(self.ntr_list), 2),
+                ("n_test", self.n_test, 2)):
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+        TrainConfig(sweeps=self.sweeps, cg_steps=self.cg_steps)
+        if self.ridge <= 0.0 and self.scenario not in IMAGE_SCENARIOS:
+            raise ValueError(f"ridge coefficient must be > 0, got "
+                             f"{self.ridge}")
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -185,8 +196,10 @@ def _shared_test_set(cfg: ExperimentConfig, eps):
     return test_set, featurize_batch(cfg.feature_map(), test_set.features)
 
 
-def _regression_replicate(cfg, eps, ntr, chi_values, rep, test_set, phi_te):
-    """All bond dimensions for one training replicate. Returns row dicts.
+def _regression_fits(cfg, eps, ntr, chi_values, rep, test_set, phi_te):
+    """One training replicate at each bond dimension: yields (row, model,
+    trace) per chi.  The model is the DMRG-trained MPS with its TrainTrace
+    when DMRG runs, else the compressed inversion solution and None.
 
     Every dataset is featurized once here and its features serve each chi;
     ``test_set``/``phi_te`` come from ``_shared_test_set``.
@@ -206,9 +219,9 @@ def _regression_replicate(cfg, eps, ntr, chi_values, rep, test_set, phi_te):
         y_val = frame_labels(val_set, train_set)
         tc = TrainConfig(sweeps=cfg.sweeps, cg_steps=cfg.cg_steps,
                          ridge=cfg.ridge)
-    rows = []
     for chi in chi_values:
         w, _ = compress(full, chi)
+        trace = None
         row = {
             "axis": chi, "eps": eps, "ntr": ntr, "replicate": rep,
             "train_seed": cfg.base_seed + rep,
@@ -216,7 +229,7 @@ def _regression_replicate(cfg, eps, ntr, chi_values, rep, test_set, phi_te):
             "inv_test_loss": data_loss(w.evaluate_batch(phi_te), y_te, MSE),
         }
         if training:
-            _, trace = train_arrays(w, phi_tr, y_tr, phi_val, y_val, phi_te,
+            w, trace = train_arrays(w, phi_tr, y_tr, phi_val, y_val, phi_te,
                                     y_te, tc)
             best = trace.best_validation_sweep
             row.update({
@@ -226,8 +239,13 @@ def _regression_replicate(cfg, eps, ntr, chi_values, rep, test_set, phi_te):
                 "dmrg_best_sweep": best,
                 "dmrg_sweeps_run": trace.sweeps[-1],
             })
-        rows.append(row)
-    return rows
+        yield row, w, trace
+
+
+def _regression_replicate(cfg, eps, ntr, chi_values, rep, test_set, phi_te):
+    """All bond dimensions for one training replicate. Returns row dicts."""
+    return [row for row, _, _ in _regression_fits(
+        cfg, eps, ntr, chi_values, rep, test_set, phi_te)]
 
 
 def _map_replicates(cfg, worker, jobs):
@@ -280,19 +298,20 @@ def load_mnist_pair(cfg: ExperimentConfig):
     return train_pool, test_set
 
 
-def _mnist_replicate(cfg, noise, ntr, chi_values, rep, train_pool, test_set):
+def _mnist_fits(cfg, noise, ntr, chi_values, rep, train_pool, test_set):
+    """One classifier training replicate at each bond dimension: yields
+    (row, model, trace) per chi."""
     sub = subset(train_pool, ntr, seed=cfg.base_seed + rep)
     if noise > 0.0:
         sub = corrupt_labels(sub, noise,
                              seed=cfg.base_seed + NOISE_SEED_OFFSET + rep)
-    rows = []
+    tc = TrainConfig(sweeps=cfg.sweeps, cg_steps=cfg.cg_steps, ridge=0.0,
+                     loss_kind=CROSS_ENTROPY, checkpoint="last",
+                     sweep_tol=0.0)
     for chi in chi_values:
-        tc = TrainConfig(sweeps=cfg.sweeps, cg_steps=cfg.cg_steps, ridge=0.0,
-                         loss_kind=CROSS_ENTROPY, checkpoint="last",
-                         sweep_tol=0.0)
-        _, trace = train_classifier(sub, None, test_set, chi, tc,
-                                    seed=cfg.base_seed + rep)
-        rows.append({
+        model, trace = train_classifier(sub, None, test_set, chi, tc,
+                                        seed=cfg.base_seed + rep)
+        yield {
             "axis": chi, "ntr": ntr, "noise": noise, "replicate": rep,
             "train_seed": cfg.base_seed + rep,
             "train_loss": trace.train_loss[-1],
@@ -302,8 +321,26 @@ def _mnist_replicate(cfg, noise, ntr, chi_values, rep, train_pool, test_set):
             "test_error": 1.0 - trace.test_accuracy[-1],
             "best_test_loss": float(np.nanmin(trace.test_loss)),
             "best_test_accuracy": float(np.nanmax(trace.test_accuracy)),
-        })
-    return rows
+        }, model, trace
+
+
+def _mnist_replicate(cfg, noise, ntr, chi_values, rep, train_pool, test_set):
+    """All bond dimensions for one classifier replicate. Returns row dicts."""
+    return [row for row, _, _ in _mnist_fits(
+        cfg, noise, ntr, chi_values, rep, train_pool, test_set)]
+
+
+def run_single(cfg: ExperimentConfig, images=None):
+    """(row, model, trace) of replicate 0 at the first value of every grid:
+    the row is that job's raw.csv row in a scan.  ``images=(train_pool,
+    test_set)`` trains a classifier, as the image scenarios do."""
+    cfg.validate()
+    chi, ntr = cfg.chi_list[:1], cfg.ntr_list[0]
+    if images is None:
+        eps = cfg.eps_list[0]
+        return next(_regression_fits(cfg, eps, ntr, chi, 0,
+                                     *_shared_test_set(cfg, eps)))
+    return next(_mnist_fits(cfg, cfg.noise_levels[0], ntr, chi, 0, *images))
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +622,7 @@ def run_scenario(cfg: ExperimentConfig):
     """Dispatch a scenario and write its outputs; returns (result, paths)."""
     cfg = scenario_config(cfg)
     cfg.validate()
-    images = (load_mnist_pair(cfg) if cfg.scenario in ("fig5", "fig9")
+    images = (load_mnist_pair(cfg) if cfg.scenario in IMAGE_SCENARIOS
               else None)
     if cfg.scenario == "fig5":
         sizes = replace(cfg, **_PRESETS["fig5"]["trainsize"])

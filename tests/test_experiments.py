@@ -23,7 +23,7 @@ from mpslab.experiments import (TEST_SEED_OFFSET, VAL_SEED_OFFSET,
                                 find_optimal_chi, run_bond_scan,
                                 run_multi_scan, run_scan)
 from mpslab.features import featurize_batch
-from mpslab.mps import compress
+from mpslab.mps import compress, load_mps
 
 TINY = ExperimentConfig(chi_list=(2, 3, 4), ntr_list=(60,), eps_list=(0.3,),
                         replicates=3, base_seed=500, n_test=64)
@@ -352,6 +352,38 @@ class TestCli:
                          "--out", str(tmp_path / "x")])
         assert code == 2
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--ridge", "0"], "ridge"),
+        (["--method", "dmrg", "--sweeps", "0"], "sweeps"),
+        (["--method", "dmrg", "--cg-steps", "0"], "cg_steps"),
+        (["--chi", "0,2"], "chi_list"),
+        (["--ntr", "1"], "ntr_list"),
+        (["--config", "n_test.json"], "n_test"),
+        (["--jobs", "0"], "jobs"),
+    ])
+    def test_invalid_value_exits_2_before_any_job(self, flags, field,
+                                                  tmp_path, monkeypatch,
+                                                  capsys):
+        """Values that would fail every replicate job are rejected up
+        front, naming the config field."""
+        jobs = []
+        replicate = experiments._regression_replicate
+
+        def counted(*args):
+            jobs.append(args)
+            return replicate(*args)
+
+        monkeypatch.setattr(experiments, "_regression_replicate", counted)
+        (tmp_path / "n_test.json").write_text(json.dumps({"n_test": 1}))
+        flags = [str(tmp_path / f) if f.endswith(".json") else f
+                 for f in flags]
+        code = cli.main(["scan", "--chi", "2,3", "--ntr", "40",
+                         "--replicates", "2", "--out", str(tmp_path / "out")]
+                        + flags)
+        assert code == 2
+        assert field in capsys.readouterr().err
+        assert jobs == []
+
     def test_aborted_scan_exits_3(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("boom")
@@ -556,3 +588,101 @@ class TestFig5:
         assert not (out / "trainsize").exists()
         assert [ntr for ntr, _ in jobs] == [16, 128, 256, 512, 1024, 2048,
                                             4096]
+
+
+def _cell(text):
+    """A raw.csv cell as the value it was written from."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+# Each case: the single-run command's flags, the config fields of the
+# one-point scan with the same settings, and the command's result line in
+# terms of that scan's raw.csv columns.
+SINGLE_RUNS = {
+    "exact": (
+        ["--ntr", "80", "--chi", "4", "--ridge", "1e-5", "--eps", "0.2",
+         "--n", "5", "--f", "2", "--chi-t", "9", "--target-seed", "3",
+         "--no-unitary", "--seed", "7", "--n-test", "64"],
+        dict(ntr_list=[80], chi_list=[4], ridge=1e-5, eps_list=[0.2],
+             n_sites=5, phys_dim=2, chi_target=9, target_seed=3,
+             apply_unitary=False, base_seed=7, n_test=64),
+        "chi={axis} train_loss={inv_train_loss:.6e} "
+        "test_loss={inv_test_loss:.6e}"),
+    "dmrg": (
+        ["--ntr", "60", "--chi", "3", "--sweeps", "3", "--cg-steps", "2",
+         "--seed", "7", "--n-test", "48"],
+        dict(method="dmrg", ntr_list=[60], chi_list=[3], sweeps=3,
+             cg_steps=2, base_seed=7, n_test=48),
+        "chi={axis} sweeps={dmrg_sweeps_run} best_sweep={dmrg_best_sweep} "
+        "train_loss={dmrg_train_loss:.6e} val_loss={dmrg_val_loss:.6e} "
+        "test_loss={dmrg_test_loss:.6e}"),
+    "mnist": (
+        ["--chi", "2", "--ntr", "16", "--sweeps", "1", "--cg-steps", "2",
+         "--noise", "0.25", "--downsample", "1", "--seed", "5"],
+        dict(scenario="fig9", chi_list=[2], ntr_list=[16], sweeps=1,
+             cg_steps=2, noise_levels=[0.25], downsample=1, base_seed=5),
+        "chi={axis} train_acc={train_accuracy:.4f} "
+        "test_acc={test_accuracy:.4f} train_xent={train_loss:.4f} "
+        "test_xent={test_loss:.4f}"),
+}
+
+
+class TestSingleRuns:
+    """mpslab exact|dmrg|mnist print replicate 0 of the one-point scan
+    with the same settings."""
+
+    @staticmethod
+    def mnist_flags(files):
+        return ["--images", files["mnist_images"],
+                "--labels", files["mnist_labels"],
+                "--test-images", files["mnist_test_images"],
+                "--test-labels", files["mnist_test_labels"]]
+
+    @pytest.mark.parametrize("command", list(SINGLE_RUNS))
+    def test_prints_replicate_zero_of_scan(self, command, tmp_path, capsys):
+        flags, fields, line = SINGLE_RUNS[command]
+        if command == "mnist":
+            files = image_files(tmp_path, 40)
+            flags = self.mnist_flags(files) + flags
+            fields = dict(fields, **files)
+        assert cli.main([command] + flags) == 0
+        printed = capsys.readouterr().out.strip()
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(fields, replicates=1)))
+        out = tmp_path / "scan"
+        assert cli.main(["scan", "--config", str(config),
+                         "--out", str(out)]) == 0
+        (raw,) = out.rglob("raw.csv")
+        with open(raw) as fh:
+            (row,) = csv.DictReader(fh)
+        assert printed == line.format(
+            **{key: _cell(value) for key, value in row.items()})
+
+    def test_mnist_writes_outputs(self, tmp_path, capsys):
+        files = image_files(tmp_path, 40)
+        out = tmp_path / "run"
+        assert cli.main(["mnist"] + self.mnist_flags(files)
+                        + ["--chi", "2", "--ntr", "16", "--sweeps", "2",
+                           "--cg-steps", "2", "--downsample", "1",
+                           "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("chi=2 train_acc=")
+        model = load_mps(out / "model.npz")
+        assert (model.n_sites, model.label_site) == (4, 2)
+        with open(out / "trace.csv") as fh:
+            trace = list(csv.DictReader(fh))
+        assert [int(r["sweep"]) for r in trace] == [0, 1, 2]
+        assert "test_accuracy" in trace[0]
+        with open(out / "predictions.csv") as fh:
+            predictions = list(csv.DictReader(fh))
+        assert len(predictions) == 24
+        assert list(predictions[0]) == (["index", "true", "predicted"]
+                                        + [f"p{c}" for c in range(10)])
+        for r in predictions:
+            probs = [float(r[f"p{c}"]) for c in range(10)]
+            assert sum(probs) == pytest.approx(1.0)
+            assert int(r["predicted"]) == int(np.argmax(probs))
