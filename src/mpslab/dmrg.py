@@ -4,6 +4,11 @@ The chain is kept in mixed canonical gauge; per-sample left/right partial
 contractions make the loss and its gradient local to the center core.
 Each center update runs a few Polak-Ribiere CG steps with an Armijo
 backtracking line search, so the training objective never increases.
+
+On an unlabeled chain every environment operation is a GEMM, and the
+squared-error line search carries the model outputs along the search
+direction (they are linear in the core), so its trials apply nothing.
+The labeled classifier keeps numpy's einsum steps bit for bit.
 """
 
 import functools
@@ -14,7 +19,8 @@ import numpy as np
 
 from .datagen import Dataset
 from .features import FeatureMap, featurize_batch
-from .mps import MPS, _left_ortho_step, _right_ortho_step, canonicalize
+from .mps import (MPS, _left_ortho_step, _right_ortho_step, canonicalize,
+                  left_step, right_step)
 from .tensor import row_outer
 
 ARMIJO_C = 1e-4
@@ -50,7 +56,10 @@ class TrainTrace:
     """Per-sweep record of a training run (sweep 0 is the initial state).
 
     ``cg_accepted`` counts the sweep's accepted CG steps and ``ls_trials``
-    its line-search objective evaluations (0 at sweep 0).
+    its line-search objective evaluations.  ``optimize_seconds``,
+    ``move_seconds`` and ``evaluate_seconds`` split its wall time into
+    ``optimize_site``, the QR regauge plus environment move, and the
+    per-sweep loss evaluation.  All are 0 at sweep 0.
     """
 
     sweeps: list = field(default_factory=list)
@@ -64,20 +73,26 @@ class TrainTrace:
     test_accuracy: list = field(default_factory=list)
     cg_accepted: list = field(default_factory=list)
     ls_trials: list = field(default_factory=list)
+    optimize_seconds: list = field(default_factory=list)
+    move_seconds: list = field(default_factory=list)
+    evaluate_seconds: list = field(default_factory=list)
     best_validation_sweep: int = 0
     stalls: int = 0
     max_monotonicity_violation: float = 0.0
 
     def to_csv(self, path) -> None:
         """One row per sweep: sweep, the three losses, objective, seconds,
-        then the three accuracies (classifier training) and the CG step
-        and line-search counters, each when recorded."""
+        then the three accuracies (classifier training), the CG step and
+        line-search counters and the per-phase seconds, each when
+        recorded."""
         names = ["sweeps", "train_loss", "val_loss", "test_loss",
                  "objective", "seconds"]
         if self.train_accuracy:
             names += ["train_accuracy", "val_accuracy", "test_accuracy"]
         if self.cg_accepted:
             names += ["cg_accepted", "ls_trials"]
+        if self.optimize_seconds:
+            names += ["optimize_seconds", "move_seconds", "evaluate_seconds"]
         with open(path, "w") as fh:
             fh.write(",".join(["sweep"] + names[1:]) + "\n")
             for row in zip(*(getattr(self, name) for name in names)):
@@ -90,21 +105,22 @@ class EnvironmentCache:
     Environments on the label side of a labeled MPS carry the extra class
     axis.  Entries go stale (None) when the center moves past them.
 
-    When neither environment at the center carries the class axis (every
-    center of an unlabeled chain), ``apply`` and
-    ``grad_from_output_coeffs`` run on the local block
+    On an unlabeled chain every operation is a GEMM on the local block
     X_c = row_outer(L_c, phi_c) of shape (T, chi_l*f): the outputs are the
     row-wise dot of X_c @ core.reshape(chi_l*f, chi_r) with R_c, the
-    gradient is X_c.T @ (coeffs * R_c).  This is the local design of the
-    alternating linear scheme, as plain GEMMs.
+    gradient is X_c.T @ (coeffs * R_c), and moving right makes
+    L_{c+1} = X_c @ core.reshape(chi_l*f, chi_r) from the same block.
+    Environments are built and moved by ``mps.left_step``/``right_step``,
+    the steps of ``MPS.evaluate_batch``; they agree with the einsum
+    contraction to roundoff, not bit for bit.  This is the local design
+    of the alternating linear scheme, as plain GEMMs.
 
-    Every other operation (the class-axis branches of ``apply`` and
-    ``grad_from_output_coeffs``, and every environment move) is
-    ``np.einsum(..., optimize=True)`` bit for bit, run by ``_contract``:
-    the path is planned once per subscripts and shapes, and the leading
-    pairwise steps that read only L_c, phi_c and R_c are computed once per
-    center.  The classifier sweep's training is chaotic under roundoff, so
-    these operations keep numpy's exact pairwise steps.
+    On a labeled chain every operation is ``np.einsum(...,
+    optimize=True)`` bit for bit, run by ``_contract``: the path is
+    planned once per subscripts and shapes, and the leading pairwise steps
+    that read only L_c, phi_c and R_c are computed once per center.  The
+    classifier sweep's training is chaotic under roundoff, so these
+    operations keep numpy's exact pairwise steps.
 
     Products of L_c, phi_c and R_c (X_c, the memoized einsum steps) live
     in a per-center memo that every move drops.
@@ -129,14 +145,19 @@ class EnvironmentCache:
             self.left[j + 1] = self._absorb_left(self.left[j], cores[j], j, {})
 
     def _absorb_left(self, env, core, j, memo):
-        """L_{j+1} from L_j and core j."""
+        """L_{j+1} from L_j and core j; unlabeled, one GEMM on the local
+        block X_j kept in ``memo``."""
+        if self.label_site is None:
+            return left_step(_memo_block(memo, env, self.phi[:, j]), core)
         lterm, cterm = _env_term("l", env), _core_term(core)
         out = "trc" if "c" in lterm + cterm else "tr"
         return _contract(f"{lterm},{cterm},tf->{out}",
                          (env, core, self.phi[:, j]), 1, memo)
 
     def _absorb_right(self, env, core, j, memo):
-        """R_j from R_{j+1} and core j."""
+        """R_j from R_{j+1} and core j; unlabeled, one GEMM."""
+        if self.label_site is None:
+            return right_step(row_outer(self.phi[:, j], env), core)
         rterm, cterm = _env_term("r", env), _core_term(core)
         out = "tlc" if "c" in rterm + cterm else "tl"
         return _contract(f"{rterm},{cterm},tf->{out}",
@@ -162,10 +183,8 @@ class EnvironmentCache:
 
     def _local_block(self) -> np.ndarray:
         """X_c = row_outer(L_c, phi_c), shape (T, chi_l*f)."""
-        if "X" not in self._memo:
-            c = self.center
-            self._memo["X"] = row_outer(self.left[c], self.phi[:, c])
-        return self._memo["X"]
+        c = self.center
+        return _memo_block(self._memo, self.left[c], self.phi[:, c])
 
     def _labeled(self) -> bool:
         """Whether the class axis is at the center or in an environment."""
@@ -182,8 +201,7 @@ class EnvironmentCache:
                     f"{_env_term('r', renv)}->tc")
             return _contract(spec, (lenv, core, self.phi[:, c], renv), 1,
                              self._memo)
-        out = self._local_block() @ core.reshape(-1, core.shape[-1])
-        return (out * renv).sum(axis=1)
+        return (left_step(self._local_block(), core) * renv).sum(axis=1)
 
     def grad_from_output_coeffs(self, coeffs) -> np.ndarray:
         """Chain rule: d(loss)/d(core) from d(loss)/d(output) coefficients."""
@@ -197,6 +215,13 @@ class EnvironmentCache:
                              self._memo)
         grad = self._local_block().T @ (coeffs[:, None] * renv)
         return grad.reshape(lenv.shape[1], self.phi.shape[2], renv.shape[1])
+
+
+def _memo_block(memo: dict, env: np.ndarray, phi_j: np.ndarray) -> np.ndarray:
+    """row_outer(env, phi_j), computed once per ``memo``."""
+    if "X" not in memo:
+        memo["X"] = row_outer(env, phi_j)
+    return memo["X"]
 
 
 def _env_term(bond: str, env: np.ndarray) -> str:
@@ -321,10 +346,15 @@ def output_grad_coeffs(outputs: np.ndarray, y: np.ndarray, kind: str) -> np.ndar
     return g / t
 
 
-def site_loss(cache: EnvironmentCache, core, y, kind, ridge):
+def site_loss(cache: EnvironmentCache, core, y, kind, ridge, outputs=None):
     """(training objective, model outputs) with ``core`` in the center
-    slot (mixed gauge); ``site_gradient`` at that core takes the outputs."""
-    outputs = cache.apply(core)
+    slot (mixed gauge); ``site_gradient`` at that core takes the outputs.
+
+    ``outputs``, when given, are the model outputs at ``core`` already
+    (carried along a search line), so ``cache.apply`` is skipped.
+    """
+    if outputs is None:
+        outputs = cache.apply(core)
     value = data_loss(outputs, y, kind)
     if ridge:
         value += 0.5 * ridge * float(np.sum(core**2))
@@ -346,6 +376,10 @@ def optimize_site(cache: EnvironmentCache, core, y, config: TrainConfig):
     Returns (new_core, final_objective, stalled, accepted, trials): the
     accepted CG steps and the line-search objective evaluations.  The
     objective never increases: a failed line search keeps the old core.
+
+    The outputs are linear in the core, so on the MSE path, where the
+    step length already needs dv = apply(d), a trial's outputs are
+    out + alpha * dv: one apply per CG step instead of two.
     """
     kind, ridge = config.loss_kind, config.ridge
     f0, out = site_loss(cache, core, y, kind, ridge)
@@ -362,13 +396,14 @@ def optimize_site(cache: EnvironmentCache, core, y, config: TrainConfig):
         if g_dot_d >= 0.0:  # lost descent; restart on steepest descent
             d = -g
             g_dot_d = -gnorm2
-        alpha = _initial_step(cache, core, d, g_dot_d, config, alpha_prev)
+        alpha, dv = _initial_step(cache, core, d, g_dot_d, config, alpha_prev)
         if alpha is None:
             break
         for _ in range(MAX_HALVINGS + 1):
             trials += 1
             candidate = core + alpha * d
-            f1, out = site_loss(cache, candidate, y, kind, ridge)
+            carried = None if dv is None else out + alpha * dv
+            f1, out1 = site_loss(cache, candidate, y, kind, ridge, carried)
             if f1 <= f0 + ARMIJO_C * alpha * g_dot_d:
                 break
             alpha *= 0.5
@@ -377,7 +412,7 @@ def optimize_site(cache: EnvironmentCache, core, y, config: TrainConfig):
             break
         accepted += 1
         alpha_prev = alpha
-        core, f0 = candidate, f1
+        core, f0, out = candidate, f1, out1
         g_new = site_gradient(cache, core, out, y, kind, ridge)
         beta = max(0.0, float(np.sum(g_new * (g_new - g))) / gnorm2)
         d = -g_new + beta * d
@@ -386,14 +421,16 @@ def optimize_site(cache: EnvironmentCache, core, y, config: TrainConfig):
 
 
 def _initial_step(cache, core, d, g_dot_d, config, alpha_prev):
+    """(first trial step length, dv = apply(d) or None); the length is
+    None when the MSE objective has no curvature along d."""
     if config.loss_kind == MSE:
         # exact minimizer along d of the quadratic local objective
         dv = cache.apply(d)
         curvature = float(np.mean(dv**2)) + config.ridge * float(np.sum(d * d))
         if curvature <= 0.0:
-            return None
-        return -g_dot_d / curvature
-    return min(1.0, 4.0 * alpha_prev)
+            return None, dv
+        return -g_dot_d / curvature, dv
+    return min(1.0, 4.0 * alpha_prev), None
 
 
 def _accuracy(outputs: np.ndarray, y: np.ndarray) -> float:
@@ -420,7 +457,9 @@ def train_arrays(w0: MPS, phi_tr, y_tr, phi_val=None, y_val=None,
     best_val = np.inf
     best_cores = None
 
-    def record(sweep, elapsed, objective, accepted=0, trials=0):
+    def record(sweep, elapsed, objective, accepted=0, trials=0,
+               optimize_s=0.0, move_s=0.0):
+        started = time.perf_counter()
         model = MPS(cores, label_site=label_site)
         out_tr = model.evaluate_batch(phi_tr)
         trace.sweeps.append(sweep)
@@ -429,6 +468,8 @@ def train_arrays(w0: MPS, phi_tr, y_tr, phi_val=None, y_val=None,
         trace.seconds.append(elapsed)
         trace.cg_accepted.append(accepted)
         trace.ls_trials.append(trials)
+        trace.optimize_seconds.append(optimize_s)
+        trace.move_seconds.append(move_s)
         if classifying:
             trace.train_accuracy.append(_accuracy(out_tr, y_tr))
         for phi, y, losses, accs in (
@@ -444,6 +485,8 @@ def train_arrays(w0: MPS, phi_tr, y_tr, phi_val=None, y_val=None,
             losses.append(data_loss(out, y, config.loss_kind))
             if classifying:
                 accs.append(_accuracy(out, y))
+        trace.evaluate_seconds.append(
+            time.perf_counter() - started if sweep else 0.0)
 
     def objective_now():
         return site_loss(cache, cores[cache.center], y_tr, config.loss_kind,
@@ -466,9 +509,12 @@ def train_arrays(w0: MPS, phi_tr, y_tr, phi_val=None, y_val=None,
         started = time.perf_counter()
         obj = previous_objective
         accepted = trials = 0
+        optimize_s = move_s = 0.0
         for site, direction in _sweep_plan(n):
+            tick = time.perf_counter()
             new_core, obj_new, stalled, steps, tries = optimize_site(
                 cache, cores[site], y_tr, config)
+            optimize_s += time.perf_counter() - tick
             accepted += steps
             trials += tries
             if stalled:
@@ -478,13 +524,16 @@ def train_arrays(w0: MPS, phi_tr, y_tr, phi_val=None, y_val=None,
                 trace.max_monotonicity_violation = violation
             cores[site] = new_core
             obj = obj_new
+            tick = time.perf_counter()
             if direction == "R":
                 _left_ortho_step(cores, site)
                 cache.move_right(cores[site])
             elif direction == "L":
                 _right_ortho_step(cores, site)
                 cache.move_left(cores[site])
-        record(sweep, time.perf_counter() - started, obj, accepted, trials)
+            move_s += time.perf_counter() - tick
+        record(sweep, time.perf_counter() - started, obj, accepted, trials,
+               optimize_s, move_s)
         if use_best:
             checkpoint(sweep)
         if previous_objective - obj < config.sweep_tol:

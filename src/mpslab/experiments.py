@@ -21,7 +21,7 @@ from .datagen import TargetSpec, generate_dataset
 from .dmrg import (CROSS_ENTROPY, MSE, TrainConfig, data_loss, frame_labels,
                    train_arrays)
 from .errors import ScanAbortedError
-from .exact import build_design_system, solve_full_weight
+from .exact import DESIGN_GUARD, build_design_system, solve_full_weight
 from .features import FeatureMap, featurize_batch
 from .mps import compress
 from .svgplot import line_plot
@@ -100,9 +100,17 @@ class ExperimentConfig:
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
         TrainConfig(sweeps=self.sweeps, cg_steps=self.cg_steps)
-        if self.ridge <= 0.0 and self.scenario not in IMAGE_SCENARIOS:
+        if self.scenario in IMAGE_SCENARIOS:
+            return
+        # every artificial-data replicate starts from the inversion
+        if self.ridge <= 0.0:
             raise ValueError(f"ridge coefficient must be > 0, got "
                              f"{self.ridge}")
+        dim = self.phys_dim ** self.n_sites
+        if dim > DESIGN_GUARD:
+            raise ValueError(f"phys_dim ** n_sites = {self.phys_dim} ** "
+                             f"{self.n_sites} = {dim} exceeds the inversion "
+                             f"design guard {DESIGN_GUARD}")
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:

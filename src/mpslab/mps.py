@@ -84,9 +84,9 @@ class MPS:
         One pass carries a (T, chi) boundary block from the left up to the
         stop site (the label site, else the last site), and a mirror pass
         carries one from the right down to it, so the class axis never
-        rides along the chain.  Each step is one GEMM,
-        ``row_outer(carry, phi_j) @ core.reshape(chi_l*f, chi_r)``, with
-        no einsum path planning per call.  Cost O(T N f chi^2) +
+        rides along the chain.  Each step is one GEMM (``left_step`` and
+        ``right_step``, shared with the training environments), with no
+        einsum path planning per call.  Cost O(T N f chi^2) +
         O(T C chi^2).
         """
         phi = np.asarray(phi, dtype=np.float64)
@@ -103,14 +103,10 @@ class MPS:
         stop = self.n_sites - 1 if self.label_site is None else self.label_site
         left = np.ones((t, 1))
         for j in range(stop):
-            core = self.cores[j]
-            mat = core.reshape(-1, core.shape[-1])
-            left = row_outer(left, phi[:, j]) @ mat
+            left = left_step(row_outer(left, phi[:, j]), self.cores[j])
         right = np.ones((t, 1))
         for j in range(self.n_sites - 1, stop, -1):
-            core = self.cores[j]
-            mat = core.reshape(core.shape[0], -1)
-            right = row_outer(phi[:, j], right) @ mat.T
+            right = right_step(row_outer(phi[:, j], right), self.cores[j])
         core = self.cores[stop]
         out = row_outer(left, phi[:, stop]) @ core.reshape(
             core.shape[0] * core.shape[1], -1)
@@ -155,6 +151,24 @@ class MPS:
             f"MPS(n={self.n_sites}, f={self.phys_dim}, "
             f"bonds={self.bond_dims}{label}, gauge={self.gauge})"
         )
+
+
+def left_step(block: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """Carry a left boundary block past a 3-index core.
+
+    ``block`` is row_outer(L_j, phi_j), shape (T, chi_l*f); returns
+    L_{j+1} = block @ core.reshape(chi_l*f, chi_r), shape (T, chi_r).
+    """
+    return block @ core.reshape(-1, core.shape[-1])
+
+
+def right_step(block: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """Carry a right boundary block past a 3-index core.
+
+    ``block`` is row_outer(phi_j, R_{j+1}), shape (T, f*chi_r); returns
+    R_j = block @ core.reshape(chi_l, f*chi_r).T, shape (T, chi_l).
+    """
+    return block @ core.reshape(core.shape[0], -1).T
 
 
 def bond_cap(n: int, f: int, j: int, label_site=None, label_dim=1) -> int:

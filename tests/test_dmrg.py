@@ -204,9 +204,10 @@ class TestOptimizeSite:
 
     @pytest.mark.parametrize("kind", [MSE, CROSS_ENTROPY])
     def test_one_apply_per_objective_evaluation(self, kind, monkeypatch):
-        """site_gradient reuses the outputs of site_loss at the same core:
-        every EnvironmentCache.apply call in optimize_site is a site_loss
-        call or an exact MSE step length."""
+        """site_gradient reuses the outputs of site_loss at the same core.
+        Cross-entropy: every EnvironmentCache.apply call in optimize_site
+        is a site_loss call.  MSE: one apply at the start, then one per
+        exact step length, whose dv the line search carries."""
         counts = dict.fromkeys(("apply", "site_loss", "site_gradient",
                                 "_initial_step"), 0)
 
@@ -226,14 +227,12 @@ class TestOptimizeSite:
             w = random_init(5, 3, 3, scale=0.8, seed=31)
             phi = featurize_batch(FMAP3, rng.standard_normal((40, 5)))
             y = rng.standard_normal(40)
-            exact_steps = 1
         else:
             w = random_init(5, 2, 3, scale=0.8, seed=31, label_site=2,
                             label_dim=4)
             phi = featurize_batch(FeatureMap(kind="trigonometric", dim=2),
                                   rng.uniform(0, 1, size=(40, 5)))
             y = rng.integers(0, 4, size=40)
-            exact_steps = 0
         # class axis in the right environment, at the center, in the left
         for site in (0, 2, 4):
             work, cache = make_cache(w, phi, site)
@@ -241,8 +240,45 @@ class TestOptimizeSite:
             optimize_site(cache, work.cores[site], y,
                           TrainConfig(cg_steps=5, loss_kind=kind))
             assert counts["site_gradient"] >= 2  # an accepted CG step
-            assert counts["apply"] == (counts["site_loss"]
-                                       + exact_steps * counts["_initial_step"])
+            if kind == MSE:
+                assert counts["apply"] == 1 + counts["_initial_step"]
+            else:
+                assert counts["apply"] == counts["site_loss"]
+
+    def test_carried_outputs_match_apply(self, monkeypatch):
+        """The MSE line search's trial outputs out + alpha * dv equal the
+        outputs applied afresh at the trial core, also after Armijo
+        halvings (forced by an 8x overshoot of the exact step)."""
+        seen = []
+        real_loss, real_step = dmrg.site_loss, dmrg._initial_step
+
+        def recording(cache, core, y, kind, ridge, outputs=None):
+            if outputs is not None:
+                seen.append((cache.apply(core), outputs))
+            return real_loss(cache, core, y, kind, ridge, outputs)
+
+        def overshoot(*args):
+            alpha, dv = real_step(*args)
+            return 8.0 * alpha, dv
+
+        monkeypatch.setattr(dmrg, "site_loss", recording)
+        rng = np.random.default_rng(34)
+        w = random_init(5, 3, 3, scale=0.8, seed=35)
+        phi = featurize_batch(FMAP3, rng.standard_normal((40, 5)))
+        y = rng.standard_normal(40)
+        cfg = TrainConfig(cg_steps=5, ridge=1e-3)
+        for step, halvings in ((real_step, 0), (overshoot, 3)):
+            monkeypatch.setattr(dmrg, "_initial_step", step)
+            for site in (0, 2, 4):
+                seen.clear()
+                work, cache = make_cache(w, phi, site)
+                *_, accepted, trials = optimize_site(
+                    cache, work.cores[site], y, cfg)
+                assert accepted == 5
+                assert trials == len(seen) == 5 * (1 + halvings)
+                for applied, carried in seen:
+                    scale = np.max(np.abs(applied))
+                    assert np.max(np.abs(carried - applied)) <= 1e-12 * scale
 
 
 class TestTraceCounters:
@@ -336,6 +372,71 @@ class TestCache:
                                        rtol=1e-12, atol=1e-12)
 
 
+class EinsumCache(EnvironmentCache):
+    """The environment cache with every environment build and move one
+    ``np.einsum(..., optimize=True)`` call: the reference of the GEMM
+    moves."""
+
+    def _absorb_left(self, env, core, j, memo):
+        return np.einsum("tl,lfr,tf->tr", env, core, self.phi[:, j],
+                         optimize=True)
+
+    def _absorb_right(self, env, core, j, memo):
+        return np.einsum("tr,lfr,tf->tl", env, core, self.phi[:, j],
+                         optimize=True)
+
+
+def mse_run():
+    """Criterion-7 style training: inversion at chi 4 on 300 samples, then
+    4 sweeps with a best-validation checkpoint."""
+    spec = TargetSpec(epsilon=0.3, seed=0)
+    d = generate_dataset(spec, 300, seed=36)
+    val = generate_dataset(spec, 64, seed=37)
+    w0 = inversion_and_compression(d, FMAP3, 1e-6, 4)
+    phi = featurize_batch(FMAP3, d.features)
+    phi_val = featurize_batch(FMAP3, val.features)
+    cfg = TrainConfig(sweeps=4, cg_steps=5, ridge=1e-6, sweep_tol=0.0)
+    return dmrg.train_arrays(w0, phi, d.labels, phi_val, frame_labels(val, d),
+                             config=cfg)
+
+
+class TestGemmEnvironments:
+    def test_mse_training_matches_einsum_cache(self, monkeypatch):
+        """GEMM moves change MSE training by roundoff only.  At chi 4 the
+        two runs stay within 2e-13 of each other over 8 sweeps; at chi 5-6
+        the same roundoff grows 10-50x per sweep (nonconvex training), so
+        such a run is no test of the kernels."""
+        model, trace = mse_run()
+        monkeypatch.setattr(dmrg, "EnvironmentCache", EinsumCache)
+        ref_model, ref_trace = mse_run()
+        for name in ("train_loss", "val_loss", "objective"):
+            np.testing.assert_allclose(getattr(trace, name),
+                                       getattr(ref_trace, name), rtol=1e-9)
+        assert trace.best_validation_sweep == ref_trace.best_validation_sweep
+        for core, ref in zip(model.cores, ref_model.cores):
+            np.testing.assert_allclose(core, ref, rtol=1e-9,
+                                       atol=1e-9 * np.max(np.abs(ref)))
+
+    def test_mse_training_calls_no_einsum(self, monkeypatch):
+        calls = []
+        einsum = np.einsum
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return einsum(*args, **kwargs)
+
+        rng = np.random.default_rng(38)
+        w0 = random_init(6, 3, 3, scale=0.8, seed=39)
+        phi = featurize_batch(FMAP3, rng.standard_normal((50, 6)))
+        y = rng.standard_normal(50)
+        monkeypatch.setattr(np, "einsum", counted)
+        _, trace = dmrg.train_arrays(
+            w0, phi, y, phi, y, phi, y,
+            TrainConfig(sweeps=2, ridge=1e-6, sweep_tol=0.0))
+        assert sum(trace.cg_accepted) > 0
+        assert calls == []
+
+
 class TestTrain:
     def test_sweep_from_inversion_does_not_increase_loss(self):
         d = generate_dataset(TargetSpec(epsilon=0.3, seed=0), 200, seed=19)
@@ -383,14 +484,34 @@ class TestTrain:
         trace.to_csv(path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == ("sweep,train_loss,val_loss,test_loss,objective,"
-                            "seconds,cg_accepted,ls_trials")
+                            "seconds,cg_accepted,ls_trials,optimize_seconds,"
+                            "move_seconds,evaluate_seconds")
         assert len(lines) == len(trace.sweeps) + 1
-        for line, obj, sec, steps, trials in zip(
+        for line, obj, sec, steps, trials, *phases in zip(
                 lines[1:], trace.objective, trace.seconds, trace.cg_accepted,
-                trace.ls_trials):
+                trace.ls_trials, trace.optimize_seconds, trace.move_seconds,
+                trace.evaluate_seconds):
             cells = line.split(",")
             assert [float(v) for v in cells[4:6]] == [obj, sec]
-            assert [int(v) for v in cells[6:]] == [steps, trials]
+            assert [int(v) for v in cells[6:8]] == [steps, trials]
+            assert [float(v) for v in cells[8:]] == phases
+
+    def test_phase_seconds(self):
+        d = generate_dataset(TargetSpec(seed=2), 60, seed=24)
+        w0 = random_init(6, 3, 2, scale=0.1, seed=25)
+        cfg = TrainConfig(sweeps=3, cg_steps=2, ridge=0.0, checkpoint="last",
+                          sweep_tol=0.0)
+        _, trace = train(w0, d, d, d, cfg)
+        phases = (trace.optimize_seconds, trace.move_seconds,
+                  trace.evaluate_seconds)
+        for phase in phases:
+            assert len(phase) == len(trace.sweeps) == 4
+            assert phase[0] == 0.0
+            assert all(s > 0.0 for s in phase[1:])
+        # the evaluation runs after the sweep's clock stops
+        for sweep in range(1, 4):
+            assert (trace.optimize_seconds[sweep] + trace.move_seconds[sweep]
+                    <= trace.seconds[sweep])
 
     def test_trace_csv_accuracies(self, tmp_path):
         trace = TrainTrace(sweeps=[0, 1], train_loss=[2.0, 1.5],

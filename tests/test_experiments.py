@@ -360,6 +360,7 @@ class TestCli:
         (["--ntr", "1"], "ntr_list"),
         (["--config", "n_test.json"], "n_test"),
         (["--jobs", "0"], "jobs"),
+        (["--config", "n_sites.json"], "n_sites"),
     ])
     def test_invalid_value_exits_2_before_any_job(self, flags, field,
                                                   tmp_path, monkeypatch,
@@ -375,6 +376,8 @@ class TestCli:
 
         monkeypatch.setattr(experiments, "_regression_replicate", counted)
         (tmp_path / "n_test.json").write_text(json.dumps({"n_test": 1}))
+        # 3 ** 10 features: past the inversion's design guard
+        (tmp_path / "n_sites.json").write_text(json.dumps({"n_sites": 10}))
         flags = [str(tmp_path / f) if f.endswith(".json") else f
                  for f in flags]
         code = cli.main(["scan", "--chi", "2,3", "--ntr", "40",
@@ -416,6 +419,17 @@ class TestCli:
             proc.stderr)
         assert "scan complete" in proc.stdout
         assert "chi scan:" not in proc.stdout
+
+    def test_design_guard_exits_2_before_any_fit(self, monkeypatch, capsys):
+        """A chain whose f ** N design exceeds the inversion's guard is a
+        validation error, not a CapacityError traceback."""
+        fits = []
+        monkeypatch.setattr(experiments, "_regression_fits",
+                            lambda *args: fits.append(args))
+        assert cli.main(["exact", "--n", "10", "--ntr", "40"]) == 2
+        err = capsys.readouterr().err
+        assert "n_sites" in err and "phys_dim" in err
+        assert fits == []
 
     def test_exact_subcommand(self, capsys):
         assert cli.main(["exact", "--ntr", "80", "--chi", "4",

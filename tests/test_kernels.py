@@ -6,7 +6,9 @@ contracted with the full feature tensor, and every ``EnvironmentCache``
 center against ``evaluate_batch`` and an unoptimized einsum gradient.
 Roundoff is bounded relative to the same contraction of the absolute
 values of cores and features, so outputs that cancel to near zero are
-still held to 1e-12.  On labeled chains the cache's planned, memoized
+still held to 1e-12.  On unlabeled chains every environment the cache
+builds or moves by GEMM is held to 1e-12 of ``np.einsum(...,
+optimize=True)``; on labeled chains the cache's planned, memoized
 contractions are held bit for bit to one fused
 ``np.einsum(..., optimize=True)`` call each.
 """
@@ -209,3 +211,55 @@ def test_labeled_cache_bitwise_equals_fused_einsum(case):
             coeffs = rng.standard_normal((len(phi), w.label_dim))
             assert np.array_equal(cache.grad_from_output_coeffs(coeffs),
                                   fused(GRAD[where], coeffs, *operands))
+
+
+@st.composite
+def unlabeled_chains(draw):
+    """(MPS, phi, seed): N in 1..6, f in {2, 3}, chi in 1..6, T in 1..64."""
+    n = draw(st.integers(1, 6))
+    f = draw(st.sampled_from([2, 3]))
+    chi = draw(st.integers(1, 6))
+    t = draw(st.integers(1, 64))
+    seed = draw(st.integers(0, 2**32 - 1))
+    w = random_init(n, f, chi, scale=0.7, seed=seed)
+    phi = np.random.default_rng(seed + 1).standard_normal((t, n, f))
+    return w, phi, seed
+
+
+def einsum_env(spec, env, core, phi_j):
+    """``spec`` by np.einsum(optimize=True), and on absolute values."""
+    return (fused(spec, env, core, phi_j),
+            fused(spec, np.abs(env), np.abs(core), np.abs(phi_j)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(unlabeled_chains())
+def test_unlabeled_cache_environments_match_einsum(case):
+    """GEMM environment builds and moves agree with the einsum they
+    replace: the initial right environments, then every move walking
+    right and back left, with the local block memoized by apply calls at
+    some centers and not at others."""
+    w, phi, seed = case
+    n = w.n_sites
+    rng = np.random.default_rng(seed + 2)
+    cores = [c.copy() for c in canonicalize(w, 0).cores]
+    cache = EnvironmentCache(cores, phi, center=0)
+    for j in range(n - 1, 0, -1):
+        assert_matches(cache.right[j], *einsum_env(
+            ABSORB_RIGHT[None], cache.right[j + 1], cores[j], phi[:, j]))
+    for c, step in [(0, None)] + [(c, "R") for c in range(1, n)] + [
+            (c, "L") for c in range(n - 2, -1, -1)]:
+        if step == "R":
+            _left_ortho_step(cores, c - 1)
+            ref = einsum_env(ABSORB_LEFT[None], cache.left[c - 1],
+                             cores[c - 1], phi[:, c - 1])
+            cache.move_right(cores[c - 1])
+            assert_matches(cache.left[c], *ref)
+        elif step == "L":
+            _right_ortho_step(cores, c + 1)
+            ref = einsum_env(ABSORB_RIGHT[None], cache.right[c + 2],
+                             cores[c + 1], phi[:, c + 1])
+            cache.move_left(cores[c + 1])
+            assert_matches(cache.right[c + 1], *ref)
+        if rng.random() < 0.5:
+            cache.apply(rng.standard_normal(cores[c].shape))
