@@ -92,10 +92,10 @@ def preprocess(d: ImageDataset, downsample: int = 2) -> ImageDataset:
     return ImageDataset(pooled, d.labels.copy(), d.num_classes)
 
 
-def featurize_images(d: ImageDataset, fmap: FeatureMap = mnist_feature_map):
+def featurize_images(d: ImageDataset):
     """Raster-order site layout: (T, H*W, f) local feature vectors."""
     flat = d.images.reshape(d.count, -1)
-    return featurize_batch(fmap, flat)
+    return featurize_batch(mnist_feature_map, flat)
 
 
 def predict_proba(w: MPS, phi: np.ndarray) -> np.ndarray:
@@ -120,28 +120,27 @@ def corrupt_labels(d: ImageDataset, fraction: float, seed) -> ImageDataset:
 
 
 def init_classifier_mps(n_sites: int, chi: int, seed,
-                        num_classes: int = NUM_CLASSES,
-                        fmap: FeatureMap = mnist_feature_map) -> MPS:
+                        num_classes: int = NUM_CLASSES) -> MPS:
     """Gaussian-initialized labeled MPS, class axis at the center site."""
-    scale = 1.0 / np.sqrt(fmap.dim * chi)
-    return random_init(n_sites, fmap.dim, chi, scale=scale, seed=seed,
+    f = mnist_feature_map.dim
+    scale = 1.0 / np.sqrt(f * chi)
+    return random_init(n_sites, f, chi, scale=scale, seed=seed,
                        label_site=n_sites // 2, label_dim=num_classes)
 
 
 def train_classifier(train_set: ImageDataset, val_set, test_set, chi: int,
-                     config: TrainConfig | None = None, seed: int = 0,
-                     fmap: FeatureMap = mnist_feature_map):
+                     config: TrainConfig | None = None, seed: int = 0):
     """Train a labeled MPS on images with cross-entropy sweeping."""
     if config is None:
         config = TrainConfig(sweeps=100, cg_steps=5, ridge=0.0,
                              loss_kind=CROSS_ENTROPY, sweep_tol=0.0)
     n_sites = train_set.images.shape[1] * train_set.images.shape[2]
-    w0 = init_classifier_mps(n_sites, chi, seed, train_set.num_classes, fmap)
+    w0 = init_classifier_mps(n_sites, chi, seed, train_set.num_classes)
 
     def prep(ds):
         if ds is None:
             return None, None
-        return featurize_images(ds, fmap), ds.labels
+        return featurize_images(ds), ds.labels
 
     phi_tr, y_tr = prep(train_set)
     phi_val, y_val = prep(val_set)
@@ -149,10 +148,9 @@ def train_classifier(train_set: ImageDataset, val_set, test_set, chi: int,
     return train_arrays(w0, phi_tr, y_tr, phi_val, y_val, phi_te, y_te, config)
 
 
-def export_predictions(w: MPS, d: ImageDataset, path,
-                       fmap: FeatureMap = mnist_feature_map) -> None:
+def export_predictions(w: MPS, d: ImageDataset, path) -> None:
     """CSV of per-image predictions: index,true,predicted,p0..p9."""
-    p = predict_proba(w, featurize_images(d, fmap))
+    p = predict_proba(w, featurize_images(d))
     pred = np.argmax(p, axis=1)
     header = "index,true,predicted," + ",".join(
         f"p{c}" for c in range(d.num_classes))

@@ -186,35 +186,30 @@ class EnvironmentCache:
         c = self.center
         return _memo_block(self._memo, self.left[c], self.phi[:, c])
 
-    def _labeled(self) -> bool:
-        """Whether the class axis is at the center or in an environment."""
-        c = self.center
-        return (c == self.label_site or self.left[c].ndim == 3
-                or self.right[c + 1].ndim == 3)
-
     def apply(self, core) -> np.ndarray:
         """Model outputs with ``core`` in the center slot: (T,) or (T, C)."""
         c = self.center
         lenv, renv = self.left[c], self.right[c + 1]
-        if self._labeled():
-            spec = (f"{_env_term('l', lenv)},{_core_term(core)},tf,"
-                    f"{_env_term('r', renv)}->tc")
-            return _contract(spec, (lenv, core, self.phi[:, c], renv), 1,
-                             self._memo)
-        return (left_step(self._local_block(), core) * renv).sum(axis=1)
+        if self.label_site is None:
+            return (left_step(self._local_block(), core) * renv).sum(axis=1)
+        spec = (f"{_env_term('l', lenv)},{_core_term(core)},tf,"
+                f"{_env_term('r', renv)}->tc")
+        return _contract(spec, (lenv, core, self.phi[:, c], renv), 1,
+                         self._memo)
 
     def grad_from_output_coeffs(self, coeffs) -> np.ndarray:
         """Chain rule: d(loss)/d(core) from d(loss)/d(output) coefficients."""
         c = self.center
         lenv, renv = self.left[c], self.right[c + 1]
-        if self._labeled():
-            cterm = "lfcr" if c == self.label_site else "lfr"
-            spec = (f"tc,{_env_term('l', lenv)},tf,"
-                    f"{_env_term('r', renv)}->{cterm}")
-            return _contract(spec, (coeffs, lenv, self.phi[:, c], renv), 0,
-                             self._memo)
-        grad = self._local_block().T @ (coeffs[:, None] * renv)
-        return grad.reshape(lenv.shape[1], self.phi.shape[2], renv.shape[1])
+        if self.label_site is None:
+            grad = self._local_block().T @ (coeffs[:, None] * renv)
+            return grad.reshape(lenv.shape[1], self.phi.shape[2],
+                                renv.shape[1])
+        cterm = "lfcr" if c == self.label_site else "lfr"
+        spec = (f"tc,{_env_term('l', lenv)},tf,"
+                f"{_env_term('r', renv)}->{cterm}")
+        return _contract(spec, (coeffs, lenv, self.phi[:, c], renv), 0,
+                         self._memo)
 
 
 def _memo_block(memo: dict, env: np.ndarray, phi_j: np.ndarray) -> np.ndarray:

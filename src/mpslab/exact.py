@@ -15,7 +15,7 @@ from .datagen import Dataset
 from .errors import CapacityError
 from .features import FeatureMap, featurize_batch
 from .mps import MPS, compress
-from .tensor import solve_linear
+from .tensor import row_outer, solve_linear
 
 DESIGN_GUARD = 10**4
 
@@ -31,10 +31,9 @@ class DesignSystem:
 
 def design_matrix(phi: np.ndarray) -> np.ndarray:
     """Rows are the row-major flattened feature tensors, shape (T, f^N)."""
-    t = phi.shape[0]
-    z = np.ones((t, 1))
+    z = np.ones((phi.shape[0], 1))
     for j in range(phi.shape[1]):
-        z = (z[:, :, None] * phi[:, j, None, :]).reshape(t, -1)
+        z = row_outer(z, phi[:, j])
     return z
 
 

@@ -1,7 +1,7 @@
 """Replicated scan harness: one runner for bond-dimension and train-size
-scans, swept over epsilon, training size or label noise, with mean/sigma
-aggregation, CSV + SVG outputs, and a JSON manifest that reruns any scan
-bitwise."""
+scans, and scenarios as plans of such scans (a family sweeps epsilon,
+training size or label noise) run and written by one loop, with mean/sigma
+aggregation, CSV + SVG outputs, and manifests that rerun any scan bitwise."""
 
 import csv
 import json
@@ -90,8 +90,10 @@ class ExperimentConfig:
         if self.method not in (INVERSION, DMRG, BOTH):
             raise ValueError(f"unknown method {self.method!r}")
         for name in GRIDS:
-            if not getattr(self, name):
-                raise ValueError(f"{name} must be non-empty")
+            values = getattr(self, name)
+            if not values or len(set(values)) < len(values):
+                raise ValueError(f"{name} must be non-empty without repeated "
+                                 f"values, got {values}")
         for name, value, least in (
                 ("replicates", self.replicates, 1), ("jobs", self.jobs, 1),
                 ("chi_list", min(self.chi_list), 1),
@@ -147,16 +149,6 @@ class ScanResult:
     metric: str
     failures: list = field(default_factory=list)
     seconds: float = 0.0
-
-
-@dataclass
-class MultiScanResult:
-    """A family of bond scans swept over an outer axis (eps, ntr or
-    noise)."""
-
-    outer_name: str
-    outer_values: list
-    scans: list
 
 
 def find_optimal_chi(scan: ScanResult):
@@ -354,6 +346,12 @@ def run_single(cfg: ExperimentConfig, images=None):
 # ---------------------------------------------------------------------------
 # scans
 
+def _scan_sizes(cfg: ExperimentConfig, axis, ntr=None) -> list:
+    """The training sizes a scan along ``axis`` draws."""
+    return (list(cfg.ntr_list) if axis == "ntr"
+            else [cfg.ntr_list[0] if ntr is None else ntr])
+
+
 def run_scan(cfg: ExperimentConfig, axis="chi", images=None, eps=None,
              ntr=None, noise=0.0) -> ScanResult:
     """A test metric against bond dimension or training size, over
@@ -371,12 +369,9 @@ def run_scan(cfg: ExperimentConfig, axis="chi", images=None, eps=None,
     if axis not in ("chi", "ntr"):
         raise ValueError(f"unknown scan axis {axis!r}")
     start = time.perf_counter()
-    if axis == "chi":
-        axis_values = chi_values = list(cfg.chi_list)
-        sizes = [cfg.ntr_list[0] if ntr is None else ntr]
-    else:
-        axis_values = sizes = list(cfg.ntr_list)
-        chi_values = [cfg.chi_list[0]]
+    sizes = _scan_sizes(cfg, axis, ntr)
+    chi_values = list(cfg.chi_list if axis == "chi" else cfg.chi_list[:1])
+    axis_values = chi_values if axis == "chi" else sizes
     if images is None:
         worker, outer = _regression_replicate, "eps"
         value = cfg.eps_list[0] if eps is None else eps
@@ -407,20 +402,6 @@ def run_bond_scan(cfg: ExperimentConfig, eps=None, ntr=None) -> ScanResult:
     """Test loss versus bond dimension on artificial data; the name the
     benchmark harness calls and traces."""
     return run_scan(cfg, eps=eps, ntr=ntr)
-
-
-_OUTER_GRIDS = {"eps": "eps_list", "ntr": "ntr_list", "noise": "noise_levels"}
-
-
-def run_multi_scan(cfg: ExperimentConfig, outer, images=None
-                   ) -> MultiScanResult:
-    """A bond scan at each value of the ``outer`` grid ("eps", "ntr" or
-    "noise"); chi* per value comes from each scan's minimum."""
-    cfg.validate()
-    values = list(getattr(cfg, _OUTER_GRIDS[outer]))
-    scans = [run_scan(cfg, images=images, **{outer: v}) for v in values]
-    return MultiScanResult(outer_name=outer, outer_values=values,
-                           scans=scans)
 
 
 # ---------------------------------------------------------------------------
@@ -521,32 +502,26 @@ def write_manifest(cfg: ExperimentConfig, path, scans) -> None:
         fh.write("\n")
 
 
-def emit_multi_outputs(multi: MultiScanResult, cfg: ExperimentConfig,
-                       out_dir) -> dict:
-    """Per-value subdirectories plus a chi_star.csv and combined figure."""
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {}
-    series = []
-    for value, scan in zip(multi.outer_values, multi.scans):
-        sub = os.path.join(out_dir, f"{multi.outer_name}={value:g}"
-                           if isinstance(value, float)
-                           else f"{multi.outer_name}={value}")
-        emit_outputs(scan, cfg, sub)
-        series.append(_band_series(scan, f"{multi.outer_name}={value}"))
-    paths["chi_star"] = os.path.join(out_dir, "chi_star.csv")
+def _emit_family(cfg: ExperimentConfig, outers, scans) -> dict:
+    """chi_star.csv, the combined figure and the manifest over a family of
+    bond scans, one per ``{outer name: value}`` in ``outers``."""
+    (name,) = outers[0]
+    values = [outer[name] for outer in outers]
+    paths = {"chi_star": os.path.join(cfg.out_dir, "chi_star.csv")}
     with open(paths["chi_star"], "w") as fh:
-        fh.write(f"{multi.outer_name},chi_star,mean,std\n")
-        for value, scan in zip(multi.outer_values, multi.scans):
+        fh.write(f"{name},chi_star,mean,std\n")
+        for value, scan in zip(values, scans):
             chi, m, s = find_optimal_chi(scan)
             fh.write(f"{_format_cell(value)},{chi},{repr(m)},{repr(s)}\n")
-    paths["figure"] = os.path.join(out_dir, "figure.svg")
-    logy = all(np.all(s.mean > 0) for s in multi.scans)
-    line_plot(paths["figure"], series,
-              title=f"{cfg.scenario}: scans over {multi.outer_name}",
-              xlabel=multi.scans[0].axis_name,
-              ylabel=multi.scans[0].metric, logy=logy)
-    paths["manifest"] = os.path.join(out_dir, "manifest.json")
-    write_manifest(cfg, paths["manifest"], multi.scans)
+    paths["figure"] = os.path.join(cfg.out_dir, "figure.svg")
+    logy = all(np.all(s.mean > 0) for s in scans)
+    line_plot(paths["figure"],
+              [_band_series(scan, f"{name}={value}")
+               for value, scan in zip(values, scans)],
+              title=f"{cfg.scenario}: scans over {name}",
+              xlabel=scans[0].axis_name, ylabel=scans[0].metric, logy=logy)
+    paths["manifest"] = os.path.join(cfg.out_dir, "manifest.json")
+    write_manifest(cfg, paths["manifest"], scans)
     return paths
 
 
@@ -589,64 +564,64 @@ def scenario_config(cfg: ExperimentConfig) -> ExperimentConfig:
         return cfg
     if cfg.scenario not in _PRESETS:
         raise ValueError(f"unknown scenario {cfg.scenario!r}")
-    base = ExperimentConfig()
-    updates = {}
-    preset = dict(_PRESETS[cfg.scenario])
-    full_replicates = preset.pop("full_replicates", None)
-    preset.pop("outer", None)
-    preset.pop("trainsize", None)
-    for name, value in preset.items():
-        if getattr(cfg, name) == getattr(base, name):
-            updates[name] = value
-    if cfg.full and full_replicates is not None:
-        updates["replicates"] = full_replicates
+    base, preset = ExperimentConfig(), _PRESETS[cfg.scenario]
+    updates = {name: value for name, value in preset.items()
+               if name in base.__dataclass_fields__
+               and getattr(cfg, name) == getattr(base, name)}
+    if cfg.full and "full_replicates" in preset:
+        updates["replicates"] = preset["full_replicates"]
     return replace(cfg, **updates)
 
 
-def _outer_axis(cfg: ExperimentConfig):
-    """The grid a scenario sweeps bond scans over, or None for one scan.
-
-    A custom run sweeps whichever grid has several values; several
-    training sizes at one chi make a single train-size scan instead.
-    """
+def _scenario_plan(cfg: ExperimentConfig):
+    """The scans a scenario runs, in order, as (directory under out_dir,
+    config, axis, outer) tuples.  fig5 is a bond and a train-size scan; a
+    family is one bond scan per value of an outer grid, ``outer`` holding
+    ``{grid name: value}``; a lone scan is written to out_dir itself."""
+    if cfg.scenario == "fig5":
+        sizes = replace(cfg, **_PRESETS["fig5"]["trainsize"])
+        return [("bond", cfg, "chi", {}), ("trainsize", sizes, "ntr", {})]
+    grids = {"eps": cfg.eps_list, "ntr": cfg.ntr_list,
+             "noise": cfg.noise_levels}
     if cfg.scenario != "custom":
-        return _PRESETS[cfg.scenario].get("outer")
-    if len(cfg.eps_list) > 1:
-        return "eps"
-    if len(cfg.ntr_list) > 1 and len(cfg.chi_list) > 1:
-        return "ntr"
-    return None
-
-
-def _check_pool(train_pool, sizes) -> None:
-    """Fail before any job runs when a training size exceeds the pool."""
-    for n in sizes:
-        if n > train_pool.count:
-            raise ValueError(f"training size {n} exceeds the "
-                             f"{train_pool.count}-image training pool")
+        outer = _PRESETS[cfg.scenario]["outer"]
+    elif len(cfg.eps_list) > 1:
+        outer = "eps"
+    elif len(cfg.ntr_list) > 1 and len(cfg.chi_list) > 1:
+        outer = "ntr"
+    else:
+        return [("", cfg, "ntr" if len(cfg.ntr_list) > 1 else "chi", {})]
+    return [(f"{outer}={value:g}" if isinstance(value, float)
+             else f"{outer}={value}", cfg, "chi", {outer: value})
+            for value in grids[outer]]
 
 
 def run_scenario(cfg: ExperimentConfig):
-    """Dispatch a scenario and write its outputs; returns (result, paths)."""
+    """Run a scenario's plan and write each scan as it ends, then a
+    family's summary; returns (ScanResults in plan order, paths)."""
     cfg = scenario_config(cfg)
     cfg.validate()
-    images = (load_mnist_pair(cfg) if cfg.scenario in IMAGE_SCENARIOS
-              else None)
-    if cfg.scenario == "fig5":
-        sizes = replace(cfg, **_PRESETS["fig5"]["trainsize"])
-        _check_pool(images[0], (cfg.ntr_list[0],) + sizes.ntr_list)
-        bond = run_scan(cfg, images=images)
-        paths = {f"bond_{k}": v for k, v in emit_outputs(
-            bond, cfg, os.path.join(cfg.out_dir, "bond")).items()}
-        size_scan = run_scan(sizes, "ntr", images=images)
-        paths.update({f"trainsize_{k}": v for k, v in emit_outputs(
-            size_scan, sizes, os.path.join(cfg.out_dir, "trainsize")).items()})
-        return (bond, size_scan), paths
-    if images is not None:
-        _check_pool(images[0], cfg.ntr_list[:1])
-    outer = _outer_axis(cfg)
-    if outer is None:
-        result = run_scan(cfg, "ntr" if len(cfg.ntr_list) > 1 else "chi")
-        return result, emit_outputs(result, cfg, cfg.out_dir)
-    result = run_multi_scan(cfg, outer, images)
-    return result, emit_multi_outputs(result, cfg, cfg.out_dir)
+    plan = _scenario_plan(cfg)
+    names = [name for name, *_ in plan]
+    if len(set(names)) < len(names):
+        raise ValueError(f"the scans at {[outer for *_, outer in plan]} "
+                         f"would share the directories {names}")
+    images = None
+    if cfg.scenario in IMAGE_SCENARIOS:
+        images = load_mnist_pair(cfg)
+        for _, config, axis, outer in plan:
+            for n in _scan_sizes(config, axis, outer.get("ntr")):
+                if n > images[0].count:
+                    raise ValueError(f"training size {n} exceeds the "
+                                     f"{images[0].count}-image training pool")
+    scans, paths = [], {}
+    for name, config, axis, outer in plan:
+        scan = run_scan(config, axis, images, **outer)
+        written = emit_outputs(scan, config, os.path.join(cfg.out_dir, name))
+        scans.append(scan)
+        if not outer:
+            paths.update({f"{name}_{k}" if name else k: v
+                          for k, v in written.items()})
+    if plan[0][3]:
+        paths = _emit_family(cfg, [outer for *_, outer in plan], scans)
+    return scans, paths

@@ -20,8 +20,7 @@ from mpslab.exact import build_design_system, solve_full_weight
 from mpslab.experiments import (TEST_SEED_OFFSET, VAL_SEED_OFFSET,
                                 ExperimentConfig, ScanResult,
                                 config_from_dict, emit_outputs,
-                                find_optimal_chi, run_bond_scan,
-                                run_multi_scan, run_scan)
+                                find_optimal_chi, run_bond_scan, run_scan)
 from mpslab.features import featurize_batch
 from mpslab.mps import compress, load_mps
 
@@ -184,10 +183,11 @@ class TestSharedWork:
 
 class TestOtherScans:
     def test_epsilon_scan_single_value_reduces_to_bond_scan(self):
-        multi = run_multi_scan(TINY, "eps")
+        family = dataclasses.replace(TINY, eps_list=(0.2, 0.3))
+        scan = run_scan(family, eps=0.3)
         direct = run_bond_scan(TINY)
-        assert multi.outer_values == [0.3]
-        np.testing.assert_array_equal(multi.scans[0].mean, direct.mean)
+        np.testing.assert_array_equal(scan.mean, direct.mean)
+        assert scan.raw_rows == direct.raw_rows
 
     def test_trainsize_scan_single_point(self):
         cfg = ExperimentConfig(chi_list=(4,), ntr_list=(80,), replicates=2,
@@ -276,10 +276,9 @@ class TestMnistScans:
         cfg = ExperimentConfig(chi_list=(2,), ntr_list=(24,), replicates=1,
                                base_seed=5, sweeps=1, cg_steps=2,
                                noise_levels=(0.0, 0.25))
-        multi = run_multi_scan(cfg, "noise", (pool, test))
-        assert multi.outer_values == [0.0, 0.25]
-        noises = {r["noise"] for s in multi.scans for r in s.raw_rows}
-        assert noises == {0.0, 0.25}
+        for noise in cfg.noise_levels:
+            scan = run_scan(cfg, images=(pool, test), noise=noise)
+            assert {r["noise"] for r in scan.raw_rows} == {noise}
 
     def test_trainsize_scan_axis(self, tiny_images):
         pool, test = tiny_images
@@ -347,6 +346,23 @@ class TestCli:
         assert (rerun_dir / "raw.csv").read_text() == (
             scan_dir / "raw.csv").read_text()
 
+    def test_family_manifest_rerun_bitwise(self, tmp_path):
+        """Criterion 12 for a family: the top-level manifest reruns every
+        scan of the family byte for byte."""
+        first = tmp_path / "first"
+        assert cli.main(["scan", "--chi", "2,3", "--ntr", "40",
+                         "--eps", "0.2,0.3", "--replicates", "2",
+                         "--seed", "77", "--out", str(first)]) == 0
+        rerun = tmp_path / "rerun"
+        assert cli.main(["scan", "--config", str(first / "manifest.json"),
+                         "--out", str(rerun)]) == 0
+        raws = sorted(path.relative_to(first)
+                      for path in first.glob("eps=*/raw.csv"))
+        assert [str(raw) for raw in raws] == ["eps=0.2/raw.csv",
+                                              "eps=0.3/raw.csv"]
+        for raw in raws:
+            assert (rerun / raw).read_bytes() == (first / raw).read_bytes()
+
     def test_validation_failure_exits_2(self, tmp_path):
         code = cli.main(["scan", "--replicates", "0",
                          "--out", str(tmp_path / "x")])
@@ -361,12 +377,16 @@ class TestCli:
         (["--config", "n_test.json"], "n_test"),
         (["--jobs", "0"], "jobs"),
         (["--config", "n_sites.json"], "n_sites"),
+        (["--chi", "2,2,3"], "chi_list"),
+        # two values, one directory name: eps=0.3
+        (["--eps", "0.3,0.3000001"], "0.3000001"),
     ])
     def test_invalid_value_exits_2_before_any_job(self, flags, field,
                                                   tmp_path, monkeypatch,
                                                   capsys):
-        """Values that would fail every replicate job are rejected up
-        front, naming the config field."""
+        """Values that would fail replicate jobs or overwrite outputs are
+        rejected up front, naming the config field or value, before any
+        job runs or file is written."""
         jobs = []
         replicate = experiments._regression_replicate
 
@@ -386,6 +406,7 @@ class TestCli:
         assert code == 2
         assert field in capsys.readouterr().err
         assert jobs == []
+        assert not (tmp_path / "out").exists()
 
     def test_aborted_scan_exits_3(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
