@@ -135,8 +135,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args) -> ExperimentConfig:
-    """The config the flags name, over ``--config``'s file if given; a
-    single value fills a one-point grid."""
+    """The config the flags name, over ``--config``'s file if given."""
+    return config_from_dict(_config_entries(args))
+
+
+def _config_entries(args) -> dict:
+    """The config fields ``--config``'s file and the flags set, flags
+    last; a single value fills a one-point grid."""
     data = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -147,7 +152,7 @@ def _config(args) -> ExperimentConfig:
             if name in GRIDS and not isinstance(value, tuple):
                 value = (value,)
             data[name] = value
-    return config_from_dict(data)
+    return data
 
 
 def _cmd_gen(args) -> int:
@@ -192,8 +197,10 @@ def _cmd_single(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    cfg = _config(args)
-    _, paths = run_scenario(cfg)
+    entries = _config_entries(args)
+    cfg = config_from_dict(entries)
+    # what the flags and the config file set wins over the scenario preset
+    _, paths = run_scenario(cfg, given=entries)
     print(f"scan complete; outputs in {cfg.out_dir}")
     for name, path in sorted(paths.items()):
         print(f"  {name}: {path}")

@@ -553,12 +553,13 @@ _PRESETS = {
 }
 
 
-def scenario_config(cfg: ExperimentConfig) -> ExperimentConfig:
+def scenario_config(cfg: ExperimentConfig, given=()) -> ExperimentConfig:
     """Fill the figure-specific grids.
 
-    Presets only touch fields still at their dataclass defaults, so
-    explicit flags and config-file entries win; --full restores the
-    paper-scale replicate counts.
+    A preset sets a field only when the field is still at its dataclass
+    default and not named in ``given``, the fields set explicitly (flags
+    and config-file entries), so those win even when they equal the
+    default; --full restores the paper-scale replicate counts.
     """
     if cfg.scenario == "custom":
         return cfg
@@ -566,7 +567,7 @@ def scenario_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ValueError(f"unknown scenario {cfg.scenario!r}")
     base, preset = ExperimentConfig(), _PRESETS[cfg.scenario]
     updates = {name: value for name, value in preset.items()
-               if name in base.__dataclass_fields__
+               if name in base.__dataclass_fields__ and name not in given
                and getattr(cfg, name) == getattr(base, name)}
     if cfg.full and "full_replicates" in preset:
         updates["replicates"] = preset["full_replicates"]
@@ -596,10 +597,11 @@ def _scenario_plan(cfg: ExperimentConfig):
             for value in grids[outer]]
 
 
-def run_scenario(cfg: ExperimentConfig):
+def run_scenario(cfg: ExperimentConfig, given=()):
     """Run a scenario's plan and write each scan as it ends, then a
-    family's summary; returns (ScanResults in plan order, paths)."""
-    cfg = scenario_config(cfg)
+    family's summary; returns (ScanResults in plan order, paths).
+    ``given`` names the fields no preset overrides (``scenario_config``)."""
+    cfg = scenario_config(cfg, given)
     cfg.validate()
     plan = _scenario_plan(cfg)
     names = [name for name, *_ in plan]

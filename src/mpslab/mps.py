@@ -190,7 +190,8 @@ def _left_ortho_step(cores, j):
     q, r = np.linalg.qr(mat)
     cores[j] = q.reshape(core.shape[:-1] + (q.shape[1],))
     nxt = cores[j + 1]
-    cores[j + 1] = np.tensordot(r, nxt, axes=(1, 0))
+    cores[j + 1] = (r @ nxt.reshape(nxt.shape[0], -1)).reshape(
+        (r.shape[0],) + nxt.shape[1:])
 
 
 def _right_ortho_step(cores, j):
@@ -200,7 +201,8 @@ def _right_ortho_step(cores, j):
     q, r = np.linalg.qr(mat.T)
     cores[j] = q.T.reshape((q.shape[1],) + core.shape[1:])
     prev = cores[j - 1]
-    cores[j - 1] = np.tensordot(prev, r.T, axes=(prev.ndim - 1, 0))
+    cores[j - 1] = (prev.reshape(-1, prev.shape[-1]) @ r.T).reshape(
+        prev.shape[:-1] + (r.shape[0],))
 
 
 def canonicalize(w: MPS, center: int) -> MPS:

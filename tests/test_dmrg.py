@@ -553,3 +553,26 @@ class TestTrain:
             TrainConfig(ridge=-1.0)
         with pytest.raises(ValueError):
             TrainConfig(checkpoint="best_test")
+
+    @pytest.mark.parametrize("kind, label_site, message", [
+        (MSE, 2, "loss_kind 'mse' needs a chain with no label site, "
+                 "got label_site=2"),
+        (CROSS_ENTROPY, None, "loss_kind 'cross_entropy' needs a chain with "
+                              "a label site, got label_site=None"),
+    ])
+    def test_loss_kind_must_match_chain(self, kind, label_site, message,
+                                        monkeypatch):
+        """A squared-error fit of a labeled chain, or a cross-entropy fit of
+        an unlabeled one, fails before any work, naming both."""
+        def no_work(*args, **kwargs):
+            raise AssertionError("train_arrays started work")
+
+        monkeypatch.setattr(dmrg, "canonicalize", no_work)
+        monkeypatch.setattr(dmrg, "EnvironmentCache", no_work)
+        rng = np.random.default_rng(40)
+        w = random_init(5, 2, 3, scale=0.8, seed=41, label_site=label_site,
+                        label_dim=4 if label_site is not None else None)
+        phi = featurize_batch(FeatureMap(dim=2), rng.standard_normal((40, 5)))
+        y = rng.integers(0, 4, size=40)
+        with pytest.raises(ValueError, match=message):
+            dmrg.train_arrays(w, phi, y, config=TrainConfig(loss_kind=kind))

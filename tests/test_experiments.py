@@ -363,6 +363,27 @@ class TestCli:
         for raw in raws:
             assert (rerun / raw).read_bytes() == (first / raw).read_bytes()
 
+    @pytest.mark.parametrize("flags, config, scans", [
+        (["--scenario", "fig3", "--eps", "0.3", "--ntr", "40"], None,
+         ["eps=0.3"]),
+        (["--scenario", "fig2", "--ntr", "300"], None, ["ntr=300"]),
+        ([], {"scenario": "fig3", "eps_list": [0.3], "ntr_list": [40],
+              "n_test": 64}, ["eps=0.3"]),
+    ])
+    def test_explicit_setting_wins_over_preset(self, flags, config, scans,
+                                               tmp_path):
+        """A flag or config-file entry equal to the dataclass default still
+        overrides the scenario's preset grid."""
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            flags = ["--config", str(path)]
+        out = tmp_path / "out"
+        assert cli.main(["scan", *flags, "--chi", "2,3", "--replicates", "2",
+                         "--out", str(out)]) == 0
+        assert sorted(entry.name for entry in out.iterdir()
+                      if entry.is_dir()) == scans
+
     def test_validation_failure_exits_2(self, tmp_path):
         code = cli.main(["scan", "--replicates", "0",
                          "--out", str(tmp_path / "x")])

@@ -10,14 +10,20 @@ still held to 1e-12.  On unlabeled chains every environment the cache
 builds or moves by GEMM is held to 1e-12 of ``np.einsum(...,
 optimize=True)``; on labeled chains the cache's planned, memoized
 contractions are held bit for bit to one fused
-``np.einsum(..., optimize=True)`` call each.
+``np.einsum(..., optimize=True)`` call each.  The QR shifts are held bit
+for bit to the ``np.tensordot`` form, and the squared-error site solver
+to its objective recomputed from scratch and to the exact step length
+from a dense local design.
 """
+
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpslab.dmrg import EnvironmentCache
+from mpslab import dmrg
+from mpslab.dmrg import MSE, EnvironmentCache, TrainConfig, data_loss
 from mpslab.features import full_feature_tensor
 from mpslab.mps import (MPS, _left_ortho_step, _right_ortho_step,
                         canonicalize, random_init)
@@ -263,3 +269,115 @@ def test_unlabeled_cache_environments_match_einsum(case):
             assert_matches(cache.right[c + 1], *ref)
         if rng.random() < 0.5:
             cache.apply(rng.standard_normal(cores[c].shape))
+
+
+def tensordot_left_ortho_step(cores, j):
+    """``mps._left_ortho_step`` with R absorbed by ``np.tensordot``."""
+    core = cores[j]
+    q, r = np.linalg.qr(core.reshape(-1, core.shape[-1]))
+    cores[j] = q.reshape(core.shape[:-1] + (q.shape[1],))
+    cores[j + 1] = np.tensordot(r, cores[j + 1], axes=(1, 0))
+
+
+def tensordot_right_ortho_step(cores, j):
+    """``mps._right_ortho_step`` with R absorbed by ``np.tensordot``."""
+    core = cores[j]
+    q, r = np.linalg.qr(core.reshape(core.shape[0], -1).T)
+    cores[j] = q.T.reshape((q.shape[1],) + core.shape[1:])
+    prev = cores[j - 1]
+    cores[j - 1] = np.tensordot(prev, r.T, axes=(prev.ndim - 1, 0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(labeled_chains())
+def test_qr_shifts_bitwise_equal_tensordot(case):
+    """The QR shifts absorb R by reshape and one matmul, bit for bit the
+    np.tensordot they replace: a right-canonicalizing pass, a sweep right
+    and a sweep back, through 3-index cores and the 4-index label core."""
+    w, _, _ = case
+    n = w.n_sites
+    ours = [c.copy() for c in w.cores]
+    ref = [c.copy() for c in w.cores]
+    plan = ([(j, "L") for j in range(n - 1, 0, -1)]
+            + [(j, "R") for j in range(n - 1)]
+            + [(j, "L") for j in range(n - 1, 0, -1)])
+    for j, direction in plan:
+        if direction == "R":
+            _left_ortho_step(ours, j)
+            tensordot_left_ortho_step(ref, j)
+        else:
+            _right_ortho_step(ours, j)
+            tensordot_right_ortho_step(ref, j)
+        assert all(a.shape == b.shape and np.array_equal(a, b)
+                   for a, b in zip(ours, ref))
+
+
+@st.composite
+def regression_sites(draw):
+    """(MPS, phi, y, ridge, center): N in 1..5, f in {2, 3}, chi in 1..4,
+    T in 5..40, ridge 0 or 1e-3, any center."""
+    n = draw(st.integers(1, 5))
+    f = draw(st.sampled_from([2, 3]))
+    chi = draw(st.integers(1, 4))
+    t = draw(st.integers(5, 40))
+    ridge = draw(st.sampled_from([0.0, 1e-3]))
+    center = draw(st.integers(0, n - 1))
+    seed = draw(st.integers(0, 2**32 - 1))
+    w = random_init(n, f, chi, scale=0.7, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    return (w, rng.standard_normal((t, n, f)), rng.standard_normal(t),
+            ridge, center)
+
+
+def local_design(cores, phi, c):
+    """Dense (T, chi_l*f*chi_r) design of the center core: row t is
+    L_t (x) phi_t,c (x) R_t, with the environments contracted site by
+    site by unoptimized einsum."""
+    t = len(phi)
+    left, right = np.ones((t, 1)), np.ones((t, 1))
+    for j in range(c):
+        left = np.einsum("tl,lfr,tf->tr", left, cores[j], phi[:, j])
+    for j in range(len(cores) - 1, c, -1):
+        right = np.einsum("tr,lfr,tf->tl", right, cores[j], phi[:, j])
+    return np.einsum("tl,tf,tr->tlfr", left, phi[:, c], right).reshape(t, -1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(regression_sites())
+def test_quadratic_site_solver(case):
+    """The MSE site solver's returned objective is the data loss of the
+    trained chain, evaluated afresh, plus its ridge term; its first step
+    length is the exact minimizer -g.d / (|B d|^2 / T + ridge |d|^2)
+    along d = -g, from the dense local design B.  Both are held to 1e-12
+    of the objective before the update and of that step length."""
+    w, phi, y, ridge, c = case
+    cores = [x.copy() for x in canonicalize(w, c).cores]
+    cache = EnvironmentCache(cores, phi, center=c)
+    steps = []
+
+    def recording(cache, d, g_dot_d, ridge):
+        alpha, dv = real_step(cache, d, g_dot_d, ridge)
+        steps.append(alpha)
+        return alpha, dv
+
+    real_step = dmrg._initial_step
+    with patch.object(dmrg, "_initial_step", recording):
+        core, value, *_ = dmrg.optimize_site(
+            cache, cores[c], y, TrainConfig(cg_steps=5, ridge=ridge))
+
+    design = local_design(cores, phi, c)
+    start = cores[c].ravel()
+    residual = design @ start - y
+    before = 0.5 * residual @ residual / len(y) + 0.5 * ridge * start @ start
+    cores[c] = core
+    fresh = (data_loss(MPS(cores).evaluate_batch(phi), y, MSE)
+             + 0.5 * ridge * float(np.sum(core**2)))
+    assert abs(value - fresh) <= 1e-12 * before
+
+    g = design.T @ residual / len(y) + ridge * start
+    if not steps:  # already stationary: no step taken
+        assert g @ g <= 1e-28 * max(1.0, before)
+        return
+    bd = design @ g
+    exact = (g @ g) / (bd @ bd / len(y) + ridge * (g @ g))
+    assert abs(steps[0] - exact) <= 1e-12 * exact
