@@ -27,7 +27,8 @@ losses = np.zeros((replicates, len(chis)))
 
 for rep in range(replicates):
     train = generate_dataset(spec, 300, seed=1000 + rep)
-    # one 729x729 solve per training set, then one compression per chi
+    # one ridge solve per training set (the 300x300 dual system, as
+    # 300 < 3^6), then one compression per chi
     phi_train = featurize_batch(fmap, train.features)
     full = solve_full_weight(build_design_system(phi_train, train.labels,
                                                  ridge=1e-6))

@@ -65,11 +65,12 @@ class TrainConfig:
 class TrainTrace:
     """Per-sweep record of a training run (sweep 0 is the initial state).
 
-    ``cg_accepted`` counts the sweep's accepted CG steps and ``ls_trials``
-    its line-search objective evaluations.  ``optimize_seconds``,
-    ``move_seconds`` and ``evaluate_seconds`` split its wall time into
-    ``optimize_site``, the QR regauge plus environment move, and the
-    per-sweep loss evaluation.  All are 0 at sweep 0.
+    ``cg_accepted`` counts the sweep's accepted CG steps, ``mean_step`` is
+    their mean step length alpha (0 when none is accepted) and
+    ``ls_trials`` counts its line-search objective evaluations.
+    ``optimize_seconds``, ``move_seconds`` and ``evaluate_seconds`` split
+    its wall time into ``optimize_site``, the QR regauge plus environment
+    move, and the per-sweep loss evaluation.  All are 0 at sweep 0.
     """
 
     sweeps: list = field(default_factory=list)
@@ -82,6 +83,7 @@ class TrainTrace:
     val_accuracy: list = field(default_factory=list)
     test_accuracy: list = field(default_factory=list)
     cg_accepted: list = field(default_factory=list)
+    mean_step: list = field(default_factory=list)
     ls_trials: list = field(default_factory=list)
     optimize_seconds: list = field(default_factory=list)
     move_seconds: list = field(default_factory=list)
@@ -92,15 +94,15 @@ class TrainTrace:
 
     def to_csv(self, path) -> None:
         """One row per sweep: sweep, the three losses, objective, seconds,
-        then the three accuracies (classifier training), the CG step and
-        line-search counters and the per-phase seconds, each when
-        recorded."""
+        then the three accuracies (classifier training), the accepted CG
+        steps, their mean length, the line-search trials and the per-phase
+        seconds, each when recorded."""
         names = ["sweeps", "train_loss", "val_loss", "test_loss",
                  "objective", "seconds"]
         if self.train_accuracy:
             names += ["train_accuracy", "val_accuracy", "test_accuracy"]
         if self.cg_accepted:
-            names += ["cg_accepted", "ls_trials"]
+            names += ["cg_accepted", "mean_step", "ls_trials"]
         if self.optimize_seconds:
             names += ["optimize_seconds", "move_seconds", "evaluate_seconds"]
         with open(path, "w") as fh:
@@ -389,8 +391,9 @@ def optimize_site(cache: EnvironmentCache, core, y, config: TrainConfig):
     """Polak-Ribiere CG on the center core, at most ``config.cg_steps``
     steps.
 
-    Returns (new_core, final_objective, stalled, accepted, trials): the
-    accepted CG steps and the line-search objective evaluations.  The
+    Returns (new_core, final_objective, stalled, step_sum, accepted,
+    trials): the summed step lengths alpha of the accepted CG steps, their
+    number, and the line-search objective evaluations.  The
     objective never increases: a failed line search keeps the old core.
     MSE runs ``_optimize_quadratic``; cross-entropy starts each Armijo
     backtracking search at min(1, 4 x the last accepted step).
@@ -403,6 +406,7 @@ def optimize_site(cache: EnvironmentCache, core, y, config: TrainConfig):
     d = -g
     stalled = False
     accepted = trials = 0
+    step_sum = 0.0
     alpha_prev = 1.0
     for _ in range(config.cg_steps):
         gnorm2 = float(np.sum(g * g))
@@ -424,13 +428,14 @@ def optimize_site(cache: EnvironmentCache, core, y, config: TrainConfig):
             stalled = True
             break
         accepted += 1
+        step_sum += alpha
         alpha_prev = alpha
         core, f0, out = candidate, f1, out1
         g_new = site_gradient(cache, core, out, y, kind, ridge)
         beta = max(0.0, float(np.sum(g_new * (g_new - g))) / gnorm2)
         d = -g_new + beta * d
         g = g_new
-    return core, f0, stalled, accepted, trials
+    return core, f0, stalled, step_sum, accepted, trials
 
 
 def _optimize_quadratic(cache: EnvironmentCache, core, y,
@@ -451,6 +456,7 @@ def _optimize_quadratic(cache: EnvironmentCache, core, y,
     d = -g
     stalled = False
     accepted = trials = 0
+    step_sum = 0.0
     for _ in range(config.cg_steps):
         if gnorm2 <= 1e-28 * max(1.0, abs(f0)):
             break
@@ -473,13 +479,14 @@ def _optimize_quadratic(cache: EnvironmentCache, core, y,
             stalled = True
             break
         accepted += 1
+        step_sum += alpha
         core, f0, out = candidate, f1, out1
         g_new = site_gradient(cache, core, out, y, MSE, ridge)
         gnew_norm2 = np.vdot(g_new, g_new)
         beta = max(0.0, (gnew_norm2 - np.vdot(g_new, g)) / gnorm2)
         d = beta * d - g_new
         g, gnorm2 = g_new, gnew_norm2
-    return core, f0, stalled, accepted, trials
+    return core, f0, stalled, step_sum, accepted, trials
 
 
 def _initial_step(cache, d, g_dot_d, ridge):
@@ -521,8 +528,8 @@ def train_arrays(w0: MPS, phi_tr, y_tr, phi_val=None, y_val=None,
     best_val = np.inf
     best_cores = None
 
-    def record(sweep, elapsed, objective, accepted=0, trials=0,
-               optimize_s=0.0, move_s=0.0):
+    def record(sweep, elapsed, objective, accepted=0, step_sum=0.0,
+               trials=0, optimize_s=0.0, move_s=0.0):
         started = time.perf_counter()
         model = MPS(cores, label_site=label_site)
         out_tr = model.evaluate_batch(phi_tr)
@@ -531,6 +538,8 @@ def train_arrays(w0: MPS, phi_tr, y_tr, phi_val=None, y_val=None,
         trace.objective.append(objective)
         trace.seconds.append(elapsed)
         trace.cg_accepted.append(accepted)
+        trace.mean_step.append(float(step_sum) / accepted if accepted
+                               else 0.0)
         trace.ls_trials.append(trials)
         trace.optimize_seconds.append(optimize_s)
         trace.move_seconds.append(move_s)
@@ -573,12 +582,13 @@ def train_arrays(w0: MPS, phi_tr, y_tr, phi_val=None, y_val=None,
         started = time.perf_counter()
         obj = previous_objective
         accepted = trials = 0
-        optimize_s = move_s = 0.0
+        step_sum = optimize_s = move_s = 0.0
         for site, direction in _sweep_plan(n):
             tick = time.perf_counter()
-            new_core, obj_new, stalled, steps, tries = optimize_site(
+            new_core, obj_new, stalled, alphas, steps, tries = optimize_site(
                 cache, cores[site], y_tr, config)
             optimize_s += time.perf_counter() - tick
+            step_sum += alphas
             accepted += steps
             trials += tries
             if stalled:
@@ -596,8 +606,8 @@ def train_arrays(w0: MPS, phi_tr, y_tr, phi_val=None, y_val=None,
                 _right_ortho_step(cores, site)
                 cache.move_left(cores[site])
             move_s += time.perf_counter() - tick
-        record(sweep, time.perf_counter() - started, obj, accepted, trials,
-               optimize_s, move_s)
+        record(sweep, time.perf_counter() - started, obj, accepted, step_sum,
+               trials, optimize_s, move_s)
         if use_best:
             checkpoint(sweep)
         if previous_objective - obj < config.sweep_tol:

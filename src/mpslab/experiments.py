@@ -21,7 +21,8 @@ from .datagen import TargetSpec, generate_dataset
 from .dmrg import (CROSS_ENTROPY, MSE, TrainConfig, data_loss, frame_labels,
                    train_arrays)
 from .errors import ScanAbortedError
-from .exact import DESIGN_GUARD, build_design_system, solve_full_weight
+from .exact import (DESIGN_GUARD, build_design_system, design_matrix,
+                    solve_full_weight)
 from .features import FeatureMap, featurize_batch
 from .mps import compress
 from .svgplot import line_plot
@@ -202,7 +203,13 @@ def _regression_fits(cfg, eps, ntr, chi_values, rep, test_set, phi_te):
     when DMRG runs, else the compressed inversion solution and None.
 
     Every dataset is featurized once here and its features serve each chi;
-    ``test_set``/``phi_te`` come from ``_shared_test_set``.
+    ``test_set``/``phi_te`` come from ``_shared_test_set``.  The inversion
+    losses of every chi come from two GEMMs in the f^N design space: the
+    compressed models' full tensors, stacked as columns, times the
+    training design matrix (shared with the solve) and times the test
+    design matrix.  The latter holds n_test x f^N floats (6 MB at the
+    paper's 1024 x 729, 82 MB at the 10^4 design guard) and is built
+    here, not shared, so that pool jobs are not sent it.
     """
     fmap = cfg.feature_map()
     spec = cfg.target_spec(eps)
@@ -210,7 +217,12 @@ def _regression_fits(cfg, eps, ntr, chi_values, rep, test_set, phi_te):
     phi_tr = featurize_batch(fmap, train_set.features)
     y_tr = train_set.labels
     y_te = frame_labels(test_set, train_set)
-    full = solve_full_weight(build_design_system(phi_tr, y_tr, cfg.ridge))
+    system = build_design_system(phi_tr, y_tr, cfg.ridge)
+    full = solve_full_weight(system)
+    models = [compress(full, chi)[0] for chi in chi_values]
+    stack = np.stack([w.to_full_tensor().ravel() for w in models], axis=1)
+    pred_tr = system.z @ stack
+    pred_te = design_matrix(phi_te) @ stack
     training = cfg.method in (DMRG, BOTH)
     if training:
         val_set = generate_dataset(spec, cfg.n_test,
@@ -219,14 +231,13 @@ def _regression_fits(cfg, eps, ntr, chi_values, rep, test_set, phi_te):
         y_val = frame_labels(val_set, train_set)
         tc = TrainConfig(sweeps=cfg.sweeps, cg_steps=cfg.cg_steps,
                          ridge=cfg.ridge)
-    for chi in chi_values:
-        w, _ = compress(full, chi)
+    for k, (chi, w) in enumerate(zip(chi_values, models)):
         trace = None
         row = {
             "axis": chi, "eps": eps, "ntr": ntr, "replicate": rep,
             "train_seed": cfg.base_seed + rep,
-            "inv_train_loss": data_loss(w.evaluate_batch(phi_tr), y_tr, MSE),
-            "inv_test_loss": data_loss(w.evaluate_batch(phi_te), y_te, MSE),
+            "inv_train_loss": data_loss(pred_tr[:, k], y_tr, MSE),
+            "inv_test_loss": data_loss(pred_te[:, k], y_te, MSE),
         }
         if training:
             w, trace = train_arrays(w, phi_tr, y_tr, phi_val, y_val, phi_te,

@@ -335,6 +335,45 @@ class TestTraceCounters:
         assert sum(trace.cg_accepted) > 0
 
 
+class TestMeanStep:
+    """``TrainTrace.mean_step`` is the mean length of a sweep's accepted CG
+    steps, 0 when it accepts none."""
+
+    def test_mse_mean_of_exact_steps(self, monkeypatch):
+        # every MSE line search here accepts its first trial, the exact
+        # quadratic step, so the accepted steps are those _initial_step made
+        alphas = []
+
+        def recording(*args, _fn=dmrg._initial_step):
+            alpha, dv = _fn(*args)
+            alphas.append(alpha)
+            return alpha, dv
+
+        monkeypatch.setattr(dmrg, "_initial_step", recording)
+        d = generate_dataset(TargetSpec(seed=2), 60, seed=24)
+        w0 = random_init(6, 3, 2, scale=0.1, seed=25)
+        cfg = TrainConfig(sweeps=1, cg_steps=2, ridge=1e-3,
+                          checkpoint="last", sweep_tol=0.0)
+        _, trace = train(w0, d, None, None, cfg)
+        assert trace.cg_accepted[1] == trace.ls_trials[1] == len(alphas)
+        assert trace.mean_step == [0.0, pytest.approx(np.mean(alphas),
+                                                      rel=1e-12)]
+
+    def test_cross_entropy_steps_at_most_one(self):
+        rng = np.random.default_rng(32)
+        w = random_init(5, 2, 3, scale=0.8, seed=33, label_site=2,
+                        label_dim=4)
+        phi = featurize_batch(FeatureMap(kind="trigonometric", dim=2),
+                              rng.uniform(0, 1, size=(40, 5)))
+        y = rng.integers(0, 4, size=40)
+        config = TrainConfig(sweeps=3, cg_steps=5, loss_kind=CROSS_ENTROPY,
+                             checkpoint="last", sweep_tol=0.0)
+        _, trace = dmrg.train_arrays(w, phi, y, config=config)
+        assert len(trace.mean_step) == len(trace.sweeps) == 4
+        for accepted, alpha in zip(trace.cg_accepted, trace.mean_step):
+            assert (0.0 < alpha <= 1.0) if accepted else alpha == 0.0
+
+
 class TestCache:
     def test_recombination_matches_evaluate(self):
         w = random_init(6, 3, 5, scale=0.5, seed=15)
@@ -484,17 +523,18 @@ class TestTrain:
         trace.to_csv(path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == ("sweep,train_loss,val_loss,test_loss,objective,"
-                            "seconds,cg_accepted,ls_trials,optimize_seconds,"
-                            "move_seconds,evaluate_seconds")
+                            "seconds,cg_accepted,mean_step,ls_trials,"
+                            "optimize_seconds,move_seconds,evaluate_seconds")
         assert len(lines) == len(trace.sweeps) + 1
-        for line, obj, sec, steps, trials, *phases in zip(
+        for line, obj, sec, steps, alpha, trials, *phases in zip(
                 lines[1:], trace.objective, trace.seconds, trace.cg_accepted,
-                trace.ls_trials, trace.optimize_seconds, trace.move_seconds,
-                trace.evaluate_seconds):
+                trace.mean_step, trace.ls_trials, trace.optimize_seconds,
+                trace.move_seconds, trace.evaluate_seconds):
             cells = line.split(",")
             assert [float(v) for v in cells[4:6]] == [obj, sec]
-            assert [int(v) for v in cells[6:8]] == [steps, trials]
-            assert [float(v) for v in cells[8:]] == phases
+            assert int(cells[6]) == steps and int(cells[8]) == trials
+            assert float(cells[7]) == alpha
+            assert [float(v) for v in cells[9:]] == phases
 
     def test_phase_seconds(self):
         d = generate_dataset(TargetSpec(seed=2), 60, seed=24)

@@ -1,13 +1,18 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpslab.datagen import Dataset, TargetSpec, generate_dataset
-from mpslab.errors import CapacityError
+from mpslab.errors import CapacityError, DimensionMismatchError
 from mpslab.dmrg import MSE, data_loss
 from mpslab.exact import (build_design_system, design_matrix,
                           inversion_and_compression, solve_full_weight)
 from mpslab.features import FeatureMap, featurize_batch, full_feature_tensor
 from mpslab.mps import compress
+from mpslab.tensor import solve_linear
 
 
 def tiny_dataset(t, n, seed, labels=None):
@@ -85,6 +90,24 @@ class TestBuildDesignSystem:
         with pytest.raises(ValueError):
             design_system(d, FeatureMap(dim=2), ridge=0.0)
 
+    @pytest.mark.parametrize("shape", [(4,), (6,), (5, 1)])
+    def test_label_shape_must_match_samples(self, shape):
+        phi = featurize_batch(FeatureMap(dim=2),
+                              tiny_dataset(5, 2, seed=0).features)
+        with pytest.raises(DimensionMismatchError,
+                           match=re.escape(f"5 featurized samples but "
+                                           f"labels of shape {shape}")):
+            build_design_system(phi, np.zeros(shape), 1e-3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_labels_must_be_finite(self, bad):
+        phi = featurize_batch(FeatureMap(dim=2),
+                              tiny_dataset(5, 2, seed=0).features)
+        y = np.zeros(5)
+        y[2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            build_design_system(phi, y, 1e-3)
+
 
 class TestSolveFullWeight:
     def test_zero_labels_give_zero_weight(self):
@@ -125,6 +148,53 @@ class TestSolveFullWeight:
             for lam in (1e-8, 1e-4, 1e-1)]
         assert norms[1] <= norms[0] + 1e-10
         assert norms[2] <= norms[1] + 1e-10
+
+
+def primal_weight(phi, y, ridge):
+    """The primal normal-equations solve, written out: A = Z^T Z / T +
+    ridge I, b = Z^T y / T, one LU solve."""
+    z = design_matrix(phi)
+    a = (z.T @ z) / len(y)
+    a[np.diag_indices_from(a)] += ridge
+    return solve_linear(a, z.T @ y / len(y))
+
+
+# T relative to f^N: below it the dual solve runs, at and above it the primal
+REGIMES = {"under": -1, "square": 0, "over": 1}
+SVD_RTOL = 1e-8
+
+
+class TestSolveFullWeightProperties:
+    """Both solve paths against the SVD ridge reference
+    V diag(s / (s^2 + T ridge)) U^T y of Z = U diag(s) V^T, to SVD_RTOL
+    relative (the condition number of A stays below about 1e5 here, so an
+    LU solve is good to about 1e-11); primal stationarity A w = b; and the
+    primal path bitwise equal to ``primal_weight``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 3), f=st.sampled_from([2, 3]),
+           regime=st.sampled_from(sorted(REGIMES)), extra=st.integers(1, 6),
+           ridge=st.sampled_from([1e-3, 1e-1, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_svd_reference(self, n, f, regime, extra, ridge, seed):
+        dim = f**n
+        t = max(1, dim + REGIMES[regime] * extra)
+        rng = np.random.default_rng(seed)
+        phi = rng.standard_normal((t, n, f))
+        y = rng.standard_normal(t)
+        system = build_design_system(phi, y, ridge)
+        w = solve_full_weight(system)
+        assert w.shape == (f,) * n
+        w = w.ravel()
+        u, s, vt = np.linalg.svd(system.z, full_matrices=False)
+        ref = vt.T @ (s / (s**2 + t * ridge) * (u.T @ y))
+        scale = max(np.linalg.norm(ref), 1e-300)
+        assert np.linalg.norm(w - ref) <= SVD_RTOL * scale
+        residual = system.a @ w - system.b
+        assert np.linalg.norm(residual) <= SVD_RTOL * max(
+            np.linalg.norm(system.b), 1e-300)
+        if t >= dim:
+            assert np.array_equal(w, primal_weight(phi, y, ridge))
 
 
 class TestInversionAndCompression:

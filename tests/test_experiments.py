@@ -155,16 +155,29 @@ def per_chi_rows(cfg):
 
 
 class TestSharedWork:
-    """Shared test set and once-per-dataset features leave every raw row
-    bitwise equal to the per-chi recomputation."""
+    """Shared test set, once-per-dataset features and the design-space
+    evaluation of every chi leave each raw row equal to the per-chi
+    recomputation: keys, seeds and DMRG columns bitwise, the inversion
+    losses (one GEMM over the stacked full tensors instead of one
+    ``evaluate_batch`` per chi) to roundoff: at most 10 ulp (1.3e-15
+    relative) was measured on these two configurations."""
 
     @pytest.mark.parametrize("cfg", [
         TINY,
         ExperimentConfig(chi_list=(2, 4), ntr_list=(60,), replicates=2,
                          base_seed=11, n_test=48, method="both", sweeps=2,
                          cg_steps=2)], ids=["inversion", "both"])
-    def test_rows_bitwise_equal_per_chi_recomputation(self, cfg):
-        assert run_bond_scan(cfg).raw_rows == per_chi_rows(cfg)
+    def test_rows_match_per_chi_recomputation(self, cfg):
+        rows, oracle = run_bond_scan(cfg).raw_rows, per_chi_rows(cfg)
+        assert len(rows) == len(oracle)
+        for row, want in zip(rows, oracle):
+            assert row.keys() == want.keys()
+            for key, value in want.items():
+                if key.startswith("inv_"):
+                    assert row[key] == pytest.approx(value, rel=1e-12,
+                                                     abs=0.0)
+                else:
+                    assert row[key] == value, key
 
     @pytest.mark.parametrize("axis", ["chi", "ntr"])
     def test_test_set_generated_once_per_scan(self, axis, monkeypatch):
