@@ -137,8 +137,7 @@ def normalize_labels(raw: np.ndarray):
     return (raw - mean) / std, mean, std
 
 
-def generate_dataset(spec: TargetSpec, n_samples: int, seed,
-                     fmap: FeatureMap | None = None) -> Dataset:
+def generate_dataset(spec: TargetSpec, n_samples: int, seed) -> Dataset:
     """Sample features, label them with the target MPS, normalize.
 
     The target is built from spec.seed and the samples from ``seed``, so
@@ -146,10 +145,9 @@ def generate_dataset(spec: TargetSpec, n_samples: int, seed,
     """
     if n_samples < 2:
         raise ValueError("need at least two samples for the std to exist")
-    if fmap is None:
-        fmap = FeatureMap(dim=spec.phys_dim)
     target = build_target_mps(spec)
     x = sample_features(n_samples, spec.n_sites, seed)
+    fmap = FeatureMap(dim=spec.phys_dim)
     raw = target.evaluate_batch(featurize_batch(fmap, x))
     labels, mean, std = normalize_labels(raw)
     return Dataset(features=x, labels=labels, label_mean=mean, label_std=std,

@@ -3,8 +3,9 @@
 The chain is kept in mixed canonical gauge; per-sample left/right partial
 contractions make the loss and its gradient local to the center core.
 Each center update runs a few Polak-Ribiere CG steps, each accepted by an
-Armijo test, so the training objective never increases.  There are two
-site solvers:
+Armijo test, so the training objective never increases.  One solver,
+``optimize_site``, serves both losses; the loss picks its reductions and
+its first trial step:
 
 - Squared error (unlabeled chain): the objective is a quadratic in the
   center core.  Each line search starts from the exact step along the
@@ -369,13 +370,19 @@ def site_loss(cache: EnvironmentCache, core, y, kind, ridge, outputs=None):
     if kind == MSE:
         r = outputs - y
         value = 0.5 * np.vdot(r, r) / len(r)
-        if ridge:
-            value += 0.5 * ridge * np.vdot(core, core)
-        return float(value), outputs
-    value = data_loss(outputs, y, kind)
+    else:
+        value = data_loss(outputs, y, kind)
     if ridge:
-        value += 0.5 * ridge * float(np.sum(core**2))
-    return value, outputs
+        value += 0.5 * ridge * _site_dot(kind)(core, core)
+    return float(value), outputs
+
+
+def _site_dot(kind: str):
+    """The solver's reduction: a BLAS dot product for MSE, numpy's
+    pairwise sum for cross-entropy, whose training is roundoff-chaotic."""
+    if kind == MSE:
+        return np.vdot
+    return lambda a, b: float(np.sum(a * b))
 
 
 def site_gradient(cache: EnvironmentCache, core, outputs, y, kind,
@@ -388,39 +395,47 @@ def site_gradient(cache: EnvironmentCache, core, outputs, y, kind,
 
 
 def optimize_site(cache: EnvironmentCache, core, y, config: TrainConfig):
-    """Polak-Ribiere CG on the center core, at most ``config.cg_steps``
-    steps.
+    """Polak-Ribiere (PR+) CG on the center core, at most
+    ``config.cg_steps`` steps, each accepted by an Armijo line search.
 
     Returns (new_core, final_objective, stalled, step_sum, accepted,
     trials): the summed step lengths alpha of the accepted CG steps, their
-    number, and the line-search objective evaluations.  The
-    objective never increases: a failed line search keeps the old core.
-    MSE runs ``_optimize_quadratic``; cross-entropy starts each Armijo
-    backtracking search at min(1, 4 x the last accepted step).
+    number, and the line-search objective evaluations.  The objective
+    never increases: a failed line search keeps the old core.  The loss
+    picks the reductions (``_site_dot``) and the first trial step: for
+    MSE the exact minimizer along d (``_initial_step``), carrying trial
+    outputs out + alpha * dv, linear in the core; for cross-entropy
+    min(1, 4 x the last accepted step), applying every trial core.
     """
-    if config.loss_kind == MSE:
-        return _optimize_quadratic(cache, core, y, config)
     kind, ridge = config.loss_kind, config.ridge
+    quadratic = kind == MSE
+    dot = _site_dot(kind)
     f0, out = site_loss(cache, core, y, kind, ridge)
     g = site_gradient(cache, core, out, y, kind, ridge)
     d = -g
     stalled = False
     accepted = trials = 0
     step_sum = 0.0
-    alpha_prev = 1.0
+    alpha = 1.0
     for _ in range(config.cg_steps):
-        gnorm2 = float(np.sum(g * g))
+        gnorm2 = dot(g, g)
         if gnorm2 <= 1e-28 * max(1.0, abs(f0)):
             break
-        g_dot_d = float(np.sum(g * d))
+        g_dot_d = dot(g, d)
         if g_dot_d >= 0.0:  # lost descent; restart on steepest descent
             d = -g
             g_dot_d = -gnorm2
-        alpha = min(1.0, 4.0 * alpha_prev)
+        if quadratic:
+            alpha, dv = _initial_step(cache, d, g_dot_d, ridge)
+            if alpha is None:
+                break
+        else:
+            alpha = min(1.0, 4.0 * alpha)
         for _ in range(MAX_HALVINGS + 1):
             trials += 1
             candidate = core + alpha * d
-            f1, out1 = site_loss(cache, candidate, y, kind, ridge)
+            f1, out1 = site_loss(cache, candidate, y, kind, ridge,
+                                 out + alpha * dv if quadratic else None)
             if f1 <= f0 + ARMIJO_C * alpha * g_dot_d:
                 break
             alpha *= 0.5
@@ -429,63 +444,11 @@ def optimize_site(cache: EnvironmentCache, core, y, config: TrainConfig):
             break
         accepted += 1
         step_sum += alpha
-        alpha_prev = alpha
         core, f0, out = candidate, f1, out1
         g_new = site_gradient(cache, core, out, y, kind, ridge)
-        beta = max(0.0, float(np.sum(g_new * (g_new - g))) / gnorm2)
-        d = -g_new + beta * d
-        g = g_new
-    return core, f0, stalled, step_sum, accepted, trials
-
-
-def _optimize_quadratic(cache: EnvironmentCache, core, y,
-                        config: TrainConfig):
-    """``optimize_site`` on the MSE objective, a quadratic in the core.
-
-    The same CG as the cross-entropy arm, with three differences: each
-    line search starts from the exact minimizer along d
-    (``_initial_step``); a trial's outputs are out + alpha * dv, since the
-    outputs are linear in the core and dv = apply(d) is already there for
-    the step length, so a CG step applies once; and every reduction is
-    one BLAS dot product.
-    """
-    ridge = config.ridge
-    f0, out = site_loss(cache, core, y, MSE, ridge)
-    g = site_gradient(cache, core, out, y, MSE, ridge)
-    gnorm2 = np.vdot(g, g)
-    d = -g
-    stalled = False
-    accepted = trials = 0
-    step_sum = 0.0
-    for _ in range(config.cg_steps):
-        if gnorm2 <= 1e-28 * max(1.0, abs(f0)):
-            break
-        g_dot_d = np.vdot(g, d)
-        if g_dot_d >= 0.0:  # lost descent; restart on steepest descent
-            d = -g
-            g_dot_d = -gnorm2
-        alpha, dv = _initial_step(cache, d, g_dot_d, ridge)
-        if alpha is None:
-            break
-        for _ in range(MAX_HALVINGS + 1):
-            trials += 1
-            candidate = core + alpha * d
-            f1, out1 = site_loss(cache, candidate, y, MSE, ridge,
-                                 out + alpha * dv)
-            if f1 <= f0 + ARMIJO_C * alpha * g_dot_d:
-                break
-            alpha *= 0.5
-        else:
-            stalled = True
-            break
-        accepted += 1
-        step_sum += alpha
-        core, f0, out = candidate, f1, out1
-        g_new = site_gradient(cache, core, out, y, MSE, ridge)
-        gnew_norm2 = np.vdot(g_new, g_new)
-        beta = max(0.0, (gnew_norm2 - np.vdot(g_new, g)) / gnorm2)
+        beta = max(0.0, dot(g_new, g_new - g) / gnorm2)
         d = beta * d - g_new
-        g, gnorm2 = g_new, gnew_norm2
+        g = g_new
     return core, f0, stalled, step_sum, accepted, trials
 
 

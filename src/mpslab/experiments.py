@@ -105,6 +105,10 @@ class ExperimentConfig:
         TrainConfig(sweeps=self.sweeps, cg_steps=self.cg_steps)
         if self.scenario in IMAGE_SCENARIOS:
             return
+        # the target and feature map of every grid value, before any scan
+        for eps in self.eps_list:
+            self.target_spec(eps)
+        self.feature_map()
         # every artificial-data replicate starts from the inversion
         if self.ridge <= 0.0:
             raise ValueError(f"ridge coefficient must be > 0, got "

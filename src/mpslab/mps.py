@@ -219,7 +219,7 @@ def canonicalize(w: MPS, center: int) -> MPS:
     return MPS(cores, label_site=w.label_site, gauge=GAUGE_MIXED, center=center)
 
 
-def compress(t: np.ndarray, max_bond: int, cutoff: float = 0.0):
+def compress(t: np.ndarray, max_bond: int):
     """Sweep a dense (f, ..., f) tensor into an MPS by sequential SVDs.
 
     Returns (mps, discarded) where discarded[j] is the squared-weight lost
@@ -238,7 +238,7 @@ def compress(t: np.ndarray, max_bond: int, cutoff: float = 0.0):
     left = 1
     for j in range(n - 1):
         mat = remainder.reshape(left * f, -1)
-        res = svd_truncate(mat, max_bond, cutoff)
+        res = svd_truncate(mat, max_bond)
         cores.append(res.left_factor.reshape(left, f, res.rank))
         discarded[j] = res.discarded_weight
         remainder = res.singular_values[:, None] * res.right_factor

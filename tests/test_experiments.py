@@ -315,6 +315,13 @@ class TestConfig:
             ExperimentConfig(chi_list=()).validate()
         with pytest.raises(ValueError):
             run_scan(ExperimentConfig(), axis="eps")
+        # every grid value's target and the feature map, before any scan
+        for fields, message in ((dict(eps_list=(0.3, 1.5)), "epsilon"),
+                                (dict(chi_target=1), "chi_target"),
+                                (dict(phys_dim=1), "feature dimension"),
+                                (dict(n_sites=0), "at least one site")):
+            with pytest.raises(ValueError, match=message):
+                ExperimentConfig(**fields).validate()
 
     def test_scenario_presets(self):
         cfg = experiments.scenario_config(ExperimentConfig(scenario="fig2"))
@@ -414,6 +421,8 @@ class TestCli:
         (["--chi", "2,2,3"], "chi_list"),
         # two values, one directory name: eps=0.3
         (["--eps", "0.3,0.3000001"], "0.3000001"),
+        # the first value is valid, the second fails before its scan
+        (["--eps", "0.3,1.5"], "1.5"),
     ])
     def test_invalid_value_exits_2_before_any_job(self, flags, field,
                                                   tmp_path, monkeypatch,

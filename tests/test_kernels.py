@@ -11,9 +11,11 @@ builds or moves by GEMM is held to 1e-12 of ``np.einsum(...,
 optimize=True)``; on labeled chains the cache's planned, memoized
 contractions are held bit for bit to one fused
 ``np.einsum(..., optimize=True)`` call each.  The QR shifts are held bit
-for bit to the ``np.tensordot`` form, and the squared-error site solver
-to its objective recomputed from scratch and to the exact step length
-from a dense local design.
+for bit to the ``np.tensordot`` form.  ``optimize_site``, the one CG
+site solver, is held on squared error to its objective recomputed from
+scratch and to the exact step length from a dense local design, and on
+cross-entropy bit for bit to a test-local copy of the pairwise-sum CG
+loop it has always run.
 """
 
 from unittest.mock import patch
@@ -23,7 +25,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpslab import dmrg
-from mpslab.dmrg import MSE, EnvironmentCache, TrainConfig, data_loss
+from mpslab.dmrg import (CROSS_ENTROPY, MSE, EnvironmentCache, TrainConfig,
+                         data_loss, output_grad_coeffs)
 from mpslab.features import full_feature_tensor
 from mpslab.mps import (MPS, _left_ortho_step, _right_ortho_step,
                         canonicalize, random_init)
@@ -381,3 +384,88 @@ def test_quadratic_site_solver(case):
     bd = design @ g
     exact = (g @ g) / (bd @ bd / len(y) + ridge * (g @ g))
     assert abs(steps[0] - exact) <= 1e-12 * exact
+
+
+@st.composite
+def classifier_sites(draw):
+    """(MPS, phi, y, ridge, center): a chain of ``labeled_chains``, random
+    class labels, ridge 0 or 1e-3, any center."""
+    w, phi, seed = draw(labeled_chains())
+    ridge = draw(st.sampled_from([0.0, 1e-3]))
+    center = draw(st.integers(0, w.n_sites - 1))
+    y = np.random.default_rng(seed + 2).integers(0, w.label_dim, len(phi))
+    return w, phi, y, ridge, center
+
+
+def pairwise_cross_entropy_cg(cache, core, y, config):
+    """The cross-entropy CG loop as written before MSE and cross-entropy
+    shared one solver: pairwise-sum reductions, the first trial step
+    min(1, 4 x the last accepted step), every trial core applied, and
+    the PR+ beta g_new.(g_new - g) / |g|^2."""
+    kind, ridge = config.loss_kind, config.ridge
+
+    def loss(core):
+        out = cache.apply(core)
+        value = data_loss(out, y, kind)
+        if ridge:
+            value += 0.5 * ridge * float(np.sum(core**2))
+        return value, out
+
+    def gradient(core, out):
+        grad = cache.grad_from_output_coeffs(output_grad_coeffs(out, y, kind))
+        return grad + ridge * core if ridge else grad
+
+    f0, out = loss(core)
+    g = gradient(core, out)
+    d = -g
+    stalled = False
+    accepted = trials = 0
+    step_sum = 0.0
+    alpha_prev = 1.0
+    for _ in range(config.cg_steps):
+        gnorm2 = float(np.sum(g * g))
+        if gnorm2 <= 1e-28 * max(1.0, abs(f0)):
+            break
+        g_dot_d = float(np.sum(g * d))
+        if g_dot_d >= 0.0:
+            d = -g
+            g_dot_d = -gnorm2
+        alpha = min(1.0, 4.0 * alpha_prev)
+        for _ in range(dmrg.MAX_HALVINGS + 1):
+            trials += 1
+            candidate = core + alpha * d
+            f1, out1 = loss(candidate)
+            if f1 <= f0 + dmrg.ARMIJO_C * alpha * g_dot_d:
+                break
+            alpha *= 0.5
+        else:
+            stalled = True
+            break
+        accepted += 1
+        step_sum += alpha
+        alpha_prev = alpha
+        core, f0, out = candidate, f1, out1
+        g_new = gradient(core, out)
+        beta = max(0.0, float(np.sum(g_new * (g_new - g))) / gnorm2)
+        d = -g_new + beta * d
+        g = g_new
+    return core, f0, stalled, step_sum, accepted, trials
+
+
+@settings(max_examples=100, deadline=None)
+@given(classifier_sites())
+def test_cross_entropy_site_solver_bitwise(case):
+    """``optimize_site`` on cross-entropy is the pairwise-sum CG loop bit
+    for bit: the new core, objective, stalled flag, summed step length and
+    both counters, label first, in the middle or last, at any center."""
+    w, phi, y, ridge, c = case
+    config = TrainConfig(cg_steps=5, ridge=ridge, loss_kind=CROSS_ENTROPY)
+    results = []
+    for solver in (dmrg.optimize_site, pairwise_cross_entropy_cg):
+        cores = [x.copy() for x in canonicalize(w, c).cores]
+        cache = EnvironmentCache(cores, phi, label_site=w.label_site,
+                                 center=c)
+        results.append(solver(cache, cores[c], y, config))
+    (core, *rest), (ref_core, *ref_rest) = results
+    assert np.array_equal(core, ref_core)
+    assert rest == ref_rest
