@@ -8,6 +8,7 @@ carries an epsilon^n prefactor, so one scalar tunes data complexity.
 """
 
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,6 +121,16 @@ def build_target_mps(spec: TargetSpec, left_boundary=None, right_boundary=None) 
     return MPS(cores)
 
 
+@functools.lru_cache(maxsize=16)
+def _target_mps(spec: TargetSpec) -> MPS:
+    """``build_target_mps(spec)``, built once per spec and shared by every
+    dataset drawn from it; its cores are read-only."""
+    target = build_target_mps(spec)
+    for core in target.cores:
+        core.flags.writeable = False
+    return target
+
+
 def sample_features(n_samples: int, n_features: int, seed) -> np.ndarray:
     """(T, N) matrix of i.i.d. standard normal features."""
     if n_samples < 1 or n_features < 1:
@@ -140,12 +151,13 @@ def normalize_labels(raw: np.ndarray):
 def generate_dataset(spec: TargetSpec, n_samples: int, seed) -> Dataset:
     """Sample features, label them with the target MPS, normalize.
 
-    The target is built from spec.seed and the samples from ``seed``, so
-    replicate sets share one target bitwise while differing in samples.
+    The target is built from spec.seed (once per spec) and the samples
+    from ``seed``, so replicate sets share one target bitwise while
+    differing in samples.
     """
     if n_samples < 2:
         raise ValueError("need at least two samples for the std to exist")
-    target = build_target_mps(spec)
+    target = _target_mps(spec)
     x = sample_features(n_samples, spec.n_sites, seed)
     fmap = FeatureMap(dim=spec.phys_dim)
     raw = target.evaluate_batch(featurize_batch(fmap, x))

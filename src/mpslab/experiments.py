@@ -105,10 +105,16 @@ class ExperimentConfig:
         TrainConfig(sweeps=self.sweeps, cg_steps=self.cg_steps)
         if self.scenario in IMAGE_SCENARIOS:
             return
-        # the target and feature map of every grid value, before any scan
+        # the bounds of the target and feature map, before any scan
+        for name, value, least in (
+                ("n_sites", self.n_sites, 1), ("phys_dim", self.phys_dim, 2),
+                ("chi_target", self.chi_target, 2)):
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         for eps in self.eps_list:
-            self.target_spec(eps)
-        self.feature_map()
+            if not 0.0 < eps <= 1.0:
+                raise ValueError(f"eps_list values must be in (0, 1], got "
+                                 f"{eps}")
         # every artificial-data replicate starts from the inversion
         if self.ridge <= 0.0:
             raise ValueError(f"ridge coefficient must be > 0, got "
@@ -194,26 +200,31 @@ def _aggregate(rows, axis_values, metric):
 # chi values, replicate, *shared inputs) and returns one row dict per chi
 
 def _shared_test_set(cfg: ExperimentConfig, eps):
-    """The test set every replicate of a scan at ``eps`` shares, and its
-    featurization."""
+    """The test set every replicate of a scan at ``eps`` shares, its
+    featurization and, for a serial scan, its design matrix (None under a
+    pool, whose jobs each build their own rather than be sent it)."""
     test_set = generate_dataset(cfg.target_spec(eps), cfg.n_test,
                                 cfg.base_seed + TEST_SEED_OFFSET)
-    return test_set, featurize_batch(cfg.feature_map(), test_set.features)
+    phi_te = featurize_batch(cfg.feature_map(), test_set.features)
+    z_te = design_matrix(phi_te) if cfg.jobs == 1 else None
+    return test_set, phi_te, z_te
 
 
-def _regression_fits(cfg, eps, ntr, chi_values, rep, test_set, phi_te):
+def _regression_fits(cfg, eps, ntr, chi_values, rep, test_set, phi_te, z_te):
     """One training replicate at each bond dimension: yields (row, model,
     trace) per chi.  The model is the DMRG-trained MPS with its TrainTrace
     when DMRG runs, else the compressed inversion solution and None.
 
     Every dataset is featurized once here and its features serve each chi;
-    ``test_set``/``phi_te`` come from ``_shared_test_set``.  The inversion
+    ``test_set``/``phi_te``/``z_te`` come from ``_shared_test_set``.  The
+    ridge solution is compressed once per chi, all compressions sharing
+    one SVD memo, so each distinct SVD is computed once.  The inversion
     losses of every chi come from two GEMMs in the f^N design space: the
     compressed models' full tensors, stacked as columns, times the
     training design matrix (shared with the solve) and times the test
-    design matrix.  The latter holds n_test x f^N floats (6 MB at the
-    paper's 1024 x 729, 82 MB at the 10^4 design guard) and is built
-    here, not shared, so that pool jobs are not sent it.
+    design matrix ``z_te``.  The latter holds n_test x f^N floats (6 MB at
+    the paper's 1024 x 729, 82 MB at the 10^4 design guard); a serial scan
+    builds it once, and when it is None (a pool job) it is built here.
     """
     fmap = cfg.feature_map()
     spec = cfg.target_spec(eps)
@@ -223,10 +234,13 @@ def _regression_fits(cfg, eps, ntr, chi_values, rep, test_set, phi_te):
     y_te = frame_labels(test_set, train_set)
     system = build_design_system(phi_tr, y_tr, cfg.ridge)
     full = solve_full_weight(system)
-    models = [compress(full, chi)[0] for chi in chi_values]
+    memo = {}
+    models = [compress(full, chi, memo)[0] for chi in chi_values]
     stack = np.stack([w.to_full_tensor().ravel() for w in models], axis=1)
     pred_tr = system.z @ stack
-    pred_te = design_matrix(phi_te) @ stack
+    if z_te is None:
+        z_te = design_matrix(phi_te)
+    pred_te = z_te @ stack
     training = cfg.method in (DMRG, BOTH)
     if training:
         val_set = generate_dataset(spec, cfg.n_test,
@@ -257,10 +271,11 @@ def _regression_fits(cfg, eps, ntr, chi_values, rep, test_set, phi_te):
         yield row, w, trace
 
 
-def _regression_replicate(cfg, eps, ntr, chi_values, rep, test_set, phi_te):
+def _regression_replicate(cfg, eps, ntr, chi_values, rep, test_set, phi_te,
+                          z_te):
     """All bond dimensions for one training replicate. Returns row dicts."""
     return [row for row, _, _ in _regression_fits(
-        cfg, eps, ntr, chi_values, rep, test_set, phi_te)]
+        cfg, eps, ntr, chi_values, rep, test_set, phi_te, z_te)]
 
 
 def _map_replicates(cfg, worker, jobs):

@@ -125,10 +125,13 @@ class MPS:
             size *= self.label_dim
         if size > FULL_TENSOR_GUARD:
             raise CapacityError(f"full tensor would have {size} entries")
-        full = np.ones((1, 1))  # axes: (phys..., right-bond)
-        for core in self.cores:
-            full = np.tensordot(full, core, axes=(full.ndim - 1, 0))
-        full = full.reshape(full.shape[1:-1])
+        # one GEMM per core on the (phys..., right-bond) chain, flattened
+        full = self.cores[0].reshape(-1, self.cores[0].shape[-1])
+        for core in self.cores[1:]:
+            full = np.dot(full.reshape(-1, core.shape[0]),
+                          core.reshape(core.shape[0], -1))
+        full = full.reshape(
+            [d for core in self.cores for d in core.shape[1:-1]])
         if self.label_site is not None:
             # move the label axis to the end
             full = np.moveaxis(full, self.label_site + 1, -1)
@@ -219,11 +222,19 @@ def canonicalize(w: MPS, center: int) -> MPS:
     return MPS(cores, label_site=w.label_site, gauge=GAUGE_MIXED, center=center)
 
 
-def compress(t: np.ndarray, max_bond: int):
+def compress(t: np.ndarray, max_bond: int, memo=None):
     """Sweep a dense (f, ..., f) tensor into an MPS by sequential SVDs.
 
     Returns (mps, discarded) where discarded[j] is the squared-weight lost
     at bond j; ||t - t~||_F^2 <= sum(discarded).
+
+    ``memo`` (a dict the caller owns, bound to ``t`` by its first use)
+    shares SVDs between compressions of one tensor at different
+    ``max_bond``.  The matrix split at bond j is fixed by the ranks kept
+    at bonds 0..j-1, so the memo maps that tuple of ranks to the bond's
+    untruncated ``svd_truncate`` result, and each call truncates it to
+    its own cap.  Every result equals the memo-free one bit for bit.
+    Passing the memo with another tensor raises ValueError.
     """
     t = np.asarray(t, dtype=np.float64)
     n = t.ndim
@@ -232,17 +243,29 @@ def compress(t: np.ndarray, max_bond: int):
         raise DimensionMismatchError(f"expected uniform extents, got shape {t.shape}")
     if max_bond < 1:
         raise ValueError(f"max_bond must be >= 1, got {max_bond}")
+    if memo is not None:
+        if None not in memo:
+            memo[None] = t.copy()
+        elif not np.array_equal(memo[None], t):
+            raise ValueError("memo is bound to another tensor")
     cores = []
     discarded = np.zeros(max(n - 1, 0))
     remainder = t.reshape(1, -1)
     left = 1
+    ranks = ()
     for j in range(n - 1):
         mat = remainder.reshape(left * f, -1)
-        res = svd_truncate(mat, max_bond)
+        if memo is None:
+            res = svd_truncate(mat, max_bond)
+        else:
+            if ranks not in memo:
+                memo[ranks] = svd_truncate(mat)
+            res = memo[ranks].truncate(max_bond)
         cores.append(res.left_factor.reshape(left, f, res.rank))
         discarded[j] = res.discarded_weight
         remainder = res.singular_values[:, None] * res.right_factor
         left = res.rank
+        ranks += (left,)
     cores.append(remainder.reshape(left, f, 1))
     return MPS(cores, gauge=GAUGE_MIXED, center=n - 1), discarded
 

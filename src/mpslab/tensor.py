@@ -19,7 +19,8 @@ class SvdResult:
     """Truncated SVD m ~ left_factor @ diag(singular_values) @ right_factor.
 
     ``discarded_weight`` is the sum of squares of the dropped singular
-    values, i.e. the squared Frobenius error of the reconstruction.
+    values, i.e. the squared Frobenius error of the reconstruction (0 for
+    the untruncated SVD that ``svd_truncate(m)`` returns).
     """
 
     left_factor: np.ndarray
@@ -30,6 +31,28 @@ class SvdResult:
     @property
     def rank(self) -> int:
         return len(self.singular_values)
+
+    def truncate(self, max_rank: int) -> "SvdResult":
+        """Keep at most ``max_rank`` leading triples.
+
+        Triples with sigma_k <= max(m.shape) * eps * sigma_0 (numerical
+        zeros) are dropped as well; at least one is always retained so
+        downstream bond extents stay >= 1.  The dropped squared weight is
+        added to ``discarded_weight``.
+        """
+        s = self.singular_values
+        weights = s**2
+        rank_tol = (max(self.left_factor.shape[0], self.right_factor.shape[1])
+                    * np.finfo(np.float64).eps * (s[0] if len(s) else 0.0))
+        keep = min(int(np.count_nonzero(weights > 0.0)),
+                   int(np.count_nonzero(s > rank_tol)))
+        keep = max(1, min(keep, max_rank))
+        return SvdResult(
+            left_factor=self.left_factor[:, :keep],
+            singular_values=s[:keep],
+            right_factor=self.right_factor[:keep, :],
+            discarded_weight=self.discarded_weight + float(weights[keep:].sum()),
+        )
 
 
 def row_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -56,35 +79,27 @@ def row_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(t, m * n)
 
 
-def svd_truncate(m: np.ndarray, max_rank: int, cutoff: float = 0.0) -> SvdResult:
-    """SVD of matrix ``m`` keeping at most ``max_rank`` singular triples.
+def svd_truncate(m: np.ndarray, max_rank: int | None = None) -> SvdResult:
+    """SVD of matrix ``m``, truncated to at most ``max_rank`` singular
+    triples by ``SvdResult.truncate``.
 
-    Singular values with sigma_k^2 <= cutoff * sum(sigma^2) are dropped as
-    well (cutoff=0 drops only exact zeros).  At least one triple is always
-    retained so downstream bond extents stay >= 1.
+    With ``max_rank=None`` the result is untruncated: every triple of the
+    thin SVD, nothing discarded.  ``svd_truncate(m).truncate(k)`` then
+    equals ``svd_truncate(m, k)`` bit for bit, so one SVD serves every
+    cap.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise DimensionMismatchError(f"expected a matrix, got shape {m.shape}")
-    if max_rank < 1:
+    if max_rank is not None and max_rank < 1:
         raise ValueError(f"max_rank must be >= 1, got {max_rank}")
     if not np.all(np.isfinite(m)):
         raise FloatingPointError("matrix has non-finite entries")
 
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    weights = s**2
-    total = weights.sum()
-    keep = int(np.count_nonzero(weights > cutoff * total))
-    rank_tol = max(m.shape) * np.finfo(np.float64).eps * (s[0] if len(s) else 0.0)
-    keep = min(keep, int(np.count_nonzero(s > rank_tol)))
-    keep = max(1, min(keep, max_rank))
-    discarded = float(weights[keep:].sum())
-    return SvdResult(
-        left_factor=u[:, :keep],
-        singular_values=s[:keep],
-        right_factor=vt[:keep, :],
-        discarded_weight=discarded,
-    )
+    full = SvdResult(left_factor=u, singular_values=s, right_factor=vt,
+                     discarded_weight=0.0)
+    return full if max_rank is None else full.truncate(max_rank)
 
 
 def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:

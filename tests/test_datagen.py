@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mpslab.datagen import (Dataset, TargetSpec, _haar_orthogonal,
-                            add_label_noise, build_nilpotent,
+                            _target_mps, add_label_noise, build_nilpotent,
                             build_target_mps, generate_dataset,
                             normalize_labels, sample_features,
                             save_dataset_csv)
@@ -196,6 +196,22 @@ class TestGenerateDataset:
         b = build_target_mps(spec)
         for ca, cb in zip(a.cores, b.cores):
             np.testing.assert_array_equal(ca, cb)
+
+    def test_cached_target_read_only_and_bitwise(self):
+        """Datasets share one read-only target per spec and are labelled
+        as by a freshly built one, bit for bit."""
+        spec = TargetSpec(epsilon=0.4, seed=3)
+        d = generate_dataset(spec, 50, seed=8)
+        target = _target_mps(spec)
+        assert _target_mps(TargetSpec(epsilon=0.4, seed=3)) is target
+        assert not any(core.flags.writeable for core in target.cores)
+        with pytest.raises(ValueError):
+            target.cores[0][0, 0, 0] = 1.0
+        raw = build_target_mps(spec).evaluate_batch(
+            featurize_batch(FeatureMap(dim=spec.phys_dim), d.features))
+        labels, mean, std = normalize_labels(raw)
+        np.testing.assert_array_equal(d.labels, labels)
+        assert (d.label_mean, d.label_std) == (mean, std)
 
     def test_unnormalized_std_grows_with_epsilon(self):
         lo = generate_dataset(TargetSpec(epsilon=0.3, seed=0), 500, seed=9)

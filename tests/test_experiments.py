@@ -16,7 +16,8 @@ from mpslab import cli, experiments
 from mpslab.datagen import generate_dataset
 from mpslab.dmrg import MSE, TrainConfig, data_loss, frame_labels, train
 from mpslab.errors import ScanAbortedError
-from mpslab.exact import build_design_system, solve_full_weight
+from mpslab.exact import (build_design_system, design_matrix,
+                          solve_full_weight)
 from mpslab.experiments import (TEST_SEED_OFFSET, VAL_SEED_OFFSET,
                                 ExperimentConfig, ScanResult,
                                 config_from_dict, emit_outputs,
@@ -260,6 +261,20 @@ class TestEmit:
         np.testing.assert_array_equal(serial.mean, parallel.mean)
         assert serial.raw_rows == parallel.raw_rows
 
+    def test_parallel_jobs_match_serial_every_chi(self):
+        """Over chi 2..27 the SVD memo shares work at three bonds; a serial
+        scan builds the test design once, while pool jobs are not sent it
+        and build their own."""
+        cfg = dataclasses.replace(TINY, chi_list=tuple(range(2, 28)),
+                                  replicates=2)
+        _, phi_te, z_te = experiments._shared_test_set(cfg, 0.3)
+        np.testing.assert_array_equal(z_te, design_matrix(phi_te))
+        pool = dataclasses.replace(cfg, jobs=2)
+        assert experiments._shared_test_set(pool, 0.3)[2] is None
+        serial, parallel = run_bond_scan(cfg), run_bond_scan(pool)
+        assert len(serial.raw_rows) == 2 * 26
+        assert serial.raw_rows == parallel.raw_rows
+
 
 class TestMnistScans:
     @pytest.fixture()
@@ -315,11 +330,12 @@ class TestConfig:
             ExperimentConfig(chi_list=()).validate()
         with pytest.raises(ValueError):
             run_scan(ExperimentConfig(), axis="eps")
-        # every grid value's target and the feature map, before any scan
-        for fields, message in ((dict(eps_list=(0.3, 1.5)), "epsilon"),
-                                (dict(chi_target=1), "chi_target"),
-                                (dict(phys_dim=1), "feature dimension"),
-                                (dict(n_sites=0), "at least one site")):
+        # every grid value's target and the feature map, before any scan;
+        # each error names the config field
+        for fields, message in ((dict(eps_list=(0.3, 1.5)), "^eps_list"),
+                                (dict(chi_target=1), "^chi_target"),
+                                (dict(phys_dim=1), "^phys_dim"),
+                                (dict(n_sites=0), "^n_sites")):
             with pytest.raises(ValueError, match=message):
                 ExperimentConfig(**fields).validate()
 
@@ -423,6 +439,11 @@ class TestCli:
         (["--eps", "0.3,0.3000001"], "0.3000001"),
         # the first value is valid, the second fails before its scan
         (["--eps", "0.3,1.5"], "1.5"),
+        # the target family's bounds name their fields
+        (["--config", "phys_dim1.json"], "error: phys_dim"),
+        (["--config", "n_sites0.json"], "error: n_sites"),
+        (["--config", "chi_target1.json"], "error: chi_target"),
+        (["--eps", "0.3,1.5"], "error: eps_list"),
     ])
     def test_invalid_value_exits_2_before_any_job(self, flags, field,
                                                   tmp_path, monkeypatch,
@@ -441,6 +462,10 @@ class TestCli:
         (tmp_path / "n_test.json").write_text(json.dumps({"n_test": 1}))
         # 3 ** 10 features: past the inversion's design guard
         (tmp_path / "n_sites.json").write_text(json.dumps({"n_sites": 10}))
+        for name, value in (("phys_dim", 1), ("n_sites", 0),
+                            ("chi_target", 1)):
+            (tmp_path / f"{name}{value}.json").write_text(
+                json.dumps({name: value}))
         flags = [str(tmp_path / f) if f.endswith(".json") else f
                  for f in flags]
         code = cli.main(["scan", "--chi", "2,3", "--ntr", "40",

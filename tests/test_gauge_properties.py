@@ -6,10 +6,12 @@ and for truncations that discard nothing), the cores on each side of the
 center are orthonormal, bonds stay within their cap, and the
 ``compress`` error is at most its summed discarded weight.  Shapes cover
 N = 1, chi = 1 and a labeled core at the first and at the last site.
-Tolerances are relative to the squared norm of the tensor.
+Tolerances are relative to the squared norm of the tensor.  ``compress``
+with a shared SVD memo is held to the memo-free result bit for bit.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -156,3 +158,46 @@ def test_compress(cap, n, f, chi, seed):
     assert err <= discarded.sum() + TOL * norm2
     if cap >= chi:
         assert err <= TOL * norm2
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 6), f=st.sampled_from([2, 3]),
+       kind=st.sampled_from(["dense", "low_rank", "product"]),
+       order=st.sampled_from(["ascending", "descending", "shuffled"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=6, f=3, kind="dense", order="ascending", seed=0)
+@example(n=6, f=3, kind="low_rank", order="shuffled", seed=1)
+@example(n=5, f=2, kind="product", order="descending", seed=2)
+def test_compress_memo_bitwise(n, f, kind, order, seed):
+    """Compressions of one tensor sharing a memo, in any order of caps,
+    each equal the memo-free compression: cores and discarded weights."""
+    if kind == "dense":
+        t = np.random.default_rng(seed).standard_normal((f,) * n)
+    else:
+        t = chain(n, f, 2 if kind == "low_rank" else 1, None,
+                  seed).to_full_tensor()
+    chis = list(range(1, f ** (n // 2) + 2))
+    if order == "descending":
+        chis.reverse()
+    elif order == "shuffled":
+        np.random.default_rng(seed).shuffle(chis)
+    memo = {}
+    for chi in chis:
+        got, got_discarded = compress(t, chi, memo)
+        want, want_discarded = compress(t, chi)
+        assert got.bond_dims == want.bond_dims
+        for a, b in zip(got.cores, want.cores):
+            assert np.array_equal(a, b)
+        assert np.array_equal(got_discarded, want_discarded)
+
+
+def test_compress_memo_bound_to_one_tensor():
+    rng = np.random.default_rng(0)
+    t = rng.standard_normal((3,) * 4)
+    memo = {}
+    compress(t, 2, memo)
+    compress(t.copy(), 3, memo)  # equal values are the same tensor
+    with pytest.raises(ValueError, match="another tensor"):
+        compress(t + 1e-12, 2, memo)
+    with pytest.raises(ValueError, match="another tensor"):
+        compress(rng.standard_normal((3,) * 5), 2, memo)

@@ -87,6 +87,20 @@ class TestFullTensor:
         w = MPS([v1.reshape(1, 3, 1), v2.reshape(1, 3, 1)])
         np.testing.assert_allclose(w.to_full_tensor(), np.outer(v1, v2))
 
+    @pytest.mark.parametrize("label_site", [None, 0, 2, 4])
+    def test_matches_dense_einsum(self, label_site):
+        """One einsum over all cores, the label axis last."""
+        w = random_init(5, 3, 4, scale=0.5, seed=21, label_site=label_site,
+                        label_dim=None if label_site is None else 2)
+        terms = ["abcdef"[j] + "pqrst"[j] + ("z" * (j == label_site))
+                 + "abcdef"[j + 1] for j in range(5)]
+        out = "pqrst" + ("z" if label_site is not None else "")
+        want = np.einsum(",".join(terms) + "->" + out, *w.cores)
+        got = w.to_full_tensor()
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-13,
+                                   atol=1e-15 * np.abs(want).max())
+
     def test_capacity_guard(self):
         w = random_init(8, 10, 1, scale=1.0, seed=0)
         with pytest.raises(CapacityError):

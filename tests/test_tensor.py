@@ -43,15 +43,33 @@ class TestSvdTruncate:
     def test_full_rank_reconstructs(self):
         rng = np.random.default_rng(6)
         m = rng.standard_normal((9, 7))
-        res = svd_truncate(m, max_rank=9, cutoff=0.0)
+        res = svd_truncate(m, max_rank=9)
         approx = res.left_factor @ np.diag(res.singular_values) @ res.right_factor
         np.testing.assert_allclose(approx, m, rtol=0,
                                    atol=1e-10 * np.linalg.norm(m))
 
-    def test_cutoff_drops_small_triples(self):
-        m = np.diag([10.0, 1.0, 1e-9])
-        res = svd_truncate(m, max_rank=3, cutoff=1e-12)
+
+    def test_numerical_zeros_dropped(self):
+        res = svd_truncate(np.diag([10.0, 1.0, 1e-17]), max_rank=3)
         assert res.rank == 2
+        assert res.discarded_weight == pytest.approx(1e-34)
+
+    def test_untruncated_slices_bitwise(self):
+        """One SVD serves every cap: truncating the untruncated result
+        equals ``svd_truncate`` at that cap bit for bit."""
+        rng = np.random.default_rng(7)
+        m = rng.standard_normal((9, 27)) @ np.diag(
+            np.r_[np.ones(6), np.zeros(21)]) @ rng.standard_normal((27, 27))
+        full = svd_truncate(m)
+        assert full.rank == 9 and full.discarded_weight == 0.0
+        for cap in range(1, 11):
+            got, want = full.truncate(cap), svd_truncate(m, cap)
+            assert got.rank == want.rank == min(cap, 6)
+            for a, b in ((got.left_factor, want.left_factor),
+                         (got.singular_values, want.singular_values),
+                         (got.right_factor, want.right_factor)):
+                assert np.array_equal(a, b)
+            assert got.discarded_weight == want.discarded_weight
 
     def test_nonfinite_raises(self):
         with pytest.raises(FloatingPointError):
