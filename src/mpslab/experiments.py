@@ -12,7 +12,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .classify import (corrupt_labels, load_idx, preprocess, subset,
@@ -514,7 +513,6 @@ def write_manifest(cfg: ExperimentConfig, path, scans) -> None:
         "seconds": sum(scan.seconds for scan in scans),
         "environment": {
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "blas": f"{blas['name']} {blas.get('version', '')}".strip(),
         },
         "conventions": {

@@ -1,7 +1,7 @@
 """Minimal self-contained SVG line plots with shaded uncertainty bands."""
 
+import html
 import math
-from xml.sax.saxutils import escape
 
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 50
@@ -26,6 +26,11 @@ def _ticks(lo, hi, n=5):
         ticks.append(round(t, 12))
         t += step
     return ticks
+
+
+def _escape(text):
+    """Escape &, < and > for SVG text content; quotes are left as they are."""
+    return html.escape(text, quote=False)
 
 
 def line_plot(path, series, title="", xlabel="", ylabel="", logy=False):
@@ -72,7 +77,7 @@ def line_plot(path, series, title="", xlabel="", ylabel="", logy=False):
         f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH / 2}" y="24" text-anchor="middle" '
-        f'font-size="15" font-family="sans-serif">{escape(title)}</text>',
+        f'font-size="15" font-family="sans-serif">{_escape(title)}</text>',
     ]
 
     # axes and ticks
@@ -99,11 +104,11 @@ def line_plot(path, series, title="", xlabel="", ylabel="", logy=False):
             f'font-size="11" font-family="sans-serif">{label}</text>')
     parts.append(
         f'<text x="{(x0 + x1) / 2}" y="{HEIGHT - 12}" text-anchor="middle" '
-        f'font-size="13" font-family="sans-serif">{escape(xlabel)}</text>')
+        f'font-size="13" font-family="sans-serif">{_escape(xlabel)}</text>')
     parts.append(
         f'<text x="18" y="{(y0 + y1) / 2}" text-anchor="middle" font-size="13" '
         f'font-family="sans-serif" transform="rotate(-90 18 {(y0 + y1) / 2})">'
-        f'{escape(ylabel)}</text>')
+        f'{_escape(ylabel)}</text>')
 
     for k, s in enumerate(series):
         color = s.get("color", PALETTE[k % len(PALETTE)])
@@ -126,7 +131,7 @@ def line_plot(path, series, title="", xlabel="", ylabel="", logy=False):
                 f'stroke="{color}" stroke-width="1.8"/>')
             parts.append(
                 f'<text x="{x1 - 100}" y="{ly + 4}" font-size="11" '
-                f'font-family="sans-serif">{escape(str(s["label"]))}</text>')
+                f'font-family="sans-serif">{_escape(str(s["label"]))}</text>')
 
     parts.append("</svg>")
     with open(path, "w") as fh:

@@ -5,11 +5,10 @@ Tensors are plain float64 numpy arrays in C (row-major) order; every other
 module builds on the three operations here.
 """
 
-import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatchError, SingularMatrixError
 
@@ -32,6 +31,18 @@ class SvdResult:
     def rank(self) -> int:
         return len(self.singular_values)
 
+    @cached_property
+    def _keep_rule(self) -> tuple[np.ndarray, int]:
+        """(squared singular values, count of non-negligible triples),
+        derived once per result however many caps truncate it."""
+        s = self.singular_values
+        weights = s**2
+        rank_tol = (max(self.left_factor.shape[0], self.right_factor.shape[1])
+                    * np.finfo(np.float64).eps * (s[0] if len(s) else 0.0))
+        nonzero = min(int(np.count_nonzero(weights > 0.0)),
+                      int(np.count_nonzero(s > rank_tol)))
+        return weights, nonzero
+
     def truncate(self, max_rank: int) -> "SvdResult":
         """Keep at most ``max_rank`` leading triples.
 
@@ -40,16 +51,11 @@ class SvdResult:
         downstream bond extents stay >= 1.  The dropped squared weight is
         added to ``discarded_weight``.
         """
-        s = self.singular_values
-        weights = s**2
-        rank_tol = (max(self.left_factor.shape[0], self.right_factor.shape[1])
-                    * np.finfo(np.float64).eps * (s[0] if len(s) else 0.0))
-        keep = min(int(np.count_nonzero(weights > 0.0)),
-                   int(np.count_nonzero(s > rank_tol)))
-        keep = max(1, min(keep, max_rank))
+        weights, nonzero = self._keep_rule
+        keep = max(1, min(nonzero, max_rank))
         return SvdResult(
             left_factor=self.left_factor[:, :keep],
-            singular_values=s[:keep],
+            singular_values=self.singular_values[:keep],
             right_factor=self.right_factor[:keep, :],
             discarded_weight=self.discarded_weight + float(weights[keep:].sum()),
         )
@@ -103,7 +109,12 @@ def svd_truncate(m: np.ndarray, max_rank: int | None = None) -> SvdResult:
 
 
 def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ w = b for a square matrix ``a`` via LU factorization."""
+    """Solve a @ w = b for a square matrix ``a`` by LU factorization with
+    partial pivoting (LAPACK gesv through ``np.linalg.solve``).
+
+    Non-finite entries in ``a`` or ``b`` raise ValueError before the
+    factorization; an exactly zero pivot raises SingularMatrixError.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -112,10 +123,10 @@ def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"matrix is {a.shape} but right-hand side has length {b.shape[0]}"
         )
-    with warnings.catch_warnings():
-        # scipy warns on an exactly-zero pivot; we raise instead
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=True)
-    if np.any(np.diag(lu) == 0.0):
-        raise SingularMatrixError("exactly singular matrix in LU factorization")
-    return scipy.linalg.lu_solve((lu, piv), b)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(
+            "exactly singular matrix in LU factorization") from exc

@@ -244,7 +244,7 @@ class TestEmit:
         assert manifest["failures"] == 0
         assert manifest["seconds"] == scan.seconds > 0.0
         assert manifest["environment"]["numpy"] == np.__version__
-        assert set(manifest["environment"]) == {"numpy", "scipy", "blas"}
+        assert set(manifest["environment"]) == {"numpy", "blas"}
 
     def test_manifest_rerun_bitwise(self, tmp_path):
         scan = run_bond_scan(TINY)

@@ -1,6 +1,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpslab.errors import DimensionMismatchError, SingularMatrixError
 from mpslab.tensor import solve_linear, svd_truncate
@@ -114,3 +116,31 @@ class TestSolveLinear:
             a = g @ g.T + 20 * np.eye(20)
             b = rng.standard_normal(20)
             np.testing.assert_allclose(a @ solve_linear(a, b), b, rtol=1e-8)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_matrix_raises(self, bad):
+        a = np.eye(3)
+        a[1, 2] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_linear(a, np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rhs_raises(self, bad):
+        b = np.ones(3)
+        b[0] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_linear(np.eye(3), b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_well_conditioned_residual(n, seed):
+    """a = Q1 diag(s) Q2 with s in [1, 10] (condition <= 10): the LU
+    solution's residual is roundoff relative to b."""
+    rng = np.random.default_rng(seed)
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = (q1 * rng.uniform(1.0, 10.0, n)) @ q2
+    b = rng.standard_normal(n)
+    x = solve_linear(a, b)
+    assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
