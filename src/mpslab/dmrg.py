@@ -11,9 +11,11 @@ its first trial step:
   center core.  Each line search starts from the exact step along the
   direction, carries the model outputs (linear in the core) instead of
   applying the trial cores, and every reduction is one BLAS dot product.
-  Every environment operation is a GEMM.  These reductions round
-  differently from numpy's pairwise sums, so training agrees with
-  earlier versions to roundoff, not bit for bit.
+  The outputs also carry from site to site, since a QR regauge leaves
+  the model unchanged, and give the training loss of each sweep.  Every
+  environment operation is a GEMM.  These reductions round differently
+  from numpy's pairwise sums, so training agrees with earlier versions
+  to roundoff, not bit for bit.
 - Cross-entropy (labeled classifier): Armijo backtracking from
   min(1, 4 x the last accepted step), with numpy's pairwise reductions
   and einsum steps, so its training is bit for bit what it always was.
@@ -121,7 +123,7 @@ class EnvironmentCache:
     On an unlabeled chain every operation is a GEMM on the local block
     X_c = row_outer(L_c, phi_c) of shape (T, chi_l*f): the outputs are the
     row-wise dot of X_c @ core.reshape(chi_l*f, chi_r) with R_c, the
-    gradient is X_c.T @ (coeffs * R_c), and moving right makes
+    gradient is ((R_c^T * coeffs) @ X_c)^T, and moving right makes
     L_{c+1} = X_c @ core.reshape(chi_l*f, chi_r) from the same block.
     Environments are built and moved by ``mps.left_step``/``right_step``,
     the steps of ``MPS.evaluate_batch``; they agree with the einsum
@@ -135,8 +137,8 @@ class EnvironmentCache:
     classifier sweep's training is chaotic under roundoff, so these
     operations keep numpy's exact pairwise steps.
 
-    Products of L_c, phi_c and R_c (X_c, the memoized einsum steps) live
-    in a per-center memo that every move drops.
+    Products of L_c, phi_c and R_c (X_c, R_c^T, the memoized einsum
+    steps) live in a per-center memo that every move drops.
     """
 
     def __init__(self, cores, phi, label_site=None, center=0):
@@ -195,18 +197,25 @@ class EnvironmentCache:
         self.center = c - 1
 
     def _local_block(self) -> np.ndarray:
-        """X_c = row_outer(L_c, phi_c), shape (T, chi_l*f)."""
-        c = self.center
-        return _memo_block(self._memo, self.left[c], self.phi[:, c])
+        """X_c = row_outer(L_c, phi_c), shape (T, chi_l*f); a memo hit
+        reads no slice of phi."""
+        block = self._memo.get("X")
+        if block is None:
+            c = self.center
+            block = _memo_block(self._memo, self.left[c], self.phi[:, c])
+        return block
 
     def apply(self, core) -> np.ndarray:
         """Model outputs with ``core`` in the center slot: (T,) or (T, C)."""
         c = self.center
         lenv, renv = self.left[c], self.right[c + 1]
         if self.label_site is None:
-            # row-wise dot with R_c, summed by a GEMV
-            rows = left_step(self._local_block(), core) * renv
-            return rows @ np.ones(rows.shape[1])
+            # row-wise dot with R_c, summed by a GEMV.  On these small
+            # blocks ndarray.dot, the same BLAS call as @, costs less per
+            # call than the matmul ufunc.
+            rows = self._local_block().dot(core.reshape(-1, core.shape[-1]))
+            rows *= renv
+            return rows.dot(_ones(rows.shape[1]))
         spec = (f"{_env_term('l', lenv)},{_core_term(core)},tf,"
                 f"{_env_term('r', renv)}->tc")
         return _contract(spec, (lenv, core, self.phi[:, c], renv), 1,
@@ -217,7 +226,12 @@ class EnvironmentCache:
         c = self.center
         lenv, renv = self.left[c], self.right[c + 1]
         if self.label_site is None:
-            grad = self._local_block().T @ (coeffs[:, None] * renv)
+            # ((R_c^T * coeffs) @ X_c)^T: the per-sample scaling runs along
+            # the rows of R_c^T, laid out once per center
+            renv_t = self._memo.get("RT")
+            if renv_t is None:
+                renv_t = self._memo["RT"] = np.ascontiguousarray(renv.T)
+            grad = (renv_t * coeffs).dot(self._local_block()).T
             return grad.reshape(lenv.shape[1], self.phi.shape[2],
                                 renv.shape[1])
         cterm = "lfcr" if c == self.label_site else "lfr"
@@ -336,6 +350,14 @@ def _row_indices(t: int) -> np.ndarray:
     return rows
 
 
+@functools.lru_cache(maxsize=64)
+def _ones(n: int) -> np.ndarray:
+    """Read-only np.ones(n), the vector a row-sum GEMV multiplies by."""
+    ones = np.ones(n)
+    ones.flags.writeable = False
+    return ones
+
+
 def output_grad_coeffs(outputs: np.ndarray, y: np.ndarray, kind: str) -> np.ndarray:
     """d(data term)/d(outputs), already divided by the sample count.
 
@@ -356,19 +378,22 @@ def output_grad_coeffs(outputs: np.ndarray, y: np.ndarray, kind: str) -> np.ndar
     return g / t
 
 
-def site_loss(cache: EnvironmentCache, core, y, kind, ridge, outputs=None):
+def site_loss(cache: EnvironmentCache, core, y, kind, ridge, outputs=None,
+              residual=None):
     """(training objective, model outputs) with ``core`` in the center
     slot (mixed gauge); ``site_gradient`` at that core takes the outputs.
 
     ``outputs``, when given, are the model outputs at ``core`` already
-    (carried along a search line), so ``cache.apply`` is skipped.  The
-    MSE objective is 0.5 |r|^2 / T + 0.5 ridge |core|^2 in BLAS dot
-    products; it equals ``data_loss`` plus the ridge term to roundoff.
+    (carried along a search line or from the previous site), so
+    ``cache.apply`` is skipped.  The MSE objective is 0.5 |r|^2 / T +
+    0.5 ridge |core|^2 in BLAS dot products, with r = outputs - y (or
+    ``residual``, when the caller has it); it equals ``data_loss`` plus
+    the ridge term to roundoff.
     """
     if outputs is None:
         outputs = cache.apply(core)
     if kind == MSE:
-        r = outputs - y
+        r = outputs - y if residual is None else residual
         value = 0.5 * np.vdot(r, r) / len(r)
     else:
         value = data_loss(outputs, y, kind)
@@ -386,39 +411,73 @@ def _site_dot(kind: str):
 
 
 def site_gradient(cache: EnvironmentCache, core, outputs, y, kind,
-                  ridge) -> np.ndarray:
-    """Gradient of the objective at ``core`` from its ``site_loss`` outputs."""
-    grad = cache.grad_from_output_coeffs(output_grad_coeffs(outputs, y, kind))
+                  ridge, residual=None) -> np.ndarray:
+    """Gradient of the objective at ``core`` from its ``site_loss``
+    outputs; an MSE ``residual`` outputs - y, when given, is used as is."""
+    if residual is None:
+        coeffs = output_grad_coeffs(outputs, y, kind)
+    else:
+        coeffs = residual / len(residual)
+    grad = cache.grad_from_output_coeffs(coeffs)
     if ridge:
         grad = grad + ridge * core
     return grad
 
 
-def optimize_site(cache: EnvironmentCache, core, y, config: TrainConfig):
+@dataclass(frozen=True)
+class SiteUpdate:
+    """The result of one ``optimize_site`` call.
+
+    It unpacks as (core, objective, stalled, step_sum, accepted, trials).
+    ``outputs`` are the model outputs at ``core``; a QR regauge leaves
+    the model unchanged, so the next site's solve can start from them.
+    """
+
+    core: np.ndarray
+    objective: float
+    stalled: bool
+    step_sum: float
+    accepted: int
+    trials: int
+    outputs: np.ndarray
+
+    def __iter__(self):
+        return iter((self.core, self.objective, self.stalled, self.step_sum,
+                     self.accepted, self.trials))
+
+
+def optimize_site(cache: EnvironmentCache, core, y, config: TrainConfig,
+                  outputs=None) -> SiteUpdate:
     """Polak-Ribiere (PR+) CG on the center core, at most
     ``config.cg_steps`` steps, each accepted by an Armijo line search.
 
-    Returns (new_core, final_objective, stalled, step_sum, accepted,
-    trials): the summed step lengths alpha of the accepted CG steps, their
-    number, and the line-search objective evaluations.  The objective
-    never increases: a failed line search keeps the old core.  The loss
-    picks the reductions (``_site_dot``) and the first trial step: for
-    MSE the exact minimizer along d (``_initial_step``), carrying trial
-    outputs out + alpha * dv, linear in the core; for cross-entropy
-    min(1, 4 x the last accepted step), applying every trial core.
+    ``outputs``, when given, are the model outputs at ``core`` (carried
+    from the previous site), so the solve starts without an apply.
+    Returns a ``SiteUpdate``: the new core, its objective and outputs,
+    the stalled flag, the summed step lengths alpha of the accepted CG
+    steps, their number, and the line-search objective evaluations.  The
+    objective never increases: a failed line search keeps the old core.
+
+    The loss picks the reductions (``_site_dot``), the PR+ numerator and
+    the first trial step.  MSE: the exact minimizer along d
+    (``_initial_step``); trials carry the outputs out + alpha * dv,
+    linear in the core, and their residual, which the gradient reuses;
+    the numerator is |g_new|^2 - g_new.g, with |g_new|^2 kept for the
+    next step.  Cross-entropy: min(1, 4 x the last accepted step),
+    applying every trial core, and the numerator g_new.(g_new - g).
     """
     kind, ridge = config.loss_kind, config.ridge
     quadratic = kind == MSE
     dot = _site_dot(kind)
-    f0, out = site_loss(cache, core, y, kind, ridge)
+    f0, out = site_loss(cache, core, y, kind, ridge, outputs)
     g = site_gradient(cache, core, out, y, kind, ridge)
+    gnorm2 = dot(g, g)
     d = -g
     stalled = False
     accepted = trials = 0
     step_sum = 0.0
     alpha = 1.0
     for _ in range(config.cg_steps):
-        gnorm2 = dot(g, g)
         if gnorm2 <= 1e-28 * max(1.0, abs(f0)):
             break
         g_dot_d = dot(g, d)
@@ -434,8 +493,11 @@ def optimize_site(cache: EnvironmentCache, core, y, config: TrainConfig):
         for _ in range(MAX_HALVINGS + 1):
             trials += 1
             candidate = core + alpha * d
-            f1, out1 = site_loss(cache, candidate, y, kind, ridge,
-                                 out + alpha * dv if quadratic else None)
+            out1 = res1 = None
+            if quadratic:  # the outputs are linear in the core
+                out1 = out + alpha * dv
+                res1 = out1 - y
+            f1, out1 = site_loss(cache, candidate, y, kind, ridge, out1, res1)
             if f1 <= f0 + ARMIJO_C * alpha * g_dot_d:
                 break
             alpha *= 0.5
@@ -445,11 +507,15 @@ def optimize_site(cache: EnvironmentCache, core, y, config: TrainConfig):
         accepted += 1
         step_sum += alpha
         core, f0, out = candidate, f1, out1
-        g_new = site_gradient(cache, core, out, y, kind, ridge)
-        beta = max(0.0, dot(g_new, g_new - g) / gnorm2)
-        d = beta * d - g_new
-        g = g_new
-    return core, f0, stalled, step_sum, accepted, trials
+        g_new = site_gradient(cache, core, out, y, kind, ridge, res1)
+        gnorm2_new = dot(g_new, g_new)
+        if quadratic:
+            beta = (gnorm2_new - dot(g_new, g)) / gnorm2
+        else:
+            beta = dot(g_new, g_new - g) / gnorm2
+        d = max(0.0, beta) * d - g_new
+        g, gnorm2 = g_new, gnorm2_new
+    return SiteUpdate(core, f0, stalled, step_sum, accepted, trials, out)
 
 
 def _initial_step(cache, d, g_dot_d, ridge):
@@ -475,6 +541,12 @@ def train_arrays(w0: MPS, phi_tr, y_tr, phi_val=None, y_val=None,
     updating the environment cache incrementally.  Returns the checkpointed
     model and the complete TrainTrace.  Squared error trains a chain
     without a label site, cross-entropy one with a label site.
+
+    Squared error carries the model outputs on the training set from each
+    site's solve to the next (a regauge leaves them unchanged) and takes
+    its training loss from them.  Cross-entropy, whose training is
+    roundoff-chaotic, starts every solve from a fresh apply and evaluates
+    the training set after each sweep.
     """
     if (config.loss_kind == CROSS_ENTROPY) != (w0.label_site is not None):
         need = "a" if config.loss_kind == CROSS_ENTROPY else "no"
@@ -491,11 +563,12 @@ def train_arrays(w0: MPS, phi_tr, y_tr, phi_val=None, y_val=None,
     best_val = np.inf
     best_cores = None
 
-    def record(sweep, elapsed, objective, accepted=0, step_sum=0.0,
+    def record(sweep, elapsed, objective, out_tr, accepted=0, step_sum=0.0,
                trials=0, optimize_s=0.0, move_s=0.0):
         started = time.perf_counter()
         model = MPS(cores, label_site=label_site)
-        out_tr = model.evaluate_batch(phi_tr)
+        if out_tr is None:
+            out_tr = model.evaluate_batch(phi_tr)
         trace.sweeps.append(sweep)
         trace.train_loss.append(data_loss(out_tr, y_tr, config.loss_kind))
         trace.objective.append(objective)
@@ -524,10 +597,6 @@ def train_arrays(w0: MPS, phi_tr, y_tr, phi_val=None, y_val=None,
         trace.evaluate_seconds.append(
             time.perf_counter() - started if sweep else 0.0)
 
-    def objective_now():
-        return site_loss(cache, cores[cache.center], y_tr, config.loss_kind,
-                         config.ridge)[0]
-
     def checkpoint(sweep):
         nonlocal best_val, best_cores
         if trace.val_loss[-1] <= best_val:
@@ -536,7 +605,10 @@ def train_arrays(w0: MPS, phi_tr, y_tr, phi_val=None, y_val=None,
             best_cores = [c.copy() for c in cores]
 
     use_best = (config.checkpoint == "best_validation" and phi_val is not None)
-    record(0, 0.0, objective_now())
+    objective, outputs = site_loss(cache, cores[0], y_tr, config.loss_kind,
+                                   config.ridge)
+    carry = None if classifying else outputs
+    record(0, 0.0, objective, carry)
     if use_best:
         checkpoint(0)
 
@@ -548,19 +620,20 @@ def train_arrays(w0: MPS, phi_tr, y_tr, phi_val=None, y_val=None,
         step_sum = optimize_s = move_s = 0.0
         for site, direction in _sweep_plan(n):
             tick = time.perf_counter()
-            new_core, obj_new, stalled, alphas, steps, tries = optimize_site(
-                cache, cores[site], y_tr, config)
+            update = optimize_site(cache, cores[site], y_tr, config, carry)
             optimize_s += time.perf_counter() - tick
-            step_sum += alphas
-            accepted += steps
-            trials += tries
-            if stalled:
+            step_sum += update.step_sum
+            accepted += update.accepted
+            trials += update.trials
+            if update.stalled:
                 trace.stalls += 1
-            violation = obj_new - obj - 1e-12
+            violation = update.objective - obj - 1e-12
             if violation > trace.max_monotonicity_violation:
                 trace.max_monotonicity_violation = violation
-            cores[site] = new_core
-            obj = obj_new
+            cores[site] = update.core
+            obj = update.objective
+            if not classifying:
+                carry = update.outputs
             tick = time.perf_counter()
             if direction == "R":
                 _left_ortho_step(cores, site)
@@ -569,8 +642,8 @@ def train_arrays(w0: MPS, phi_tr, y_tr, phi_val=None, y_val=None,
                 _right_ortho_step(cores, site)
                 cache.move_left(cores[site])
             move_s += time.perf_counter() - tick
-        record(sweep, time.perf_counter() - started, obj, accepted, step_sum,
-               trials, optimize_s, move_s)
+        record(sweep, time.perf_counter() - started, obj, carry, accepted,
+               step_sum, trials, optimize_s, move_s)
         if use_best:
             checkpoint(sweep)
         if previous_objective - obj < config.sweep_tol:

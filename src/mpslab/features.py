@@ -42,7 +42,15 @@ def featurize_batch(fmap: FeatureMap, x: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError("feature matrix has non-finite entries")
     if fmap.kind == POLYNOMIAL:
-        return x[:, :, None] ** np.arange(fmap.dim)
+        # running products 1, x, x*x, (x*x)*x, ...: one multiply per
+        # column instead of a pow per entry, and the same bits on every
+        # host (pow(x, k) may be 1 ulp from the correctly rounded product)
+        out = np.empty(x.shape + (fmap.dim,))
+        out[:, :, 0] = 1.0
+        out[:, :, 1] = x
+        for k in range(2, fmap.dim):
+            np.multiply(out[:, :, k - 1], x, out=out[:, :, k])
+        return out
     if x.min() < 0.0 or x.max() > 1.0:
         raise ValueError("trigonometric map needs all features in [0, 1]")
     half_pi_x = 0.5 * np.pi * x

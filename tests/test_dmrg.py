@@ -245,17 +245,60 @@ class TestOptimizeSite:
             else:
                 assert counts["apply"] == counts["site_loss"]
 
+    def test_carried_start_applies_nothing(self, monkeypatch):
+        """Given the outputs at its start core (carried from the previous
+        site), the MSE solver applies once per exact step length only, and
+        ends where the solve from a fresh apply ends, to roundoff."""
+        applies = []
+        monkeypatch.setattr(
+            EnvironmentCache, "apply",
+            lambda cache, core, _fn=EnvironmentCache.apply: (
+                applies.append(1) or _fn(cache, core)))
+        steps = []
+
+        def counting(*args, _fn=dmrg._initial_step):
+            steps.append(1)
+            return _fn(*args)
+
+        monkeypatch.setattr(dmrg, "_initial_step", counting)
+        rng = np.random.default_rng(30)
+        w = random_init(5, 3, 3, scale=0.8, seed=31)
+        phi = featurize_batch(FMAP3, rng.standard_normal((40, 5)))
+        y = rng.standard_normal(40)
+        cfg = TrainConfig(cg_steps=5, ridge=1e-4)
+        for site in (0, 2, 4):
+            work, cache = make_cache(w, phi, site)
+            start = cache.apply(work.cores[site])
+            fresh = optimize_site(cache, work.cores[site], y, cfg)
+            applies.clear()
+            steps.clear()
+            carried = optimize_site(cache, work.cores[site], y, cfg, start)
+            assert carried.accepted >= 1
+            assert len(applies) == len(steps) == carried.accepted
+            scale = np.max(np.abs(fresh.core))
+            assert np.max(np.abs(carried.core - fresh.core)) <= 1e-12 * scale
+            assert carried.objective == pytest.approx(fresh.objective,
+                                                      rel=1e-12)
+            np.testing.assert_allclose(carried.outputs,
+                                       cache.apply(carried.core),
+                                       rtol=0, atol=1e-12 * np.max(
+                                           np.abs(carried.outputs)))
+
     def test_carried_outputs_match_apply(self, monkeypatch):
-        """The MSE line search's trial outputs out + alpha * dv equal the
-        outputs applied afresh at the trial core, also after Armijo
-        halvings (forced by an 8x overshoot of the exact step)."""
+        """The MSE line search's trial outputs out + alpha * dv, and their
+        residuals against y, equal the outputs applied afresh at the trial
+        core, also after Armijo halvings (forced by an 8x overshoot of the
+        exact step)."""
         seen = []
         real_loss, real_step = dmrg.site_loss, dmrg._initial_step
 
-        def recording(cache, core, y, kind, ridge, outputs=None):
+        def recording(cache, core, y, kind, ridge, outputs=None,
+                      residual=None):
             if outputs is not None:
-                seen.append((cache.apply(core), outputs))
-            return real_loss(cache, core, y, kind, ridge, outputs)
+                applied = cache.apply(core)
+                seen.append((applied, outputs))
+                seen.append((applied - y, residual))
+            return real_loss(cache, core, y, kind, ridge, outputs, residual)
 
         def overshoot(*args):
             alpha, dv = real_step(*args)
@@ -275,10 +318,38 @@ class TestOptimizeSite:
                 *_, accepted, trials = optimize_site(
                     cache, work.cores[site], y, cfg)
                 assert accepted == 5
-                assert trials == len(seen) == 5 * (1 + halvings)
+                assert 2 * trials == len(seen) == 10 * (1 + halvings)
                 for applied, carried in seen:
                     scale = np.max(np.abs(applied))
                     assert np.max(np.abs(carried - applied)) <= 1e-12 * scale
+
+
+class TestCarriedOutputs:
+    def test_train_loss_matches_evaluate_batch(self, monkeypatch):
+        """On the criterion-7 inputs at chi 6 (50 sweeps), the training
+        loss that squared error takes from its carried outputs stays
+        within 1e-10 of evaluate_batch on the trained cores at every
+        sweep.  Each sweep's record evaluates validation and test, one
+        evaluate_batch call each, and not the training set."""
+        spec = TargetSpec(n_sites=6, phys_dim=3, epsilon=0.3, seed=0)
+        d = generate_dataset(spec, 300, seed=1000)
+        val = generate_dataset(spec, 1024, seed=1000 + 2_000_003)
+        test = generate_dataset(spec, 1024, seed=1000 + 1_000_003)
+        w0 = inversion_and_compression(d, FMAP3, 1e-6, 6)
+        phi = featurize_batch(FMAP3, d.features)
+        fresh = []
+        evaluate = dmrg.MPS.evaluate_batch
+
+        def evaluating(model, phi_eval):
+            fresh.append(data_loss(evaluate(model, phi), d.labels, MSE))
+            return evaluate(model, phi_eval)
+
+        monkeypatch.setattr(dmrg.MPS, "evaluate_batch", evaluating)
+        cfg = TrainConfig(sweeps=50, cg_steps=5, ridge=1e-6, sweep_tol=0.0)
+        _, trace = train(w0, d, val, test, cfg)
+        assert 2 * len(trace.train_loss) == len(fresh) == 102
+        np.testing.assert_allclose(trace.train_loss, fresh[::2], rtol=1e-10,
+                                   atol=0.0)
 
 
 class TestTraceCounters:

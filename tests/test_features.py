@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpslab.features import (POLYNOMIAL, FeatureMap, featurize_batch,
                              full_feature_tensor)
@@ -111,3 +113,29 @@ def test_batch_agrees_with_single():
             np.testing.assert_allclose(batch[i, j],
                                        apply_scalar(fmap, x[i, j]),
                                        rtol=1e-15, atol=1e-15)
+
+
+# finite values whose powers up to x^5 stay normal: 0 (both signs), and
+# magnitudes from 1e-30 to 1e30 of either sign
+FEATURE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e30, -1e30]),
+    st.floats(-1e30, 1e30, allow_nan=False).filter(
+        lambda v: v == 0.0 or abs(v) >= 1e-30))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 6), st.integers(1, 4),
+       st.lists(FEATURE_VALUES, min_size=1, max_size=24))
+def test_polynomial_columns_are_running_products(dim, t, values):
+    """Column k is (...((1 * x) * x)...) * x, k multiplies, bit for bit,
+    and within k ulp of pow(x, k)."""
+    x = np.resize(np.array(values), t * len(values)).reshape(t, -1)
+    phi = featurize_batch(FeatureMap(dim=dim), x)
+    assert phi.shape == x.shape + (dim,)
+    product = np.ones_like(x)
+    for k in range(dim):
+        assert np.array_equal(phi[:, :, k], product)
+        power = x ** k
+        assert np.all(np.abs(phi[:, :, k] - power)
+                      <= k * np.spacing(np.abs(power)))
+        product = product * x
