@@ -7,6 +7,7 @@ import numpy as np
 
 from mpslab import FeatureMap, canonicalize, compress, random_init, truncate
 from mpslab.features import featurize_batch, full_feature_tensor
+from mpslab.mps import shift_center
 
 fmap = FeatureMap(dim=3)
 
@@ -26,6 +27,12 @@ print(f"evaluate_batch: {fast:.12f}   full contraction: {slow:.12f}")
 c = canonicalize(w, center=3)
 print("\nnorm^2 of the MPS      :", w.norm_squared())
 print("||center core||_F^2    :", float(np.sum(c.cores[3] ** 2)))
+
+# shift_center moves the center one site: QR core 3, absorb R into core 4.
+# An MPS carries no gauge label; where the center sits is the caller's.
+cores = list(c.cores)
+shift_center(cores, 3, +1)
+print("||core 4||_F^2 after shift_center(+1):", float(np.sum(cores[4] ** 2)))
 
 # compressing a dense tensor: bond profile and reconstruction error
 t = w.to_full_tensor()

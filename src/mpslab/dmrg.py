@@ -42,8 +42,7 @@ except ImportError as err:
 
 from .datagen import Dataset
 from .features import FeatureMap, featurize_batch
-from .mps import (MPS, _left_ortho_step, _right_ortho_step, canonicalize,
-                  left_step, right_step)
+from .mps import MPS, canonicalize, left_step, right_step, shift_center
 from .tensor import row_outer
 
 ARMIJO_C = 1e-4
@@ -531,10 +530,12 @@ def train_arrays(w0: MPS, phi_tr, y_tr, phi_val=None, y_val=None,
                  phi_te=None, y_te=None, config: TrainConfig = TrainConfig()):
     """Sweeping CG training on featurized arrays.
 
-    Alternates left-to-right and right-to-left passes, regauging by QR and
-    updating the environment cache incrementally.  Returns the checkpointed
-    model and the complete TrainTrace.  Squared error trains a chain
-    without a label site, cross-entropy one with a label site.
+    Alternates left-to-right and right-to-left passes, moving the center
+    by a QR ``shift_center`` and updating the environment cache
+    incrementally.  Returns the checkpointed model, mixed-canonical at
+    site 0 since every sweep ends there, and the complete TrainTrace.
+    Squared error trains a chain without a label site, cross-entropy one
+    with a label site.
 
     Squared error carries the model outputs on the training set from each
     site's solve to the next (a regauge leaves them unchanged) and takes
@@ -612,7 +613,7 @@ def train_arrays(w0: MPS, phi_tr, y_tr, phi_val=None, y_val=None,
         obj = previous_objective
         accepted = trials = 0
         step_sum = optimize_s = move_s = 0.0
-        for site, direction in _sweep_plan(n):
+        for site, step in _sweep_plan(n):
             tick = time.perf_counter()
             update = optimize_site(cache, cores[site], y_tr, config, carry)
             optimize_s += time.perf_counter() - tick
@@ -629,12 +630,10 @@ def train_arrays(w0: MPS, phi_tr, y_tr, phi_val=None, y_val=None,
             if not classifying:
                 carry = update.outputs
             tick = time.perf_counter()
-            if direction == "R":
-                _left_ortho_step(cores, site)
-                cache.move_right(cores[site])
-            elif direction == "L":
-                _right_ortho_step(cores, site)
-                cache.move_left(cores[site])
+            if step:
+                shift_center(cores, site, step)
+                move = cache.move_right if step > 0 else cache.move_left
+                move(cores[site])
             move_s += time.perf_counter() - tick
         record(sweep, time.perf_counter() - started, obj, carry, accepted,
                step_sum, trials, optimize_s, move_s)
@@ -649,13 +648,11 @@ def train_arrays(w0: MPS, phi_tr, y_tr, phi_val=None, y_val=None,
 
 
 def _sweep_plan(n):
-    """Site visit order for one full sweep: left-to-right, then back."""
-    if n == 1:
-        return [(0, None)]
-    plan = [(s, "R") for s in range(n - 1)]
-    plan += [(s, "L") for s in range(n - 1, 0, -1)]
-    plan.append((0, None))
-    return plan
+    """(site, step) pairs of one full sweep: left-to-right, then back.
+    After optimizing ``site`` the center moves by ``step`` (0: stay)."""
+    plan = [(s, 1) for s in range(n - 1)]
+    plan += [(s, -1) for s in range(n - 1, 0, -1)]
+    return plan + [(0, 0)]
 
 
 def frame_labels(d: Dataset, frame: Dataset) -> np.ndarray:

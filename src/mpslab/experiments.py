@@ -102,6 +102,10 @@ class ExperimentConfig:
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
         TrainConfig(sweeps=self.sweeps, cg_steps=self.cg_steps)
+        for noise in self.noise_levels:
+            if not 0.0 <= noise <= 1.0:
+                raise ValueError(f"noise_levels values must be in [0, 1], "
+                                 f"got {noise}")
         if self.scenario in IMAGE_SCENARIOS:
             return
         # the bounds of the target and feature map, before any scan

@@ -4,6 +4,9 @@ An MPS is a chain of order-3 cores, core j of shape (chi_{j-1}, f, chi_j)
 with chi_0 = chi_N = 1.  An optional label site carries one extra axis of
 extent C, making that core order-4 with shape (chi_{j-1}, f, C, chi_j).
 All operations return new MPS values; cores are treated as immutable.
+An MPS carries no gauge label: ``shift_center`` moves a mixed-canonical
+center one site, and ``canonicalize``, ``truncate`` and the DMRG sweep
+are built on it.
 """
 
 import numpy as np
@@ -11,21 +14,22 @@ import numpy as np
 from .errors import CapacityError, DimensionMismatchError
 from .tensor import row_outer, svd_truncate
 
-GAUGE_NONE = "none"
-GAUGE_MIXED = "mixed"
-
 FULL_TENSOR_GUARD = 10**7
 
 FORMAT_VERSION = 1
 
 
 class MPS:
-    """Chain of MPS cores with optional label axis and gauge bookkeeping."""
+    """Chain of MPS cores with an optional label axis on core
+    ``label_site``, which must be one of the chain's sites."""
 
-    def __init__(self, cores, label_site=None, gauge=GAUGE_NONE, center=None):
+    def __init__(self, cores, label_site=None):
         cores = [np.asarray(c, dtype=np.float64) for c in cores]
         if not cores:
             raise ValueError("an MPS needs at least one core")
+        if label_site is not None and not 0 <= label_site < len(cores):
+            raise ValueError(f"label site {label_site} out of range for "
+                             f"{len(cores)} sites")
         for j, core in enumerate(cores):
             want = 4 if j == label_site else 3
             if core.ndim != want:
@@ -42,8 +46,6 @@ class MPS:
                 )
         self.cores = cores
         self.label_site = label_site
-        self.gauge = gauge
-        self.center = center
 
     @property
     def n_sites(self) -> int:
@@ -70,12 +72,7 @@ class MPS:
         return max(dims) if dims else 1
 
     def copy(self) -> "MPS":
-        return MPS(
-            [c.copy() for c in self.cores],
-            label_site=self.label_site,
-            gauge=self.gauge,
-            center=self.center,
-        )
+        return MPS([c.copy() for c in self.cores], label_site=self.label_site)
 
     def evaluate_batch(self, phi: np.ndarray) -> np.ndarray:
         """Contract with (T, N, f) featurized samples.
@@ -152,7 +149,7 @@ class MPS:
         label = f", label_site={self.label_site}" if self.label_site is not None else ""
         return (
             f"MPS(n={self.n_sites}, f={self.phys_dim}, "
-            f"bonds={self.bond_dims}{label}, gauge={self.gauge})"
+            f"bonds={self.bond_dims}{label})"
         )
 
 
@@ -186,26 +183,32 @@ def bond_cap(n: int, f: int, j: int, label_site=None, label_dim=1) -> int:
     return min(left, right)
 
 
-def _left_ortho_step(cores, j):
-    """QR core j into left-orthonormal form, absorbing R into core j+1."""
-    core = cores[j]
-    mat = core.reshape(-1, core.shape[-1])
-    q, r = np.linalg.qr(mat)
-    cores[j] = q.reshape(core.shape[:-1] + (q.shape[1],))
-    nxt = cores[j + 1]
-    cores[j + 1] = (r @ nxt.reshape(nxt.shape[0], -1)).reshape(
-        (r.shape[0],) + nxt.shape[1:])
+def shift_center(cores, j, step, factor=np.linalg.qr):
+    """Move the mixed-canonical center from core j to core j + step.
 
-
-def _right_ortho_step(cores, j):
-    """QR core j into right-orthonormal form, absorbing R into core j-1."""
+    ``step`` is +1 or -1.  ``factor`` splits a matrix into (isometry,
+    remainder), QR by default.  Core j, with its bond toward j + step
+    moved last, is factored and becomes the isometry; the remainder is
+    absorbed into core j + step (Schollwoeck, arXiv:1008.3477, sec. 4.4).
+    Works in place on the list ``cores``.  A left move stores the
+    isometry's transpose, reshaped: a moveaxis view would differ in
+    strides on a new bond of extent 1, and strides pick the BLAS path of
+    later products.
+    """
     core = cores[j]
-    mat = core.reshape(core.shape[0], -1)
-    q, r = np.linalg.qr(mat.T)
-    cores[j] = q.T.reshape((q.shape[1],) + core.shape[1:])
-    prev = cores[j - 1]
-    cores[j - 1] = (prev.reshape(-1, prev.shape[-1]) @ r.T).reshape(
-        prev.shape[:-1] + (r.shape[0],))
+    if step < 0:
+        core = core.transpose(*range(1, core.ndim), 0)
+    left, carry = factor(core.reshape(-1, core.shape[-1]))
+    rank = left.shape[1]
+    nxt = cores[j + step]
+    if step > 0:
+        cores[j] = left.reshape(core.shape[:-1] + (rank,))
+        absorbed = carry @ nxt.reshape(nxt.shape[0], -1)
+        cores[j + 1] = absorbed.reshape((rank,) + nxt.shape[1:])
+    else:
+        cores[j] = left.T.reshape((rank,) + core.shape[:-1])
+        absorbed = nxt.reshape(-1, nxt.shape[-1]) @ carry.T
+        cores[j - 1] = absorbed.reshape(nxt.shape[:-1] + (rank,))
 
 
 def canonicalize(w: MPS, center: int) -> MPS:
@@ -216,24 +219,27 @@ def canonicalize(w: MPS, center: int) -> MPS:
         raise ValueError(f"center {center} out of range for {w.n_sites} sites")
     cores = [c.copy() for c in w.cores]
     for j in range(w.n_sites - 1, center, -1):
-        _right_ortho_step(cores, j)
+        shift_center(cores, j, -1)
     for j in range(center):
-        _left_ortho_step(cores, j)
-    return MPS(cores, label_site=w.label_site, gauge=GAUGE_MIXED, center=center)
+        shift_center(cores, j, 1)
+    return MPS(cores, label_site=w.label_site)
 
 
 def compress(t: np.ndarray, max_bond: int, memo=None):
     """Sweep a dense (f, ..., f) tensor into an MPS by sequential SVDs.
 
     Returns (mps, discarded) where discarded[j] is the squared-weight lost
-    at bond j; ||t - t~||_F^2 <= sum(discarded).
+    at bond j; ||t - t~||_F^2 <= sum(discarded).  The cores before the
+    last are left-orthonormal.
 
     ``memo`` (a dict the caller owns, bound to ``t`` by its first use)
     shares SVDs between compressions of one tensor at different
     ``max_bond``.  The matrix split at bond j is fixed by the ranks kept
     at bonds 0..j-1, so the memo maps that tuple of ranks to the bond's
     untruncated ``svd_truncate`` result, and each call truncates it to
-    its own cap.  Every result equals the memo-free one bit for bit.
+    its own cap.  A call without one uses a fresh memo, and
+    ``svd_truncate(m).truncate(k)`` is ``svd_truncate(m, k)`` bit for
+    bit, so every result is the same with or without a shared memo.
     Passing the memo with another tensor raises ValueError.
     """
     t = np.asarray(t, dtype=np.float64)
@@ -243,11 +249,12 @@ def compress(t: np.ndarray, max_bond: int, memo=None):
         raise DimensionMismatchError(f"expected uniform extents, got shape {t.shape}")
     if max_bond < 1:
         raise ValueError(f"max_bond must be >= 1, got {max_bond}")
-    if memo is not None:
-        if None not in memo:
-            memo[None] = t.copy()
-        elif not np.array_equal(memo[None], t):
-            raise ValueError("memo is bound to another tensor")
+    if memo is None:
+        memo = {None: t}
+    elif None not in memo:
+        memo[None] = t.copy()
+    elif not np.array_equal(memo[None], t):
+        raise ValueError("memo is bound to another tensor")
     cores = []
     discarded = np.zeros(max(n - 1, 0))
     remainder = t.reshape(1, -1)
@@ -255,41 +262,38 @@ def compress(t: np.ndarray, max_bond: int, memo=None):
     ranks = ()
     for j in range(n - 1):
         mat = remainder.reshape(left * f, -1)
-        if memo is None:
-            res = svd_truncate(mat, max_bond)
-        else:
-            if ranks not in memo:
-                memo[ranks] = svd_truncate(mat)
-            res = memo[ranks].truncate(max_bond)
+        if ranks not in memo:
+            memo[ranks] = svd_truncate(mat)
+        res = memo[ranks].truncate(max_bond)
         cores.append(res.left_factor.reshape(left, f, res.rank))
         discarded[j] = res.discarded_weight
         remainder = res.singular_values[:, None] * res.right_factor
         left = res.rank
         ranks += (left,)
     cores.append(remainder.reshape(left, f, 1))
-    return MPS(cores, gauge=GAUGE_MIXED, center=n - 1), discarded
+    return MPS(cores), discarded
 
 
 def truncate(w: MPS, max_bond: int) -> MPS:
     """Cap every bond at ``max_bond`` without materializing the full tensor.
 
     Right-canonicalizes first so each left-to-right SVD truncation is
-    locally optimal in Frobenius norm.
+    locally optimal in Frobenius norm; the result is mixed-canonical at
+    the last site.
     """
     if max_bond < 1:
         raise ValueError(f"max_bond must be >= 1, got {max_bond}")
     if w.max_bond <= max_bond:
         return w.copy()
-    work = canonicalize(w, 0)
-    cores = work.cores
-    for j in range(w.n_sites - 1):
-        core = cores[j]
-        mat = core.reshape(-1, core.shape[-1])
+
+    def truncated_svd(mat):
         res = svd_truncate(mat, max_bond)
-        cores[j] = res.left_factor.reshape(core.shape[:-1] + (res.rank,))
-        carry = res.singular_values[:, None] * res.right_factor
-        cores[j + 1] = np.tensordot(carry, cores[j + 1], axes=(1, 0))
-    return MPS(cores, label_site=w.label_site, gauge=GAUGE_MIXED, center=w.n_sites - 1)
+        return res.left_factor, res.singular_values[:, None] * res.right_factor
+
+    cores = canonicalize(w, 0).cores
+    for j in range(w.n_sites - 1):
+        shift_center(cores, j, 1, factor=truncated_svd)
+    return MPS(cores, label_site=w.label_site)
 
 
 def random_init(
@@ -320,7 +324,7 @@ def random_init(
 
 
 def save_mps(w: MPS, path) -> None:
-    """Persist to a versioned .npz record (sizes, bond profile, gauge, then
+    """Persist to a versioned .npz record (sizes, bond profile, then
     cores)."""
     payload = {
         "format_version": np.int64(FORMAT_VERSION),
@@ -328,8 +332,6 @@ def save_mps(w: MPS, path) -> None:
         "phys_dim": np.int64(w.phys_dim),
         "label_site": np.int64(-1 if w.label_site is None else w.label_site),
         "bond_dims": np.asarray(w.bond_dims, dtype=np.int64),
-        "gauge": np.str_(w.gauge),
-        "center": np.int64(-1 if w.center is None else w.center),
     }
     for j, core in enumerate(w.cores):
         payload[f"core_{j}"] = np.ascontiguousarray(core)
@@ -339,8 +341,9 @@ def save_mps(w: MPS, path) -> None:
 def load_mps(path) -> MPS:
     """Read a ``save_mps`` record.
 
-    The stored bond profile must match the cores; records written before
-    gauge and center were stored load as GAUGE_NONE with no center.
+    The stored bond profile must match the cores and a stored label site
+    must lie on the chain (a negative one means no label).  Records that
+    also hold ``gauge`` and ``center`` entries load with those ignored.
     """
     with np.load(path) as data:
         version = int(data["format_version"])
@@ -349,11 +352,8 @@ def load_mps(path) -> MPS:
         n = int(data["n_sites"])
         label_site = int(data["label_site"])
         bond_dims = [int(d) for d in data["bond_dims"]]
-        gauge = str(data["gauge"]) if "gauge" in data else GAUGE_NONE
-        center = int(data["center"]) if "center" in data else -1
         cores = [data[f"core_{j}"] for j in range(n)]
-    w = MPS(cores, label_site=None if label_site < 0 else label_site,
-            gauge=gauge, center=None if center < 0 else center)
+    w = MPS(cores, label_site=None if label_site < 0 else label_site)
     if len(bond_dims) != n - 1:
         raise ValueError(f"{path}: bond_dims lists {len(bond_dims)} bonds, "
                          f"{n} cores have {n - 1}")
@@ -361,9 +361,4 @@ def load_mps(path) -> MPS:
         if stored != actual:
             raise ValueError(f"{path}: bond {j} (cores {j}-{j + 1}) is "
                              f"stored as {stored}, the cores have {actual}")
-    if gauge not in (GAUGE_NONE, GAUGE_MIXED):
-        raise ValueError(f"{path}: unknown gauge {gauge!r}")
-    if w.center is not None and not w.center < n:
-        raise ValueError(f"{path}: center {w.center} out of range for "
-                         f"{n} sites")
     return w

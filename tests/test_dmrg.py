@@ -8,8 +8,7 @@ from mpslab.dmrg import (CROSS_ENTROPY, MSE, EnvironmentCache, TrainConfig,
                          output_grad_coeffs, site_gradient, site_loss, train)
 from mpslab.exact import inversion_and_compression
 from mpslab.features import FeatureMap, featurize_batch
-from mpslab.mps import (_left_ortho_step, _right_ortho_step, canonicalize,
-                        compress, random_init)
+from mpslab.mps import canonicalize, compress, random_init, shift_center
 
 FMAP3 = FeatureMap(dim=3)
 
@@ -457,12 +456,12 @@ class TestCache:
                                    rtol=1e-12, atol=1e-12)
         # walk right then back left, re-checking coherence at every stop
         for site in range(5):
-            _left_ortho_step(cores, site)
+            shift_center(cores, site, 1)
             cache.move_right(cores[site])
             np.testing.assert_allclose(cache.apply(cores[site + 1]), direct,
                                        rtol=1e-12, atol=1e-12)
         for site in range(5, 0, -1):
-            _right_ortho_step(cores, site)
+            shift_center(cores, site, -1)
             cache.move_left(cores[site])
             np.testing.assert_allclose(cache.apply(cores[site - 1]), direct,
                                        rtol=1e-12, atol=1e-12)
@@ -476,7 +475,7 @@ class TestCache:
         work, cache = make_cache(w, phi, 0)
         cores = [c.copy() for c in work.cores]
         for site in range(4):
-            _left_ortho_step(cores, site)
+            shift_center(cores, site, 1)
             cache.move_right(cores[site])
             np.testing.assert_allclose(cache.apply(cores[site + 1]), direct,
                                        rtol=1e-12, atol=1e-12)

@@ -339,6 +339,16 @@ class TestConfig:
             with pytest.raises(ValueError, match=message):
                 ExperimentConfig(**fields).validate()
 
+    @pytest.mark.parametrize("scenario", ["fig2", "fig9"])
+    def test_noise_levels_validated_before_any_scan(self, scenario):
+        """An out-of-range label-noise fraction fails ``validate``, not
+        every replicate job after the earlier noise levels' scans."""
+        for noise in (1.5, -0.1):
+            cfg = ExperimentConfig(scenario=scenario,
+                                   noise_levels=(0.0, noise))
+            with pytest.raises(ValueError, match="^noise_levels"):
+                cfg.validate()
+
     def test_scenario_presets(self):
         cfg = experiments.scenario_config(ExperimentConfig(scenario="fig2"))
         assert cfg.ntr_list == tuple(range(50, 801, 50))

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mpslab.mps import (GAUGE_MIXED, MPS, bond_cap, canonicalize, compress,
-                        random_init, truncate)
+from mpslab.mps import (MPS, bond_cap, canonicalize, compress, random_init,
+                        truncate)
 
 TOL = 1e-10
 LABEL_DIM = 3
@@ -79,8 +79,7 @@ def test_canonicalize(center, n, f, chi, label, seed):
     w = chain(n, f, chi, label, seed)
     center = min(center, n - 1)
     c = canonicalize(w, center)
-    assert (c.gauge, c.center, c.label_site) == (GAUGE_MIXED, center,
-                                                 w.label_site)
+    assert c.label_site == w.label_site
     assert_same_tensor(c, w)
     for j in range(center):
         assert_left_orthonormal(c.cores[j])
@@ -105,7 +104,6 @@ def test_truncate(cap, n, f, chi, label, seed):
     if w.max_bond <= cap:
         assert_same_tensor(t, w)
         return
-    assert (t.gauge, t.center) == (GAUGE_MIXED, n - 1)
     for j in range(n - 1):
         assert_left_orthonormal(t.cores[j])
     # each truncation projects, so the norm cannot grow
@@ -150,7 +148,6 @@ def test_compress(cap, n, f, chi, seed):
     assert discarded.shape == (n - 1,)
     assert np.all(discarded >= 0.0)
     assert_bonds_capped(w, [cap] * (n - 1))
-    assert (w.gauge, w.center) == (GAUGE_MIXED, n - 1)
     for j in range(n - 1):
         assert_left_orthonormal(w.cores[j])
     norm2 = np.sum(t**2)

@@ -28,9 +28,9 @@ from mpslab import dmrg
 from mpslab.dmrg import (CROSS_ENTROPY, MSE, EnvironmentCache, TrainConfig,
                          data_loss, output_grad_coeffs)
 from mpslab.features import full_feature_tensor
-from mpslab.mps import (MPS, _left_ortho_step, _right_ortho_step,
-                        canonicalize, random_init)
-from mpslab.tensor import row_outer
+from mpslab.mps import (MPS, canonicalize, random_init, shift_center,
+                        truncate)
+from mpslab.tensor import row_outer, svd_truncate
 
 RTOL = 1e-12
 LABEL_DIM = 3
@@ -123,10 +123,10 @@ def test_cache_matches_evaluate_and_einsum_at_every_center(case):
     for c, step in [(0, None)] + [(c, "R") for c in range(1, n)] + [
             (c, "L") for c in range(n - 2, -1, -1)]:
         if step == "R":
-            _left_ortho_step(cores, c - 1)
+            shift_center(cores, c - 1, 1)
             cache.move_right(cores[c - 1])
         elif step == "L":
-            _right_ortho_step(cores, c + 1)
+            shift_center(cores, c + 1, -1)
             cache.move_left(cores[c + 1])
         chain = MPS(cores, label_site=w.label_site)
         ref_abs = absolute(chain).evaluate_batch(np.abs(phi))
@@ -210,13 +210,13 @@ def test_labeled_cache_bitwise_equals_fused_einsum(case):
     for c, step in [(0, None)] + [(c, "R") for c in range(1, n)] + [
             (c, "L") for c in range(n - 2, -1, -1)]:
         if step == "R":
-            _left_ortho_step(cores, c - 1)
+            shift_center(cores, c - 1, 1)
             spec = ABSORB_LEFT[class_axis_at(cache.left[c - 1], cores[c - 1])]
             ref = fused(spec, cache.left[c - 1], cores[c - 1], phi[:, c - 1])
             cache.move_right(cores[c - 1])
             assert np.array_equal(cache.left[c], ref)
         elif step == "L":
-            _right_ortho_step(cores, c + 1)
+            shift_center(cores, c + 1, -1)
             spec = ABSORB_RIGHT[class_axis_at(cache.right[c + 2],
                                               cores[c + 1])]
             ref = fused(spec, cache.right[c + 2], cores[c + 1], phi[:, c + 1])
@@ -290,13 +290,13 @@ def test_unlabeled_cache_environments_match_einsum(case):
     for c, step in [(0, None)] + [(c, "R") for c in range(1, n)] + [
             (c, "L") for c in range(n - 2, -1, -1)]:
         if step == "R":
-            _left_ortho_step(cores, c - 1)
+            shift_center(cores, c - 1, 1)
             ref = einsum_env(ABSORB_LEFT[None], cache.left[c - 1],
                              cores[c - 1], phi[:, c - 1])
             cache.move_right(cores[c - 1])
             assert_matches(cache.left[c], *ref)
         elif step == "L":
-            _right_ortho_step(cores, c + 1)
+            shift_center(cores, c + 1, -1)
             ref = einsum_env(ABSORB_RIGHT[None], cache.right[c + 2],
                              cores[c + 1], phi[:, c + 1])
             cache.move_left(cores[c + 1])
@@ -306,7 +306,7 @@ def test_unlabeled_cache_environments_match_einsum(case):
 
 
 def tensordot_left_ortho_step(cores, j):
-    """``mps._left_ortho_step`` with R absorbed by ``np.tensordot``."""
+    """A QR shift right with R absorbed by ``np.tensordot``."""
     core = cores[j]
     q, r = np.linalg.qr(core.reshape(-1, core.shape[-1]))
     cores[j] = q.reshape(core.shape[:-1] + (q.shape[1],))
@@ -314,7 +314,7 @@ def tensordot_left_ortho_step(cores, j):
 
 
 def tensordot_right_ortho_step(cores, j):
-    """``mps._right_ortho_step`` with R absorbed by ``np.tensordot``."""
+    """A QR shift left with R absorbed by ``np.tensordot``."""
     core = cores[j]
     q, r = np.linalg.qr(core.reshape(core.shape[0], -1).T)
     cores[j] = q.T.reshape((q.shape[1],) + core.shape[1:])
@@ -322,12 +322,36 @@ def tensordot_right_ortho_step(cores, j):
     cores[j - 1] = np.tensordot(prev, r.T, axes=(prev.ndim - 1, 0))
 
 
+def tensordot_truncate_pass(cores, max_bond):
+    """A left-to-right truncating SVD pass with the remainder absorbed by
+    ``np.tensordot``: the loop ``mps.truncate`` ran before it shifted the
+    center by ``shift_center``."""
+    for j in range(len(cores) - 1):
+        core = cores[j]
+        res = svd_truncate(core.reshape(-1, core.shape[-1]), max_bond)
+        cores[j] = res.left_factor.reshape(core.shape[:-1] + (res.rank,))
+        carry = res.singular_values[:, None] * res.right_factor
+        cores[j + 1] = np.tensordot(carry, cores[j + 1], axes=(1, 0))
+
+
+def assert_same_layout(ours, ref):
+    """Equal values, shapes and strides: a core's strides pick the GEMM
+    variant that later contractions run, so they decide later bits."""
+    for a, b in zip(ours, ref):
+        assert a.shape == b.shape and a.strides == b.strides
+        assert np.array_equal(a, b)
+
+
 @settings(max_examples=100, deadline=None)
-@given(labeled_chains())
-def test_qr_shifts_bitwise_equal_tensordot(case):
-    """The QR shifts absorb R by reshape and one matmul, bit for bit the
-    np.tensordot they replace: a right-canonicalizing pass, a sweep right
-    and a sweep back, through 3-index cores and the 4-index label core."""
+@given(labeled_chains(), st.integers(1, 4))
+@example(labeled_chain(2, 2, 1, 1, 0, 1, 0), 1)  # left bonds of extent 1
+@example(labeled_chain(5, 3, 4, 2, 2, 1, 1), 2)
+def test_qr_shifts_bitwise_equal_tensordot(case, max_bond):
+    """``shift_center`` absorbs the remainder by reshape and one matmul,
+    bit for bit and stride for stride the np.tensordot it replaced: a
+    right-canonicalizing pass, a sweep right and a sweep back, through
+    3-index cores and the 4-index label core, then a truncating SVD pass
+    as ``mps.truncate`` runs it."""
     w, _, _ = case
     n = w.n_sites
     ours = [c.copy() for c in w.cores]
@@ -337,13 +361,18 @@ def test_qr_shifts_bitwise_equal_tensordot(case):
             + [(j, "L") for j in range(n - 1, 0, -1)])
     for j, direction in plan:
         if direction == "R":
-            _left_ortho_step(ours, j)
+            shift_center(ours, j, 1)
             tensordot_left_ortho_step(ref, j)
         else:
-            _right_ortho_step(ours, j)
+            shift_center(ours, j, -1)
             tensordot_right_ortho_step(ref, j)
-        assert all(a.shape == b.shape and np.array_equal(a, b)
-                   for a, b in zip(ours, ref))
+        assert_same_layout(ours, ref)
+    if w.max_bond > max_bond:  # else truncate returns a plain copy
+        ref = [c.copy() for c in w.cores]
+        for j in range(n - 1, 0, -1):
+            tensordot_right_ortho_step(ref, j)
+        tensordot_truncate_pass(ref, max_bond)
+        assert_same_layout(truncate(w, max_bond).cores, ref)
 
 
 @st.composite

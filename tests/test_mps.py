@@ -282,25 +282,21 @@ class TestSerialization:
             np.testing.assert_array_equal(ca, cb)
 
 
-    def test_round_trip_mixed_gauge(self, tmp_path):
+    def test_record_with_gauge_entries_loads(self, tmp_path):
+        """Records that also store ``gauge`` and ``center`` load with
+        those entries ignored and the cores unchanged."""
         w = canonicalize(random_init(5, 3, 4, scale=0.5, seed=32), 2)
         path = tmp_path / "mixed.npz"
         save_mps(w, path)
-        back = load_mps(path)
-        assert (back.gauge, back.center) == ("mixed", 2)
-        for ca, cb in zip(w.cores, back.cores):
-            np.testing.assert_array_equal(ca, cb)
-
-    def test_record_without_gauge_loads_ungauged(self, tmp_path):
-        w = canonicalize(random_init(4, 2, 3, scale=0.5, seed=33), 1)
-        path = tmp_path / "old.npz"
-        save_mps(w, path)
         with np.load(path) as data:
-            payload = {k: data[k] for k in data if k not in ("gauge",
-                                                            "center")}
+            payload = {k: data[k] for k in data}
+        payload["gauge"] = np.str_("mixed")
+        payload["center"] = np.int64(2)
         np.savez(path, **payload)
         back = load_mps(path)
-        assert (back.gauge, back.center) == ("none", None)
+        assert back.label_site is None
+        for ca, cb in zip(w.cores, back.cores):
+            np.testing.assert_array_equal(ca, cb)
 
     def test_tampered_bond_dims_rejected(self, tmp_path):
         w = random_init(5, 3, 6, scale=0.5, seed=34)
@@ -314,6 +310,17 @@ class TestSerialization:
         with pytest.raises(ValueError, match="bond 2"):
             load_mps(path)
 
+    def test_tampered_label_site_rejected(self, tmp_path):
+        w = random_init(5, 3, 6, scale=0.5, seed=35)
+        path = tmp_path / "tampered.npz"
+        save_mps(w, path)
+        with np.load(path) as data:
+            payload = {k: data[k] for k in data}
+        payload["label_site"] = np.int64(7)
+        np.savez(path, **payload)
+        with pytest.raises(ValueError, match="label site 7 .* 5 sites"):
+            load_mps(path)
+
 
 class TestValidation:
     def test_bond_mismatch_rejected(self):
@@ -323,3 +330,9 @@ class TestValidation:
     def test_boundary_extent_rejected(self):
         with pytest.raises(DimensionMismatchError):
             MPS([np.ones((2, 3, 1))])
+
+    @pytest.mark.parametrize("site", [5, 7, -1, -2])
+    def test_label_site_off_the_chain_rejected(self, site):
+        cores = random_init(5, 3, 2, scale=0.5, seed=36).cores
+        with pytest.raises(ValueError, match=f"label site {site} .* 5 sites"):
+            MPS(cores, label_site=site)
