@@ -281,6 +281,30 @@ class TestSerialization:
         for ca, cb in zip(w.cores, back.cores):
             np.testing.assert_array_equal(ca, cb)
 
+    def test_round_trip_mixed_gauge(self, tmp_path):
+        """A mixed-canonical MPS round-trips with identical cores, so it
+        is still mixed-canonical about the same center after loading."""
+        w = canonicalize(random_init(5, 3, 4, scale=0.5, seed=32), 2)
+        path = tmp_path / "mixed.npz"
+        save_mps(w, path)
+        back = load_mps(path)
+        for ca, cb in zip(w.cores, back.cores):
+            np.testing.assert_array_equal(ca, cb)
+        TestCanonicalize()._assert_mixed_gauge(back, 2)
+
+    def test_record_without_gauge_loads_ungauged(self, tmp_path):
+        """Records hold no ``gauge`` or ``center`` entry, and the loaded
+        MPS carries no gauge label."""
+        w = canonicalize(random_init(4, 2, 3, scale=0.5, seed=33), 1)
+        path = tmp_path / "old.npz"
+        save_mps(w, path)
+        with np.load(path) as data:
+            assert not {"gauge", "center"} & set(data.files)
+        back = load_mps(path)
+        assert not hasattr(back, "gauge")
+        assert not hasattr(back, "center")
+        for ca, cb in zip(w.cores, back.cores):
+            np.testing.assert_array_equal(ca, cb)
 
     def test_record_with_gauge_entries_loads(self, tmp_path):
         """Records that also store ``gauge`` and ``center`` load with
