@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import add_label_noise
-from .dmrg import CROSS_ENTROPY, PROB_FLOOR, TrainConfig, train_arrays
+from .dmrg import PROB_FLOOR, TrainConfig, train_arrays
 from .errors import IdxFormatError
 from .features import TRIGONOMETRIC, FeatureMap, featurize_batch
 from .mps import MPS, random_init
@@ -129,11 +129,8 @@ def init_classifier_mps(n_sites: int, chi: int, seed,
 
 
 def train_classifier(train_set: ImageDataset, val_set, test_set, chi: int,
-                     config: TrainConfig | None = None, seed: int = 0):
-    """Train a labeled MPS on images with cross-entropy sweeping."""
-    if config is None:
-        config = TrainConfig(sweeps=100, cg_steps=5, ridge=0.0,
-                             loss_kind=CROSS_ENTROPY, sweep_tol=0.0)
+                     config: TrainConfig, seed: int = 0):
+    """Train a labeled MPS on images with the cross-entropy ``config``."""
     n_sites = train_set.images.shape[1] * train_set.images.shape[2]
     w0 = init_classifier_mps(n_sites, chi, seed, train_set.num_classes)
 

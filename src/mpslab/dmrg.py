@@ -22,12 +22,17 @@ its first trial step:
   and shapes), so its training is bit for bit what it always was.
   That training is chaotic under roundoff: scaling the initial cores by
   1 +- 1e-15 moves a 196-site sweep's test error from 0.19 to 0.08 or
-  0.34.
+  0.34.  So every solve starts from a fresh apply, not from the
+  previous site's outputs.
+
+``train_arrays`` runs the sweeps.  For both losses a sweep's training loss
+comes from the outputs of its last solve; only the validation and test
+sets are evaluated per sweep.
 """
 
 import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -77,20 +82,23 @@ class TrainConfig:
 class TrainTrace:
     """Per-sweep record of a training run (sweep 0 is the initial state).
 
-    ``cg_accepted`` counts the sweep's accepted CG steps, ``mean_step`` is
-    their mean step length alpha (0 when none is accepted) and
-    ``ls_trials`` counts its line-search objective evaluations.
-    ``optimize_seconds``, ``move_seconds`` and ``evaluate_seconds`` split
-    its wall time into ``optimize_site``, the QR regauge plus environment
-    move, and the per-sweep loss evaluation.  All are 0 at sweep 0.
+    ``train_loss`` and ``train_accuracy`` (classifier) come from the model
+    outputs of the sweep's last solve; with ridge 0 the training loss is
+    the objective.  ``cg_accepted`` counts the sweep's accepted CG steps,
+    ``mean_step`` is their mean step length alpha (0 when none is
+    accepted) and ``ls_trials`` counts its line-search objective
+    evaluations.  ``optimize_seconds``, ``move_seconds`` and
+    ``evaluate_seconds`` split its wall time into ``optimize_site``, the
+    QR regauge plus environment move, and the validation and test
+    evaluation.  All are 0 at sweep 0.
     """
 
     sweeps: list = field(default_factory=list)
     train_loss: list = field(default_factory=list)
     val_loss: list = field(default_factory=list)
     test_loss: list = field(default_factory=list)
-    seconds: list = field(default_factory=list)
     objective: list = field(default_factory=list)
+    seconds: list = field(default_factory=list)
     train_accuracy: list = field(default_factory=list)
     val_accuracy: list = field(default_factory=list)
     test_accuracy: list = field(default_factory=list)
@@ -105,20 +113,14 @@ class TrainTrace:
     max_monotonicity_violation: float = 0.0
 
     def to_csv(self, path) -> None:
-        """One row per sweep: sweep, the three losses, objective, seconds,
-        then the three accuracies (classifier training), the accepted CG
-        steps, their mean length, the line-search trials and the per-phase
-        seconds, each when recorded."""
-        names = ["sweeps", "train_loss", "val_loss", "test_loss",
-                 "objective", "seconds"]
-        if self.train_accuracy:
-            names += ["train_accuracy", "val_accuracy", "test_accuracy"]
-        if self.cg_accepted:
-            names += ["cg_accepted", "mean_step", "ls_trials"]
-        if self.optimize_seconds:
-            names += ["optimize_seconds", "move_seconds", "evaluate_seconds"]
+        """One row per sweep, one column per recorded (non-empty) list
+        field in declaration order; ``sweeps`` heads the column
+        ``sweep``."""
+        names = [f.name for f in fields(self)
+                 if f.type is list and getattr(self, f.name)]
         with open(path, "w") as fh:
-            fh.write(",".join(["sweep"] + names[1:]) + "\n")
+            fh.write(",".join("sweep" if name == "sweeps" else name
+                              for name in names) + "\n")
             for row in zip(*(getattr(self, name) for name in names)):
                 fh.write(",".join(repr(v) for v in row) + "\n")
 
@@ -174,7 +176,7 @@ class EnvironmentCache:
         """L_{j+1} from L_j and core j; unlabeled, one GEMM on the local
         block X_j kept in ``memo``."""
         if self.label_site is None:
-            return left_step(_memo_block(memo, env, self.phi[:, j]), core)
+            return left_step(_local_block(memo, env, self.phi[:, j]), core)
         lterm, cterm = _env_term("l", env), _core_term(core)
         out = "trc" if "c" in lterm + cterm else "tr"
         return _contract(f"{lterm},{cterm},tf->{out}",
@@ -207,15 +209,6 @@ class EnvironmentCache:
         self._memo = {}
         self.center = c - 1
 
-    def _local_block(self) -> np.ndarray:
-        """X_c = row_outer(L_c, phi_c), shape (T, chi_l*f); a memo hit
-        reads no slice of phi."""
-        block = self._memo.get("X")
-        if block is None:
-            c = self.center
-            block = _memo_block(self._memo, self.left[c], self.phi[:, c])
-        return block
-
     def apply(self, core) -> np.ndarray:
         """Model outputs with ``core`` in the center slot: (T,) or (T, C)."""
         c = self.center
@@ -224,7 +217,8 @@ class EnvironmentCache:
             # row-wise dot with R_c, summed by a GEMV.  On these small
             # blocks ndarray.dot, the same BLAS call as @, costs less per
             # call than the matmul ufunc.
-            rows = self._local_block().dot(core.reshape(-1, core.shape[-1]))
+            block = _local_block(self._memo, lenv, self.phi[:, c])
+            rows = block.dot(core.reshape(-1, core.shape[-1]))
             rows *= renv
             return rows.dot(_ones(rows.shape[1]))
         spec = (f"{_env_term('l', lenv)},{_core_term(core)},tf,"
@@ -242,7 +236,8 @@ class EnvironmentCache:
             renv_t = self._memo.get("RT")
             if renv_t is None:
                 renv_t = self._memo["RT"] = np.ascontiguousarray(renv.T)
-            grad = (renv_t * coeffs).dot(self._local_block()).T
+            block = _local_block(self._memo, lenv, self.phi[:, c])
+            grad = (renv_t * coeffs).dot(block).T
             return grad.reshape(lenv.shape[1], self.phi.shape[2],
                                 renv.shape[1])
         cterm = "lfcr" if c == self.label_site else "lfr"
@@ -252,8 +247,9 @@ class EnvironmentCache:
                          self._memo)
 
 
-def _memo_block(memo: dict, env: np.ndarray, phi_j: np.ndarray) -> np.ndarray:
-    """row_outer(env, phi_j), computed once per ``memo``."""
+def _local_block(memo: dict, env: np.ndarray, phi_j: np.ndarray) -> np.ndarray:
+    """The local block X = row_outer(env, phi_j), shape (T, chi_l*f),
+    computed once per ``memo`` (one center of a sweep)."""
     if "X" not in memo:
         memo["X"] = row_outer(env, phi_j)
     return memo["X"]
@@ -376,22 +372,20 @@ def output_grad_coeffs(outputs: np.ndarray, y: np.ndarray, kind: str) -> np.ndar
     return g / t
 
 
-def site_loss(cache: EnvironmentCache, core, y, kind, ridge, outputs=None,
-              residual=None):
+def site_loss(cache: EnvironmentCache, core, y, kind, ridge, outputs=None):
     """(training objective, model outputs) with ``core`` in the center
     slot (mixed gauge); ``site_gradient`` at that core takes the outputs.
 
     ``outputs``, when given, are the model outputs at ``core`` already
     (carried along a search line or from the previous site), so
     ``cache.apply`` is skipped.  The MSE objective is 0.5 |r|^2 / T +
-    0.5 ridge |core|^2 in BLAS dot products, with r = outputs - y (or
-    ``residual``, when the caller has it); it equals ``data_loss`` plus
-    the ridge term to roundoff.
+    0.5 ridge |core|^2 in BLAS dot products, with r = outputs - y; it
+    equals ``data_loss`` plus the ridge term to roundoff.
     """
     if outputs is None:
         outputs = cache.apply(core)
     if kind == MSE:
-        r = outputs - y if residual is None else residual
+        r = outputs - y
         value = 0.5 * np.vdot(r, r) / len(r)
     else:
         value = data_loss(outputs, y, kind)
@@ -409,14 +403,9 @@ def _site_dot(kind: str):
 
 
 def site_gradient(cache: EnvironmentCache, core, outputs, y, kind,
-                  ridge, residual=None) -> np.ndarray:
-    """Gradient of the objective at ``core`` from its ``site_loss``
-    outputs; an MSE ``residual`` outputs - y, when given, is used as is."""
-    if residual is None:
-        coeffs = output_grad_coeffs(outputs, y, kind)
-    else:
-        coeffs = residual / len(residual)
-    grad = cache.grad_from_output_coeffs(coeffs)
+                  ridge) -> np.ndarray:
+    """Gradient of the objective at ``core`` from its ``site_loss`` outputs."""
+    grad = cache.grad_from_output_coeffs(output_grad_coeffs(outputs, y, kind))
     if ridge:
         grad = grad + ridge * core
     return grad
@@ -454,9 +443,9 @@ def optimize_site(cache: EnvironmentCache, core, y, config: TrainConfig,
     The loss picks the reductions (``_site_dot``), the PR+ numerator and
     the first trial step.  MSE: the exact minimizer along d
     (``_initial_step``); trials carry the outputs out + alpha * dv,
-    linear in the core, and their residual, which the gradient reuses;
-    the numerator is |g_new|^2 - g_new.g, with |g_new|^2 kept for the
-    next step.  Cross-entropy: min(1, 4 x the last accepted step),
+    linear in the core, instead of applying the trial core; the
+    numerator is |g_new|^2 - g_new.g, with |g_new|^2 kept for the next
+    step.  Cross-entropy: min(1, 4 x the last accepted step),
     applying every trial core, and the numerator g_new.(g_new - g).
     """
     kind, ridge = config.loss_kind, config.ridge
@@ -486,11 +475,9 @@ def optimize_site(cache: EnvironmentCache, core, y, config: TrainConfig,
         for _ in range(MAX_HALVINGS + 1):
             trials += 1
             candidate = core + alpha * d
-            out1 = res1 = None
-            if quadratic:  # the outputs are linear in the core
-                out1 = out + alpha * dv
-                res1 = out1 - y
-            f1, out1 = site_loss(cache, candidate, y, kind, ridge, out1, res1)
+            # the MSE outputs are linear in the core
+            out1 = out + alpha * dv if quadratic else None
+            f1, out1 = site_loss(cache, candidate, y, kind, ridge, out1)
             if f1 <= f0 + ARMIJO_C * alpha * g_dot_d:
                 break
             alpha *= 0.5
@@ -500,7 +487,7 @@ def optimize_site(cache: EnvironmentCache, core, y, config: TrainConfig,
         accepted += 1
         step_sum += alpha
         core, f0, out = candidate, f1, out1
-        g_new = site_gradient(cache, core, out, y, kind, ridge, res1)
+        g_new = site_gradient(cache, core, out, y, kind, ridge)
         gnorm2_new = dot(g_new, g_new)
         if quadratic:
             beta = (gnorm2_new - dot(g_new, g)) / gnorm2
@@ -537,37 +524,62 @@ def train_arrays(w0: MPS, phi_tr, y_tr, phi_val=None, y_val=None,
     Squared error trains a chain without a label site, cross-entropy one
     with a label site.
 
-    Squared error carries the model outputs on the training set from each
-    site's solve to the next (a regauge leaves them unchanged) and takes
-    its training loss from them.  Cross-entropy, whose training is
-    roundoff-chaotic, starts every solve from a fresh apply and evaluates
-    the training set after each sweep.
+    Sweep 0 is the loop's first pass, over no sites: it records the
+    initial state.  Each sweep's training loss (and classifier accuracy)
+    comes from the model outputs of its last solve, and only the
+    validation and test sets are evaluated per sweep.  Squared error also
+    carries those outputs from each site's solve to the next (a regauge
+    leaves them unchanged); cross-entropy, whose training is
+    roundoff-chaotic, starts every solve from a fresh apply.
     """
-    if (config.loss_kind == CROSS_ENTROPY) != (w0.label_site is not None):
-        need = "a" if config.loss_kind == CROSS_ENTROPY else "no"
-        raise ValueError(f"loss_kind {config.loss_kind!r} needs a chain with "
-                         f"{need} label site, got label_site={w0.label_site}")
+    kind, label_site = config.loss_kind, w0.label_site
+    classifying = kind == CROSS_ENTROPY
+    if classifying != (label_site is not None):
+        need = "a" if classifying else "no"
+        raise ValueError(f"loss_kind {kind!r} needs a chain with {need} "
+                         f"label site, got label_site={label_site}")
     n = w0.n_sites
-    work = canonicalize(w0, 0)
-    cores = [c.copy() for c in work.cores]
-    label_site = w0.label_site
+    # C-contiguous copies: strides pick the BLAS path of later products
+    cores = [c.copy() for c in canonicalize(w0, 0).cores]
     cache = EnvironmentCache(cores, phi_tr, label_site=label_site, center=0)
-    classifying = config.loss_kind == CROSS_ENTROPY
-
+    use_best = config.checkpoint == "best_validation" and phi_val is not None
     trace = TrainTrace()
+    held_out = ((phi_val, y_val, trace.val_loss, trace.val_accuracy),
+                (phi_te, y_te, trace.test_loss, trace.test_accuracy))
     best_val = np.inf
     best_cores = None
-
-    def record(sweep, elapsed, objective, out_tr, accepted=0, step_sum=0.0,
-               trials=0, optimize_s=0.0, move_s=0.0):
+    objective, outputs = site_loss(cache, cores[0], y_tr, kind, config.ridge)
+    for sweep in range(config.sweeps + 1):
         started = time.perf_counter()
-        model = MPS(cores, label_site=label_site)
-        if out_tr is None:
-            out_tr = model.evaluate_batch(phi_tr)
+        start_objective = objective
+        accepted = trials = 0
+        step_sum = optimize_s = move_s = 0.0
+        for site, step in _sweep_plan(n) if sweep else ():
+            tick = time.perf_counter()
+            update = optimize_site(cache, cores[site], y_tr, config,
+                                   None if classifying else outputs)
+            optimize_s += time.perf_counter() - tick
+            step_sum += update.step_sum
+            accepted += update.accepted
+            trials += update.trials
+            trace.stalls += update.stalled
+            trace.max_monotonicity_violation = max(
+                trace.max_monotonicity_violation,
+                update.objective - objective - 1e-12)
+            cores[site] = update.core
+            objective, outputs = update.objective, update.outputs
+            tick = time.perf_counter()
+            if step:
+                shift_center(cores, site, step)
+                move = cache.move_right if step > 0 else cache.move_left
+                move(cores[site])
+            move_s += time.perf_counter() - tick
+
+        tick = time.perf_counter()
         trace.sweeps.append(sweep)
-        trace.train_loss.append(data_loss(out_tr, y_tr, config.loss_kind))
+        trace.seconds.append(tick - started if sweep else 0.0)
         trace.objective.append(objective)
-        trace.seconds.append(elapsed)
+        trace.train_loss.append(data_loss(outputs, y_tr, kind))
         trace.cg_accepted.append(accepted)
         trace.mean_step.append(float(step_sum) / accepted if accepted
                                else 0.0)
@@ -575,76 +587,24 @@ def train_arrays(w0: MPS, phi_tr, y_tr, phi_val=None, y_val=None,
         trace.optimize_seconds.append(optimize_s)
         trace.move_seconds.append(move_s)
         if classifying:
-            trace.train_accuracy.append(_accuracy(out_tr, y_tr))
-        for phi, y, losses, accs in (
-            (phi_val, y_val, trace.val_loss, trace.val_accuracy),
-            (phi_te, y_te, trace.test_loss, trace.test_accuracy),
-        ):
-            if phi is None:
-                losses.append(np.nan)
-                if classifying:
-                    accs.append(np.nan)
-                continue
-            out = model.evaluate_batch(phi)
-            losses.append(data_loss(out, y, config.loss_kind))
+            trace.train_accuracy.append(_accuracy(outputs, y_tr))
+        model = MPS(cores, label_site=label_site)
+        for phi, y, losses, accs in held_out:
+            out = None if phi is None else model.evaluate_batch(phi)
+            losses.append(np.nan if out is None else data_loss(out, y, kind))
             if classifying:
-                accs.append(_accuracy(out, y))
+                accs.append(np.nan if out is None else _accuracy(out, y))
         trace.evaluate_seconds.append(
-            time.perf_counter() - started if sweep else 0.0)
+            time.perf_counter() - tick if sweep else 0.0)
 
-    def checkpoint(sweep):
-        nonlocal best_val, best_cores
-        if trace.val_loss[-1] <= best_val:
+        if use_best and trace.val_loss[-1] <= best_val:
             best_val = trace.val_loss[-1]
             trace.best_validation_sweep = sweep
             best_cores = [c.copy() for c in cores]
-
-    use_best = (config.checkpoint == "best_validation" and phi_val is not None)
-    objective, outputs = site_loss(cache, cores[0], y_tr, config.loss_kind,
-                                   config.ridge)
-    carry = None if classifying else outputs
-    record(0, 0.0, objective, carry)
-    if use_best:
-        checkpoint(0)
-
-    previous_objective = trace.objective[0]
-    for sweep in range(1, config.sweeps + 1):
-        started = time.perf_counter()
-        obj = previous_objective
-        accepted = trials = 0
-        step_sum = optimize_s = move_s = 0.0
-        for site, step in _sweep_plan(n):
-            tick = time.perf_counter()
-            update = optimize_site(cache, cores[site], y_tr, config, carry)
-            optimize_s += time.perf_counter() - tick
-            step_sum += update.step_sum
-            accepted += update.accepted
-            trials += update.trials
-            if update.stalled:
-                trace.stalls += 1
-            violation = update.objective - obj - 1e-12
-            if violation > trace.max_monotonicity_violation:
-                trace.max_monotonicity_violation = violation
-            cores[site] = update.core
-            obj = update.objective
-            if not classifying:
-                carry = update.outputs
-            tick = time.perf_counter()
-            if step:
-                shift_center(cores, site, step)
-                move = cache.move_right if step > 0 else cache.move_left
-                move(cores[site])
-            move_s += time.perf_counter() - tick
-        record(sweep, time.perf_counter() - started, obj, carry, accepted,
-               step_sum, trials, optimize_s, move_s)
-        if use_best:
-            checkpoint(sweep)
-        if previous_objective - obj < config.sweep_tol:
+        if sweep and start_objective - objective < config.sweep_tol:
             break
-        previous_objective = obj
 
-    final = best_cores if (use_best and best_cores is not None) else cores
-    return MPS(final, label_site=label_site), trace
+    return MPS(best_cores or cores, label_site=label_site), trace
 
 
 def _sweep_plan(n):

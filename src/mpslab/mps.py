@@ -36,6 +36,11 @@ class MPS:
                 raise DimensionMismatchError(
                     f"core {j} must have {want} axes, got shape {core.shape}"
                 )
+            if core.shape[1] != cores[0].shape[1]:
+                raise DimensionMismatchError(
+                    f"core {j} has physical extent {core.shape[1]}, "
+                    f"core 0 has {cores[0].shape[1]}"
+                )
         if cores[0].shape[0] != 1 or cores[-1].shape[-1] != 1:
             raise DimensionMismatchError("boundary bond extents must be 1")
         for j in range(len(cores) - 1):
@@ -244,9 +249,9 @@ def compress(t: np.ndarray, max_bond: int, memo=None):
     """
     t = np.asarray(t, dtype=np.float64)
     n = t.ndim
-    f = t.shape[0]
-    if t.shape != (f,) * n:
+    if n == 0 or t.shape != (t.shape[0],) * n:
         raise DimensionMismatchError(f"expected uniform extents, got shape {t.shape}")
+    f = t.shape[0]
     if max_bond < 1:
         raise ValueError(f"max_bond must be >= 1, got {max_bond}")
     if memo is None:
@@ -341,19 +346,30 @@ def save_mps(w: MPS, path) -> None:
 def load_mps(path) -> MPS:
     """Read a ``save_mps`` record.
 
-    The stored bond profile must match the cores and a stored label site
-    must lie on the chain (a negative one means no label).  Records that
-    also hold ``gauge`` and ``center`` entries load with those ignored.
+    Every entry must be present, the stored physical extent and bond
+    profile must match the cores, and a stored label site must lie on
+    the chain (a negative one means no label); a malformed record raises
+    ValueError naming the path and the entry.  Records that also hold
+    ``gauge`` and ``center`` entries load with those ignored.
     """
     with np.load(path) as data:
-        version = int(data["format_version"])
+        def entry(name):
+            if name not in data.files:
+                raise ValueError(f"{path}: the record has no entry {name!r}")
+            return data[name]
+
+        version = int(entry("format_version"))
         if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported MPS format version {version}")
-        n = int(data["n_sites"])
-        label_site = int(data["label_site"])
-        bond_dims = [int(d) for d in data["bond_dims"]]
-        cores = [data[f"core_{j}"] for j in range(n)]
+            raise ValueError(f"{path}: unsupported format_version {version}")
+        n = int(entry("n_sites"))
+        phys_dim = int(entry("phys_dim"))
+        label_site = int(entry("label_site"))
+        bond_dims = [int(d) for d in entry("bond_dims")]
+        cores = [entry(f"core_{j}") for j in range(n)]
     w = MPS(cores, label_site=None if label_site < 0 else label_site)
+    if phys_dim != w.phys_dim:
+        raise ValueError(f"{path}: phys_dim is stored as {phys_dim}, the "
+                         f"cores have {w.phys_dim}")
     if len(bond_dims) != n - 1:
         raise ValueError(f"{path}: bond_dims lists {len(bond_dims)} bonds, "
                          f"{n} cores have {n - 1}")

@@ -111,7 +111,7 @@ def line_plot(path, series, title="", xlabel="", ylabel="", logy=False):
         f'{_escape(ylabel)}</text>')
 
     for k, s in enumerate(series):
-        color = s.get("color", PALETTE[k % len(PALETTE)])
+        color = PALETTE[k % len(PALETTE)]
         if s.get("band") is not None:
             lo, hi = s["band"]
             pts = [f"{px(x):.1f},{py(v):.1f}" for x, v in zip(s["x"], hi)]

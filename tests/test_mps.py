@@ -150,6 +150,10 @@ class TestCompress:
         with pytest.raises(DimensionMismatchError):
             compress(np.zeros((2, 3)), max_bond=2)
 
+    def test_scalar_rejected(self):
+        with pytest.raises(DimensionMismatchError, match=r"shape \(\)"):
+            compress(np.float64(2.0), 2)
+
 
 class TestTruncate:
     def test_noop_when_within_cap(self):
@@ -334,6 +338,31 @@ class TestSerialization:
         with pytest.raises(ValueError, match="bond 2"):
             load_mps(path)
 
+    @pytest.mark.parametrize("entry, value, message", [
+        ("n_sites", np.int64(6), "no entry 'core_5'"),
+        ("core_3", None, "no entry 'core_3'"),
+        ("label_site", None, "no entry 'label_site'"),
+        ("phys_dim", np.int64(7), "phys_dim is stored as 7, the cores have 3"),
+        ("format_version", np.int64(2), "unsupported format_version 2"),
+    ])
+    def test_malformed_record_rejected(self, tmp_path, entry, value, message):
+        """A raised n_sites, a missing entry or a wrong phys_dim raises
+        ValueError naming the path and the entry."""
+        w = random_init(5, 3, 6, scale=0.5, seed=34)
+        path = tmp_path / "tampered.npz"
+        save_mps(w, path)
+        with np.load(path) as data:
+            payload = {k: data[k] for k in data}
+        if value is None:
+            del payload[entry]
+        else:
+            payload[entry] = value
+        np.savez(path, **payload)
+        with pytest.raises(ValueError) as info:
+            load_mps(path)
+        assert str(path) in str(info.value)
+        assert message in str(info.value)
+
     def test_tampered_label_site_rejected(self, tmp_path):
         w = random_init(5, 3, 6, scale=0.5, seed=35)
         path = tmp_path / "tampered.npz"
@@ -354,6 +383,11 @@ class TestValidation:
     def test_boundary_extent_rejected(self):
         with pytest.raises(DimensionMismatchError):
             MPS([np.ones((2, 3, 1))])
+
+    def test_physical_extent_mismatch_rejected(self):
+        with pytest.raises(DimensionMismatchError,
+                           match="core 1 has physical extent 3, core 0 has 2"):
+            MPS([np.ones((1, 2, 1)), np.ones((1, 3, 1))])
 
     @pytest.mark.parametrize("site", [5, 7, -1, -2])
     def test_label_site_off_the_chain_rejected(self, site):
