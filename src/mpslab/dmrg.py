@@ -31,6 +31,7 @@ sets are evaluated per sweep.
 """
 
 import functools
+import math
 import time
 from dataclasses import dataclass, field, fields
 
@@ -89,7 +90,8 @@ class TrainTrace:
     accepted) and ``ls_trials`` counts its line-search objective
     evaluations.  ``optimize_seconds``, ``move_seconds`` and
     ``evaluate_seconds`` split its wall time into ``optimize_site``, the
-    QR regauge plus environment move, and the validation and test
+    QR regauge plus environment move (with the rebuilds of dropped
+    class-axis environments a move makes), and the validation and test
     evaluation.  All are 0 at sweep 0.
     """
 
@@ -129,7 +131,26 @@ class EnvironmentCache:
     """Per-sample partial contractions L_j / R_j around the center site.
 
     Environments on the label side of a labeled MPS carry the extra class
-    axis.  Entries go stale (None) when the center moves past them.
+    axis.  A None entry is either stale (the center has moved past it) or
+    dropped.  Class-free environments are never dropped, so an unlabeled
+    chain keeps every environment as it is built.  A class-axis
+    environment (T x chi x C) is kept only at every k-th site, k =
+    ceil(sqrt(N)) for a chain of N sites, plus the segment the center is
+    walking through: when a move needs a dropped one, that segment is
+    rebuilt from the nearest kept environment (sublinear-memory
+    checkpointing, Chen et al., arXiv:1604.06174).  A sweep then holds
+    O(sqrt N) class-axis environments instead of O(N), at the cost of
+    about N extra absorbs per sweep.  A rebuild makes the same
+    ``_absorb_left``/``_absorb_right`` calls on the same arrays as the
+    build or move that first made the environment, with a fresh memo, so
+    every environment read is bit for bit the one kept before.
+
+    The cache keeps a reference to the list ``cores`` and reads it only
+    to rebuild, and only at cores away from the center.  The caller
+    replaces a core of that list only when the center reaches it, as
+    ``train_arrays`` does with the list it sweeps.  After construction
+    and after every move, ``left[center]`` and ``right[center + 1]`` are
+    present.
 
     On an unlabeled chain every operation is a GEMM on the local block
     X_c = row_outer(L_c, phi_c) of shape (T, chi_l*f): the outputs are the
@@ -160,6 +181,8 @@ class EnvironmentCache:
         self.phi = phi
         self.label_site = label_site
         self.center = center
+        self._cores = cores
+        self._stride = math.isqrt(n - 1) + 1  # k = ceil(sqrt(N))
         self.left = [None] * (n + 1)
         self.right = [None] * (n + 1)
         self.left[0] = np.ones((t, 1))
@@ -169,8 +192,16 @@ class EnvironmentCache:
         for j in range(n - 1, center, -1):
             self.right[j] = self._absorb_right(self.right[j + 1], cores[j], j,
                                                {})
+            self._drop(self.right, j + 1)
         for j in range(center):
             self.left[j + 1] = self._absorb_left(self.left[j], cores[j], j, {})
+            self._drop(self.left, j)
+
+    def _drop(self, envs, j):
+        """Drop ``envs[j]`` if it carries the class axis and j is not a
+        multiple of k."""
+        if envs[j].ndim == 3 and j % self._stride:
+            envs[j] = None
 
     def _absorb_left(self, env, core, j, memo):
         """L_{j+1} from L_j and core j; unlabeled, one GEMM on the local
@@ -196,18 +227,36 @@ class EnvironmentCache:
         c = self.center
         self.left[c + 1] = self._absorb_left(self.left[c], new_core, c,
                                              self._memo)
+        self._drop(self.left, c)
         self.right[c + 1] = None
         self._memo = {}
         self.center = c + 1
+        if self.right[c + 2] is None:
+            # rebuild the dropped segment right[c + 2 : m] from kept R_m
+            m = c + 3
+            while self.right[m] is None:
+                m += 1
+            for j in range(m - 1, c + 1, -1):
+                self.right[j] = self._absorb_right(
+                    self.right[j + 1], self._cores[j], j, {})
 
     def move_left(self, new_core):
         """Center c -> c-1 after ``new_core`` replaced core c."""
         c = self.center
         self.right[c] = self._absorb_right(self.right[c + 1], new_core, c,
                                            self._memo)
+        self._drop(self.right, c + 1)
         self.left[c] = None
         self._memo = {}
         self.center = c - 1
+        if self.left[c - 1] is None:
+            # rebuild the dropped segment left[m + 1 : c] from kept L_m
+            m = c - 2
+            while self.left[m] is None:
+                m -= 1
+            for j in range(m, c - 1):
+                self.left[j + 1] = self._absorb_left(
+                    self.left[j], self._cores[j], j, {})
 
     def apply(self, core) -> np.ndarray:
         """Model outputs with ``core`` in the center slot: (T,) or (T, C)."""

@@ -347,9 +347,10 @@ def load_mps(path) -> MPS:
     """Read a ``save_mps`` record.
 
     Every entry must be present, the stored physical extent and bond
-    profile must match the cores, and a stored label site must lie on
-    the chain (a negative one means no label); a malformed record raises
-    ValueError naming the path and the entry.  Records that also hold
+    profile must match the cores, a stored label site must lie on the
+    chain (a negative one means no label), and no ``core_j`` may lie
+    beyond ``n_sites``; a malformed record raises ValueError naming the
+    path and the entry.  Records that also hold
     ``gauge`` and ``center`` entries load with those ignored.
     """
     with np.load(path) as data:
@@ -362,8 +363,21 @@ def load_mps(path) -> MPS:
         if version != FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported format_version {version}")
         n = int(entry("n_sites"))
+        if n < 1:
+            raise ValueError(f"{path}: n_sites is stored as {n}, an MPS "
+                             "needs at least one core")
+        beyond = [int(name[5:]) for name in data.files
+                  if name.startswith("core_") and name[5:].isdigit()
+                  and int(name[5:]) >= n]
+        if beyond:
+            raise ValueError(f"{path}: the record holds core_{min(beyond)} "
+                             f"beyond n_sites {n}")
         phys_dim = int(entry("phys_dim"))
         label_site = int(entry("label_site"))
+        if label_site >= n:
+            raise ValueError(f"{path}: label_site is stored as {label_site}; "
+                             f"label site {label_site} is out of range for "
+                             f"{n} sites")
         bond_dims = [int(d) for d in entry("bond_dims")]
         cores = [entry(f"core_{j}") for j in range(n)]
     w = MPS(cores, label_site=None if label_site < 0 else label_site)

@@ -10,12 +10,13 @@ still held to 1e-12.  On unlabeled chains every environment the cache
 builds or moves by GEMM is held to 1e-12 of ``np.einsum(...,
 optimize=True)``; on labeled chains the cache's planned, memoized
 contractions are held bit for bit to one fused
-``np.einsum(..., optimize=True)`` call each.  The QR shifts are held bit
-for bit to the ``np.tensordot`` form.  ``optimize_site``, the one CG
-site solver, is held on squared error to its objective recomputed from
-scratch and to the exact step length from a dense local design, and on
-cross-entropy bit for bit to a test-local copy of the pairwise-sum CG
-loop it has always run.
+``np.einsum(..., optimize=True)`` call each, and the checkpointed
+class-axis environments bit for bit to a cache that keeps them all.
+The QR shifts are held bit for bit to the ``np.tensordot`` form.
+``optimize_site``, the one CG site solver, is held on squared error to
+its objective recomputed from scratch and to the exact step length from
+a dense local design, and on cross-entropy bit for bit to a test-local
+copy of the pairwise-sum CG loop it has always run.
 """
 
 from unittest.mock import patch
@@ -197,31 +198,42 @@ def labeled_chains(draw):
 def test_labeled_cache_bitwise_equals_fused_einsum(case):
     """Planned, memoized contractions are np.einsum(optimize=True) bit for
     bit: several apply and gradient calls at every center, walking right
-    then left, and every environment the cache builds or moves."""
+    then left, and every environment the cache holds.  The cache keeps
+    only every k-th class-axis environment, so each held one is checked
+    against a fused einsum chain of them all: the kept ones after
+    construction, and after every move each one the move made or
+    rebuilt."""
     w, phi, seed = case
     n, label = w.n_sites, w.label_site
     rng = np.random.default_rng(seed + 2)
     cores = [c.copy() for c in canonicalize(w, 0).cores]
     cache = EnvironmentCache(cores, phi, label_site=label, center=0)
+    left = [cache.left[0]] + [None] * n
+    right = [None] * n + [cache.right[n]]
     for j in range(n - 1, 0, -1):
-        spec = ABSORB_RIGHT[class_axis_at(cache.right[j + 1], cores[j])]
-        assert np.array_equal(cache.right[j], fused(
-            spec, cache.right[j + 1], cores[j], phi[:, j]))
+        spec = ABSORB_RIGHT[class_axis_at(right[j + 1], cores[j])]
+        right[j] = fused(spec, right[j + 1], cores[j], phi[:, j])
+
+    def check_held():
+        for held, refs in ((cache.left, left), (cache.right, right)):
+            for env, ref in zip(held, refs):
+                assert env is None or np.array_equal(env, ref)
+
+    check_held()
     for c, step in [(0, None)] + [(c, "R") for c in range(1, n)] + [
             (c, "L") for c in range(n - 2, -1, -1)]:
         if step == "R":
             shift_center(cores, c - 1, 1)
-            spec = ABSORB_LEFT[class_axis_at(cache.left[c - 1], cores[c - 1])]
-            ref = fused(spec, cache.left[c - 1], cores[c - 1], phi[:, c - 1])
+            spec = ABSORB_LEFT[class_axis_at(left[c - 1], cores[c - 1])]
+            left[c] = fused(spec, left[c - 1], cores[c - 1], phi[:, c - 1])
             cache.move_right(cores[c - 1])
-            assert np.array_equal(cache.left[c], ref)
         elif step == "L":
             shift_center(cores, c + 1, -1)
-            spec = ABSORB_RIGHT[class_axis_at(cache.right[c + 2],
-                                              cores[c + 1])]
-            ref = fused(spec, cache.right[c + 2], cores[c + 1], phi[:, c + 1])
+            spec = ABSORB_RIGHT[class_axis_at(right[c + 2], cores[c + 1])]
+            right[c + 1] = fused(spec, right[c + 2], cores[c + 1],
+                                 phi[:, c + 1])
             cache.move_left(cores[c + 1])
-            assert np.array_equal(cache.right[c + 1], ref)
+        check_held()
         lenv, renv = cache.left[c], cache.right[c + 1]
         where = ("center" if c == label else
                  "left" if lenv.ndim == 3 else "right")
@@ -234,6 +246,92 @@ def test_labeled_cache_bitwise_equals_fused_einsum(case):
             coeffs = rng.standard_normal((len(phi), w.label_dim))
             assert np.array_equal(cache.grad_from_output_coeffs(coeffs),
                                   fused(GRAD[where], coeffs, *operands))
+
+
+class KeepingCache(EnvironmentCache):
+    """The environment cache with no environment dropped: the reference
+    of the checkpointed one."""
+
+    def _drop(self, envs, j):
+        pass
+
+
+class CountingCache(EnvironmentCache):
+    """Records the number of class-axis environments held before every
+    absorb; with the count after every move that covers every state."""
+
+    def __init__(self, *args, **kwargs):
+        self.counts = []
+        super().__init__(*args, **kwargs)
+
+    def held(self):
+        return sum(env is not None and env.ndim == 3
+                   for env in self.left + self.right)
+
+    def _absorb_left(self, *args):
+        self.counts.append(self.held())
+        return super()._absorb_left(*args)
+
+    def _absorb_right(self, *args):
+        self.counts.append(self.held())
+        return super()._absorb_right(*args)
+
+
+def walk(cache, cores, n):
+    """Move ``cache`` right to the last site, then left to the first,
+    regauging ``cores`` by QR as a sweep does; yields each center."""
+    yield 0
+    for c in range(n - 1):
+        shift_center(cores, c, 1)
+        cache.move_right(cores[c])
+        yield c + 1
+    for c in range(n - 1, 0, -1):
+        shift_center(cores, c, -1)
+        cache.move_left(cores[c])
+        yield c - 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(12, 40), st.sampled_from([2, 3]), st.integers(1, 4),
+       st.integers(1, 5), st.data(), st.integers(1, 8),
+       st.integers(0, 2**32 - 1))
+def test_checkpointed_cache_bitwise_equals_keeping_every_environment(
+        n, f, chi, classes, data, t, seed):
+    """Dropping and rebuilding class-axis environments changes no bit: at
+    every center of a walk right then left, the environments read there,
+    ``apply`` and the gradient are those of a cache that keeps every
+    environment."""
+    label = data.draw(st.integers(0, n - 1), label="label_site")
+    w, phi, _ = labeled_chain(n, f, chi, classes, label, t, seed)
+    rng = np.random.default_rng(seed + 2)
+    cores = [c.copy() for c in canonicalize(w, 0).cores]
+    cache = EnvironmentCache(cores, phi, label_site=label, center=0)
+    keeping = KeepingCache(cores, phi, label_site=label, center=0)
+    # each walk regauges its own list; the two stay equal bit for bit
+    for c, _ in zip(walk(cache, cores, n), walk(keeping, [*cores], n)):
+        assert np.array_equal(cache.left[c], keeping.left[c])
+        assert np.array_equal(cache.right[c + 1], keeping.right[c + 1])
+        core = rng.standard_normal(cores[c].shape)
+        assert np.array_equal(cache.apply(core), keeping.apply(core))
+        coeffs = rng.standard_normal((t, classes))
+        assert np.array_equal(cache.grad_from_output_coeffs(coeffs),
+                              keeping.grad_from_output_coeffs(coeffs))
+
+
+def test_sweep_holds_sqrt_n_class_axis_environments():
+    """Over one sweep of a 196-site labeled chain (MNIST geometry) the
+    cache never holds more than 2k + 2 class-axis environments, k =
+    ceil(sqrt(196)) = 14, where keeping them all holds 98 at the start."""
+    n, k = 196, 14
+    w, phi, _ = labeled_chain(n, 2, 3, 10, n // 2, 4, 21)
+    cores = [c.copy() for c in canonicalize(w, 0).cores]
+    cache = CountingCache(cores, phi, label_site=n // 2, center=0)
+    for _ in walk(cache, cores, n):
+        cache.counts.append(cache.held())
+    assert max(cache.counts) <= 2 * k + 2
+    keeping = KeepingCache(cores, phi, label_site=n // 2, center=0)
+    assert sum(env is not None and env.ndim == 3
+               for env in keeping.right) == n // 2
 
 
 def test_einsum_path_yields_contraction_steps():

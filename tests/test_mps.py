@@ -344,10 +344,17 @@ class TestSerialization:
         ("label_site", None, "no entry 'label_site'"),
         ("phys_dim", np.int64(7), "phys_dim is stored as 7, the cores have 3"),
         ("format_version", np.int64(2), "unsupported format_version 2"),
+        ("n_sites", np.int64(4), "holds core_4 beyond n_sites 4"),
+        ("label_site", np.int64(7),
+         "label_site is stored as 7; label site 7 is out of range for 5 "
+         "sites"),
+        ("n_sites", np.int64(0),
+         "n_sites is stored as 0, an MPS needs at least one core"),
     ])
     def test_malformed_record_rejected(self, tmp_path, entry, value, message):
-        """A raised n_sites, a missing entry or a wrong phys_dim raises
-        ValueError naming the path and the entry."""
+        """A raised, lowered or zero n_sites, a missing entry, a wrong
+        phys_dim or a label site off the chain raises ValueError naming
+        the path and the entry."""
         w = random_init(5, 3, 6, scale=0.5, seed=34)
         path = tmp_path / "tampered.npz"
         save_mps(w, path)
@@ -371,8 +378,10 @@ class TestSerialization:
             payload = {k: data[k] for k in data}
         payload["label_site"] = np.int64(7)
         np.savez(path, **payload)
-        with pytest.raises(ValueError, match="label site 7 .* 5 sites"):
+        with pytest.raises(ValueError,
+                           match="label site 7 .* 5 sites") as info:
             load_mps(path)
+        assert str(path) in str(info.value)
 
 
 class TestValidation:
