@@ -9,9 +9,19 @@ w = Z^T alpha (Saunders, Gammerman & Vovk, "Ridge Regression Learning
 Algorithm in Dual Variables", ICML 1998), which is smaller and far better
 conditioned.  Solving by LU and compressing the reshaped solution by
 sequential SVDs yields the "inversion and compression" training method.
+
+The product feature map factors every row of Z at the middle bond: row t
+is the outer product of a left half L[t] (the first h = N // 2 sites,
+f^h entries) and a right half R[t] (the other N - h sites).  So
+Z Z^T = (L L^T) * (R R^T) elementwise, Z^T alpha unfolded at that bond
+is L^T diag(alpha) R, and Z w is the row-wise bilinear form
+L[t] . W . R[t] with W unfolded alike.  The dual solve and every
+evaluation run on the halves, O(T f^(N/2)) floats besides the T x T
+Gram, and only the primal solve (T >= f^N) forms Z.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,18 +36,34 @@ DESIGN_GUARD = 10**4
 
 @dataclass(frozen=True)
 class DesignSystem:
-    """Ridge system over the design matrix: Z, the labels and the ridge.
+    """Ridge system over the design matrix, held as its two half-chain
+    designs, with the labels and the ridge.
 
-    The normal equations A w = b are properties built on each access;
-    ``solve_full_weight`` forms only the smaller of A and the dual
-    matrix.  ``z`` also serves to evaluate full weight tensors on the
-    training samples, ``z @ w.ravel()``.
+    Row t of Z is ``row_outer(left, right)[t]``.  Z is built on first
+    access and kept; the normal equations A w = b and the Gram matrix
+    Z Z^T are properties built on each access.  ``solve_full_weight``
+    forms only the Gram (T < f^N) or Z, A and b (otherwise), and
+    ``evaluate_halves`` evaluates full weight tensors on the training
+    samples without Z.
     """
 
-    z: np.ndarray  # (T, f^N) design matrix
+    left: np.ndarray  # (T, f^h) design of the first h = N // 2 sites
+    right: np.ndarray  # (T, f^(N - h)) design of the other sites
     y: np.ndarray  # (T,) labels
     ridge: float
     shape: tuple  # (f, ..., f) of the weight tensor
+
+    @cached_property
+    def z(self) -> np.ndarray:
+        """The (T, f^N) design matrix, built on first access."""
+        return row_outer(self.left, self.right)
+
+    @property
+    def gram(self) -> np.ndarray:
+        """Z Z^T, (T, T), as the elementwise product of the halves' Grams."""
+        gram = self.left @ self.left.T
+        gram *= self.right @ self.right.T
+        return gram
 
     @property
     def a(self) -> np.ndarray:
@@ -52,12 +78,51 @@ class DesignSystem:
         return self.z.T @ self.y / self.z.shape[0]
 
 
-def design_matrix(phi: np.ndarray) -> np.ndarray:
-    """Rows are the row-major flattened feature tensors, shape (T, f^N)."""
+def _site_design(phi: np.ndarray) -> np.ndarray:
+    """Row-major flattened feature tensors of phi's sites, (T, f^n)."""
     z = np.ones((phi.shape[0], 1))
     for j in range(phi.shape[1]):
         z = row_outer(z, phi[:, j])
     return z
+
+
+def design_halves(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(L, R): the designs of the first h = N // 2 sites, (T, f^h), and of
+    the other N - h, (T, f^(N - h)).  At N = 1, L is a column of ones."""
+    h = phi.shape[1] // 2
+    return _site_design(phi[:, :h]), _site_design(phi[:, h:])
+
+
+def design_matrix(phi: np.ndarray) -> np.ndarray:
+    """Rows are the row-major flattened feature tensors, shape (T, f^N)."""
+    return row_outer(*design_halves(phi))
+
+
+# Entries of the (rows, K, f^(N - h)) block ``evaluate_halves`` forms at once.
+_EVAL_BLOCK = 2**15
+
+
+def evaluate_halves(left: np.ndarray, right: np.ndarray,
+                    weights: np.ndarray) -> np.ndarray:
+    """Z @ weights.T for Z = row_outer(left, right), without forming Z.
+
+    ``weights`` is (K, f^N), one row-major flattened full tensor per row;
+    the result is (T, K).  Entry (t, k) is L[t] . W_k . R[t] with W_k
+    unfolded to (f^h, f^(N - h)): one GEMM of a block of rows of L against
+    every W_k side by side, then one batched matrix-vector product with
+    the same rows of R.  Blocks of rows keep each transient at about
+    ``_EVAL_BLOCK`` floats, whatever T is.
+    """
+    t, m = left.shape
+    n = right.shape[1]
+    k = weights.shape[0]
+    side = weights.reshape(k, m, n).transpose(1, 0, 2).reshape(m, k * n)
+    out = np.empty((t, k))
+    rows = max(1, _EVAL_BLOCK // (k * n))
+    for s in range(0, t, rows):
+        block = (left[s:s + rows] @ side).reshape(-1, k, n)
+        out[s:s + rows] = (block @ right[s:s + rows, :, None])[:, :, 0]
+    return out
 
 
 def build_design_system(phi: np.ndarray, y: np.ndarray,
@@ -76,22 +141,26 @@ def build_design_system(phi: np.ndarray, y: np.ndarray,
     dim = f**n
     if dim > DESIGN_GUARD:
         raise CapacityError(f"design matrix would be {dim} x {dim}")
-    return DesignSystem(z=design_matrix(phi), y=y, ridge=ridge,
+    left, right = design_halves(phi)
+    return DesignSystem(left=left, right=right, y=y, ridge=ridge,
                         shape=(f,) * n)
 
 
 def solve_full_weight(system: DesignSystem) -> np.ndarray:
     """The ridge solution as the (f, ..., f) weight tensor, by one LU solve.
 
-    With T < f^N this solves the T x T dual system and maps back,
-    w = Z^T alpha; otherwise the primal A w = b.
+    With T < f^N this solves the T x T dual system on the halves' Gram and
+    maps back, w = Z^T alpha = L^T diag(alpha) R; otherwise the primal
+    A w = b.
     """
-    z = system.z
-    t, dim = z.shape
-    if t < dim:
-        k = (z @ z.T) / t
+    left, right = system.left, system.right
+    t = len(system.y)
+    if t < left.shape[1] * right.shape[1]:
+        k = system.gram
+        k /= t
         k[np.diag_indices_from(k)] += system.ridge
-        w = z.T @ solve_linear(k, system.y / t)
+        alpha = solve_linear(k, system.y / t)
+        w = left.T @ (alpha[:, None] * right)
     else:
         w = solve_linear(system.a, system.b)
     return w.reshape(system.shape)

@@ -20,8 +20,8 @@ from .datagen import TargetSpec, generate_dataset
 from .dmrg import (CROSS_ENTROPY, MSE, TrainConfig, data_loss, frame_labels,
                    train_arrays)
 from .errors import ScanAbortedError
-from .exact import (DESIGN_GUARD, build_design_system, design_matrix,
-                    solve_full_weight)
+from .exact import (DESIGN_GUARD, build_design_system, design_halves,
+                    evaluate_halves, solve_full_weight)
 from .features import FeatureMap, featurize_batch
 from .mps import compress
 from .svgplot import line_plot
@@ -165,18 +165,29 @@ class ScanResult:
     seconds: float = 0.0
 
 
+def _check_finite_means(scan: ScanResult) -> None:
+    bad = [v for v, m in zip(scan.axis, scan.mean) if not np.isfinite(m)]
+    if bad:
+        raise ValueError(f"mean {scan.metric} is not finite at "
+                         f"{scan.axis_name} = {bad}")
+
+
 def find_optimal_chi(scan: ScanResult):
     """(chi*, mean, sigma) at the argmin of the mean test metric.
 
-    Ties break toward the smaller axis value.
+    Ties break toward the smaller axis value.  A non-finite mean raises
+    ValueError naming its axis values.
     """
+    _check_finite_means(scan)
     k = int(np.argmin(scan.mean))
     return scan.axis[k], float(scan.mean[k]), float(scan.std[k])
 
 
 def has_significant_ushape(scan: ScanResult) -> bool:
     """True when an interior minimum sits below both scan endpoints by more
-    than one pooled standard error of the difference."""
+    than one pooled standard error of the difference.  A non-finite mean
+    raises ValueError naming its axis values."""
+    _check_finite_means(scan)
     k = int(np.argmin(scan.mean))
     if k in (0, len(scan.axis) - 1):
         return False
@@ -204,30 +215,29 @@ def _aggregate(rows, axis_values, metric):
 
 def _shared_test_set(cfg: ExperimentConfig, eps):
     """The test set every replicate of a scan at ``eps`` shares, its
-    featurization and, for a serial scan, its design matrix (None under a
-    pool, whose jobs each build their own rather than be sent it)."""
+    featurization and its half-chain designs ``design_halves(phi_te)``,
+    for serial and pool scans alike (0.44 MB at the paper's 1024 samples
+    of 27 + 27 features, 1.6 MB at the 10^4 design guard)."""
     test_set = generate_dataset(cfg.target_spec(eps), cfg.n_test,
                                 cfg.base_seed + TEST_SEED_OFFSET)
     phi_te = featurize_batch(cfg.feature_map(), test_set.features)
-    z_te = design_matrix(phi_te) if cfg.jobs == 1 else None
-    return test_set, phi_te, z_te
+    return test_set, phi_te, design_halves(phi_te)
 
 
-def _regression_fits(cfg, eps, ntr, chi_values, rep, test_set, phi_te, z_te):
+def _regression_fits(cfg, eps, ntr, chi_values, rep, test_set, phi_te,
+                     halves_te):
     """One training replicate at each bond dimension: yields (row, model,
     trace) per chi.  The model is the DMRG-trained MPS with its TrainTrace
     when DMRG runs, else the compressed inversion solution and None.
 
     Every dataset is featurized once here and its features serve each chi;
-    ``test_set``/``phi_te``/``z_te`` come from ``_shared_test_set``.  The
-    ridge solution is compressed once per chi, all compressions sharing
-    one SVD memo, so each distinct SVD is computed once.  The inversion
-    losses of every chi come from two GEMMs in the f^N design space: the
-    compressed models' full tensors, stacked as columns, times the
-    training design matrix (shared with the solve) and times the test
-    design matrix ``z_te``.  The latter holds n_test x f^N floats (6 MB at
-    the paper's 1024 x 729, 82 MB at the 10^4 design guard); a serial scan
-    builds it once, and when it is None (a pool job) it is built here.
+    ``test_set``/``phi_te``/``halves_te`` come from ``_shared_test_set``.
+    The ridge solution is compressed once per chi, all compressions
+    sharing one SVD memo, so each distinct SVD is computed once.  The
+    inversion losses of every chi come from the compressed models' full
+    tensors, stacked as rows, evaluated on the half-chain designs of the
+    training set (shared with the solve) and of the test set by
+    ``evaluate_halves``: no T x f^N design matrix is formed.
     """
     fmap = cfg.feature_map()
     spec = cfg.target_spec(eps)
@@ -239,11 +249,9 @@ def _regression_fits(cfg, eps, ntr, chi_values, rep, test_set, phi_te, z_te):
     full = solve_full_weight(system)
     memo = {}
     models = [compress(full, chi, memo)[0] for chi in chi_values]
-    stack = np.stack([w.to_full_tensor().ravel() for w in models], axis=1)
-    pred_tr = system.z @ stack
-    if z_te is None:
-        z_te = design_matrix(phi_te)
-    pred_te = z_te @ stack
+    stack = np.stack([w.to_full_tensor().ravel() for w in models])
+    pred_tr = evaluate_halves(system.left, system.right, stack)
+    pred_te = evaluate_halves(*halves_te, stack)
     training = cfg.method in (DMRG, BOTH)
     if training:
         val_set = generate_dataset(spec, cfg.n_test,
@@ -275,10 +283,10 @@ def _regression_fits(cfg, eps, ntr, chi_values, rep, test_set, phi_te, z_te):
 
 
 def _regression_replicate(cfg, eps, ntr, chi_values, rep, test_set, phi_te,
-                          z_te):
+                          halves_te):
     """All bond dimensions for one training replicate. Returns row dicts."""
     return [row for row, _, _ in _regression_fits(
-        cfg, eps, ntr, chi_values, rep, test_set, phi_te, z_te)]
+        cfg, eps, ntr, chi_values, rep, test_set, phi_te, halves_te)]
 
 
 def _map_replicates(cfg, worker, jobs):
@@ -536,14 +544,16 @@ def write_manifest(cfg: ExperimentConfig, path, scans) -> None:
 
 def _emit_family(cfg: ExperimentConfig, outers, scans) -> dict:
     """chi_star.csv, the combined figure and the manifest over a family of
-    bond scans, one per ``{outer name: value}`` in ``outers``."""
+    bond scans, one per ``{outer name: value}`` in ``outers``.  A scan
+    whose mean is not finite at some chi raises ValueError before any of
+    them is written."""
     (name,) = outers[0]
     values = [outer[name] for outer in outers]
+    stars = [find_optimal_chi(scan) for scan in scans]
     paths = {"chi_star": os.path.join(cfg.out_dir, "chi_star.csv")}
     with open(paths["chi_star"], "w") as fh:
         fh.write(f"{name},chi_star,mean,std\n")
-        for value, scan in zip(values, scans):
-            chi, m, s = find_optimal_chi(scan)
+        for value, (chi, m, s) in zip(values, stars):
             fh.write(f"{_format_cell(value)},{chi},{repr(m)},{repr(s)}\n")
     paths["figure"] = os.path.join(cfg.out_dir, "figure.svg")
     logy = all(np.all(s.mean > 0) for s in scans)

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from mpslab.datagen import Dataset, TargetSpec, generate_dataset
 from mpslab.errors import CapacityError, DimensionMismatchError
 from mpslab.dmrg import MSE, data_loss
-from mpslab.exact import (build_design_system, design_matrix,
-                          inversion_and_compression, solve_full_weight)
+from mpslab.exact import (build_design_system, design_halves, design_matrix,
+                          evaluate_halves, inversion_and_compression,
+                          solve_full_weight)
 from mpslab.features import FeatureMap, featurize_batch, full_feature_tensor
 from mpslab.mps import compress
-from mpslab.tensor import solve_linear
+from mpslab.tensor import row_outer, solve_linear
 
 
 def tiny_dataset(t, n, seed, labels=None):
@@ -107,6 +108,43 @@ class TestBuildDesignSystem:
         y[2] = bad
         with pytest.raises(ValueError, match="non-finite"):
             build_design_system(phi, y, 1e-3)
+
+
+def sequential_design(phi):
+    """Row-major flattened feature tensors, one site at a time."""
+    z = np.ones((phi.shape[0], 1))
+    for j in range(phi.shape[1]):
+        z = row_outer(z, phi[:, j])
+    return z
+
+
+class TestDesignHalves:
+    """The half-chain designs factor the design matrix at the middle bond:
+    its rows bit for bit, and the Gram and the evaluation built on them
+    to roundoff, 1e-12 relative to the same products on absolute values
+    (they sum at most f^N = 729 products)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 6), f=st.sampled_from([2, 3]),
+           t=st.integers(1, 64), k=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_halves_factor_design(self, n, f, t, k, seed):
+        rng = np.random.default_rng(seed)
+        phi = rng.standard_normal((t, n, f))
+        left, right = design_halves(phi)
+        assert np.array_equal(left, sequential_design(phi[:, :n // 2]))
+        assert np.array_equal(right, sequential_design(phi[:, n // 2:]))
+        z = design_matrix(phi)
+        assert np.array_equal(z, row_outer(left, right))
+        system = build_design_system(phi, rng.standard_normal(t), 1e-3)
+        assert np.array_equal(system.z, z)
+        az = np.abs(z)
+        assert np.all(np.abs(system.gram - z @ z.T) <= 1e-12 * (az @ az.T))
+        weights = rng.standard_normal((k, f**n))
+        pred = evaluate_halves(left, right, weights)
+        assert pred.shape == (t, k)
+        assert np.all(np.abs(pred - z @ weights.T)
+                      <= 1e-12 * (az @ np.abs(weights).T))
 
 
 class TestSolveFullWeight:

@@ -7,6 +7,7 @@ import pathlib
 import struct
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -21,9 +22,11 @@ from mpslab.exact import (build_design_system, design_matrix,
 from mpslab.experiments import (TEST_SEED_OFFSET, VAL_SEED_OFFSET,
                                 ExperimentConfig, ScanResult,
                                 config_from_dict, emit_outputs,
-                                find_optimal_chi, run_bond_scan, run_scan)
+                                find_optimal_chi, has_significant_ushape,
+                                run_bond_scan, run_scan)
 from mpslab.features import featurize_batch
 from mpslab.mps import compress, load_mps
+from mpslab.tensor import row_outer
 
 TINY = ExperimentConfig(chi_list=(2, 3, 4), ntr_list=(60,), eps_list=(0.3,),
                         replicates=3, base_seed=500, n_test=64)
@@ -50,6 +53,17 @@ class TestFindOptimalChi:
     def test_ties_break_to_smaller(self):
         scan = synthetic_scan([3.0, 1.0, 1.0, 2.0])
         assert find_optimal_chi(scan)[0] == 3
+
+    def test_non_finite_mean_rejected(self):
+        scan = synthetic_scan([1.0, np.nan, 0.5, np.inf])
+        with pytest.raises(ValueError, match=r"at chi = \[3, 5\]"):
+            find_optimal_chi(scan)
+
+    def test_ushape_non_finite_mean_rejected(self):
+        scan = synthetic_scan([1.0, np.nan, 0.5, 0.9])
+        with pytest.raises(ValueError, match=r"inv_test_loss is not finite "
+                                             r"at chi = \[3\]"):
+            has_significant_ushape(scan)
 
 
 class TestBondScan:
@@ -107,6 +121,18 @@ class TestBondScan:
             assert json.load(fh)["failures"] == 1
         assert "FloatingPointError" in caplog.text
 
+    def test_default_scan_memory_bound(self):
+        """No T x f^N design matrix: the paper's 1024 x 729 test design
+        alone would take 6 MB."""
+        cfg = ExperimentConfig(replicates=2)
+        tracemalloc.start()
+        try:
+            run_bond_scan(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+
     def test_abort_on_failures(self, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("boom")
@@ -159,8 +185,8 @@ class TestSharedWork:
     """Shared test set, once-per-dataset features and the design-space
     evaluation of every chi leave each raw row equal to the per-chi
     recomputation: keys, seeds and DMRG columns bitwise, the inversion
-    losses (one GEMM over the stacked full tensors instead of one
-    ``evaluate_batch`` per chi) to roundoff: at most 10 ulp (1.3e-15
+    losses (``evaluate_halves`` on the stacked full tensors instead of one
+    ``evaluate_batch`` per chi) to roundoff: at most 8 ulp (1.1e-15
     relative) was measured on these two configurations."""
 
     @pytest.mark.parametrize("cfg", [
@@ -262,15 +288,20 @@ class TestEmit:
         assert serial.raw_rows == parallel.raw_rows
 
     def test_parallel_jobs_match_serial_every_chi(self):
-        """Over chi 2..27 the SVD memo shares work at three bonds; a serial
-        scan builds the test design once, while pool jobs are not sent it
-        and build their own."""
+        """Over chi 2..27 the SVD memo shares work at three bonds; serial
+        and pool scans share one test set's half-chain designs, whose row
+        products are its design matrix."""
         cfg = dataclasses.replace(TINY, chi_list=tuple(range(2, 28)),
                                   replicates=2)
-        _, phi_te, z_te = experiments._shared_test_set(cfg, 0.3)
-        np.testing.assert_array_equal(z_te, design_matrix(phi_te))
+        _, phi_te, (left, right) = experiments._shared_test_set(cfg, 0.3)
+        assert left.shape == (cfg.n_test, 27) == right.shape
+        np.testing.assert_array_equal(row_outer(left, right),
+                                      design_matrix(phi_te))
         pool = dataclasses.replace(cfg, jobs=2)
-        assert experiments._shared_test_set(pool, 0.3)[2] is None
+        _, pool_phi, pool_halves = experiments._shared_test_set(pool, 0.3)
+        np.testing.assert_array_equal(pool_phi, phi_te)
+        for mine, theirs in zip(pool_halves, (left, right)):
+            np.testing.assert_array_equal(mine, theirs)
         serial, parallel = run_bond_scan(cfg), run_bond_scan(pool)
         assert len(serial.raw_rows) == 2 * 26
         assert serial.raw_rows == parallel.raw_rows
@@ -644,6 +675,27 @@ class TestScenarioDispatch:
                     seconds.append(json.load(fh)["seconds"])
             with open(paths["manifest"]) as fh:
                 assert json.load(fh)["seconds"] == pytest.approx(sum(seconds))
+
+    def test_family_stops_at_non_finite_mean(self, tmp_path, monkeypatch):
+        """Every scan directory is written; chi_star.csv is not."""
+        replicate = experiments._regression_replicate
+
+        def diverging(cfg, eps, *args):
+            rows = replicate(cfg, eps, *args)
+            for row in rows:
+                if eps == 0.2 and row["axis"] == 3:
+                    row["inv_test_loss"] = np.nan
+            return rows
+
+        monkeypatch.setattr(experiments, "_regression_replicate", diverging)
+        out = tmp_path / "out"
+        fields, _, scans = DISPATCH_CASES["custom-multi-eps"]
+        with pytest.raises(ValueError, match=r"at chi = \[3\]"):
+            experiments.run_scenario(
+                ExperimentConfig(out_dir=str(out), **fields))
+        for name in scans:
+            assert (out / name / "raw.csv").is_file()
+        assert not (out / "chi_star.csv").exists()
 
 
 class TestFig5:
