@@ -90,9 +90,12 @@ class TrainTrace:
     accepted) and ``ls_trials`` counts its line-search objective
     evaluations.  ``optimize_seconds``, ``move_seconds`` and
     ``evaluate_seconds`` split its wall time into ``optimize_site``, the
-    QR regauge plus environment move (with the rebuilds of dropped
-    class-axis environments a move makes), and the validation and test
-    evaluation.  All are 0 at sweep 0.
+    QR regauge plus environment move (with the rebuilds of any dropped
+    environment a move makes), and the validation and test evaluation.
+    All are 0 at sweep 0.  ``clamped_rows`` (classifier) counts the
+    training rows of those last outputs whose true-class probability is
+    below PROB_FLOOR: ``train_loss`` clamps them and their gradient rows
+    are zero.
     """
 
     sweeps: list = field(default_factory=list)
@@ -110,6 +113,7 @@ class TrainTrace:
     optimize_seconds: list = field(default_factory=list)
     move_seconds: list = field(default_factory=list)
     evaluate_seconds: list = field(default_factory=list)
+    clamped_rows: list = field(default_factory=list)
     best_validation_sweep: int = 0
     stalls: int = 0
     max_monotonicity_violation: float = 0.0
@@ -132,25 +136,27 @@ class EnvironmentCache:
 
     Environments on the label side of a labeled MPS carry the extra class
     axis.  A None entry is either stale (the center has moved past it) or
-    dropped.  Class-free environments are never dropped, so an unlabeled
-    chain keeps every environment as it is built.  A class-axis
-    environment (T x chi x C) is kept only at every k-th site, k =
-    ceil(sqrt(N)) for a chain of N sites, plus the segment the center is
-    walking through: when a move needs a dropped one, that segment is
-    rebuilt from the nearest kept environment (sublinear-memory
-    checkpointing, Chen et al., arXiv:1604.06174).  A sweep then holds
-    O(sqrt N) class-axis environments instead of O(N), at the cost of
-    about N extra absorbs per sweep.  A rebuild makes the same
-    ``_absorb_left``/``_absorb_right`` calls on the same arrays as the
-    build or move that first made the environment, with a fresh memo, so
-    every environment read is bit for bit the one kept before.
+    dropped.  Unlabeled chains drop nothing: they keep every environment
+    as it is built.  A labeled chain keeps an environment, with or
+    without the class axis, only at every k-th index, k = ceil(sqrt(N))
+    for a chain of N sites, at the boundaries ``left[0]`` and
+    ``right[N]``, and in the segment the center is walking through: when
+    a move needs a dropped one, that segment is rebuilt from the nearest
+    kept environment (sublinear-memory checkpointing, Chen et al.,
+    arXiv:1604.06174).  A sweep then holds O(sqrt N) environments instead
+    of O(N), at the cost of about 2N extra absorbs per sweep.  A rebuild
+    makes the same ``_absorb_left``/``_absorb_right`` calls on the same
+    arrays as the build or move that first made the environment, with a
+    fresh memo, so every environment read is bit for bit the one kept
+    before.
 
     The cache keeps a reference to the list ``cores`` and reads it only
-    to rebuild, and only at cores away from the center.  The caller
-    replaces a core of that list only when the center reaches it, as
-    ``train_arrays`` does with the list it sweeps.  After construction
-    and after every move, ``left[center]`` and ``right[center + 1]`` are
-    present.
+    to rebuild, at cores on either side of the center but never at the
+    center.  The caller replaces a core of that list only when the center
+    reaches it, as ``train_arrays`` does with the list it sweeps, so every
+    core a rebuild reads is the one its environment was first built
+    from.  After construction and after every move, ``left[center]`` and
+    ``right[center + 1]`` are present.
 
     On an unlabeled chain every operation is a GEMM on the local block
     X_c = row_outer(L_c, phi_c) of shape (T, chi_l*f): the outputs are the
@@ -198,9 +204,10 @@ class EnvironmentCache:
             self._drop(self.left, j)
 
     def _drop(self, envs, j):
-        """Drop ``envs[j]`` if it carries the class axis and j is not a
-        multiple of k."""
-        if envs[j].ndim == 3 and j % self._stride:
+        """Drop ``envs[j]`` of a labeled chain unless j is a multiple of k
+        or the boundary N, where the rebuild searches end."""
+        if (self.label_site is not None and j % self._stride
+                and j < len(envs) - 1):
             envs[j] = None
 
     def _absorb_left(self, env, core, j, memo):
@@ -370,7 +377,11 @@ def data_loss(outputs: np.ndarray, y: np.ndarray, kind: str) -> float:
     """Data term of the training objective (no ridge)."""
     if kind == MSE:
         return float(0.5 * np.mean((outputs - y) ** 2))
-    p_true, _ = _true_class_probabilities(outputs, y)
+    return _cross_entropy(_true_class_probabilities(outputs, y)[0])
+
+
+def _cross_entropy(p_true: np.ndarray) -> float:
+    """Mean of -ln p_true, each p_true clamped at PROB_FLOOR."""
     return float(-np.mean(np.log(np.maximum(p_true, PROB_FLOOR))))
 
 
@@ -628,15 +639,20 @@ def train_arrays(w0: MPS, phi_tr, y_tr, phi_val=None, y_val=None,
         trace.sweeps.append(sweep)
         trace.seconds.append(tick - started if sweep else 0.0)
         trace.objective.append(objective)
-        trace.train_loss.append(data_loss(outputs, y_tr, kind))
+        if classifying:
+            p_true = _true_class_probabilities(outputs, y_tr)[0]
+            trace.train_loss.append(_cross_entropy(p_true))
+            trace.clamped_rows.append(
+                int(np.count_nonzero(p_true < PROB_FLOOR)))
+            trace.train_accuracy.append(_accuracy(outputs, y_tr))
+        else:
+            trace.train_loss.append(data_loss(outputs, y_tr, kind))
         trace.cg_accepted.append(accepted)
         trace.mean_step.append(float(step_sum) / accepted if accepted
                                else 0.0)
         trace.ls_trials.append(trials)
         trace.optimize_seconds.append(optimize_s)
         trace.move_seconds.append(move_s)
-        if classifying:
-            trace.train_accuracy.append(_accuracy(outputs, y_tr))
         model = MPS(cores, label_site=label_site)
         for phi, y, losses, accs in held_out:
             out = None if phi is None else model.evaluate_batch(phi)

@@ -1,5 +1,6 @@
 import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from mpslab.classify import (ImageDataset, corrupt_labels,
                              init_classifier_mps, load_idx, mnist_feature_map,
                              predict_proba, preprocess, subset,
                              train_classifier)
-from mpslab.dmrg import CROSS_ENTROPY, TrainConfig, data_loss
+from mpslab.dmrg import CROSS_ENTROPY, TrainConfig, data_loss, train_arrays
 from mpslab.errors import IdxFormatError
 from mpslab.features import featurize_batch
 from mpslab.mps import MPS, random_init
@@ -202,6 +203,24 @@ class TestCrossEntropy:
         # every sample's true-class probability is clamped at the floor
         assert cross_entropy(w, d) == -np.log(dmrg.PROB_FLOOR)
 
+    def test_trace_counts_clamped_rows(self):
+        # v = cos(pi x / 2) weights[0] + sin(pi x / 2) weights[1]: the x = 0
+        # rows start all zero.  Training lifts weights[0] on classes 2 and
+        # 4 only, so the class-2 row leaves the clamp and the class-7 row,
+        # its true-class output still zero, stays.
+        weights = np.zeros((2, 10))
+        weights[1, 4], weights[1, 2] = 1.0, 0.1
+        d = ImageDataset(np.array([0.0, 0.0, 0.5, 0.5]).reshape(4, 1, 1),
+                         np.array([2, 7, 2, 4]))
+        cfg = TrainConfig(sweeps=2, cg_steps=3, loss_kind=CROSS_ENTROPY,
+                          checkpoint="last", sweep_tol=0.0)
+        model, trace = train_arrays(single_site_classifier(weights),
+                                    featurize_images(d), d.labels,
+                                    config=cfg)
+        assert trace.clamped_rows == [2, 1, 1]
+        p = predict_proba(model, featurize_images(d))
+        assert p[0, 2] > 0.0 and p[1, 7] == 0.0
+
 
 class TestAccuracy:
     def test_perfect(self):
@@ -242,6 +261,23 @@ class TestTraining:
         assert trace.train_accuracy[-1] >= 0.95
         assert trace.max_monotonicity_violation <= 0.0
         assert model.label_site == 2
+
+    def test_one_sweep_memory_bound(self):
+        """One training sweep of a 196-site labeled chain on 14 x 14 images
+        holds O(sqrt N) environments of either kind: a peak of about 2.4
+        MB here, where keeping the class-free ones all took 3.1 MB."""
+        rng = np.random.default_rng(15)
+        d = ImageDataset(rng.uniform(size=(128, 14, 14)),
+                         rng.integers(0, 10, 128))
+        cfg = TrainConfig(sweeps=1, cg_steps=2, loss_kind=CROSS_ENTROPY,
+                          checkpoint="last", sweep_tol=0.0)
+        tracemalloc.start()
+        try:
+            train_classifier(d, None, None, 6, cfg, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_750_000
 
     def test_subset_and_corrupt(self):
         rng = np.random.default_rng(11)

@@ -11,7 +11,7 @@ builds or moves by GEMM is held to 1e-12 of ``np.einsum(...,
 optimize=True)``; on labeled chains the cache's planned, memoized
 contractions are held bit for bit to one fused
 ``np.einsum(..., optimize=True)`` call each, and the checkpointed
-class-axis environments bit for bit to a cache that keeps them all.
+environments bit for bit to a cache that keeps them all.
 The QR shifts are held bit for bit to the ``np.tensordot`` form.
 ``optimize_site``, the one CG site solver, is held on squared error to
 its objective recomputed from scratch and to the exact step length from
@@ -199,10 +199,9 @@ def test_labeled_cache_bitwise_equals_fused_einsum(case):
     """Planned, memoized contractions are np.einsum(optimize=True) bit for
     bit: several apply and gradient calls at every center, walking right
     then left, and every environment the cache holds.  The cache keeps
-    only every k-th class-axis environment, so each held one is checked
-    against a fused einsum chain of them all: the kept ones after
-    construction, and after every move each one the move made or
-    rebuilt."""
+    only every k-th environment, so each held one is checked against a
+    fused einsum chain of them all: the kept ones after construction,
+    and after every move each one the move made or rebuilt."""
     w, phi, seed = case
     n, label = w.n_sites, w.label_site
     rng = np.random.default_rng(seed + 2)
@@ -257,16 +256,18 @@ class KeepingCache(EnvironmentCache):
 
 
 class CountingCache(EnvironmentCache):
-    """Records the number of class-axis environments held before every
-    absorb; with the count after every move that covers every state."""
+    """Records the (class-free, class-axis) environments held before
+    every absorb, so ``len(counts)`` is the number of absorbs; with the
+    counts after every move that covers every state."""
 
     def __init__(self, *args, **kwargs):
         self.counts = []
         super().__init__(*args, **kwargs)
 
     def held(self):
-        return sum(env is not None and env.ndim == 3
-                   for env in self.left + self.right)
+        envs = [env for env in self.left + self.right if env is not None]
+        return (sum(env.ndim == 2 for env in envs),
+                sum(env.ndim == 3 for env in envs))
 
     def _absorb_left(self, *args):
         self.counts.append(self.held())
@@ -277,11 +278,16 @@ class CountingCache(EnvironmentCache):
         return super()._absorb_right(*args)
 
 
-def walk(cache, cores, n):
-    """Move ``cache`` right to the last site, then left to the first,
-    regauging ``cores`` by QR as a sweep does; yields each center."""
-    yield 0
-    for c in range(n - 1):
+class KeepingCountingCache(CountingCache, KeepingCache):
+    """The counting cache with no environment dropped."""
+
+
+def walk(cache, cores, n, start=0):
+    """Move ``cache`` from center ``start`` right to the last site, then
+    left to the first, regauging ``cores`` by QR as a sweep does; yields
+    each center."""
+    yield start
+    for c in range(start, n - 1):
         shift_center(cores, c, 1)
         cache.move_right(cores[c])
         yield c + 1
@@ -291,24 +297,38 @@ def walk(cache, cores, n):
         yield c - 1
 
 
+@st.composite
+def checkpointed_chains(draw):
+    """(N, f, chi, classes, label site, construction center, T, seed): N
+    in 12..40, so k = ceil(sqrt N) is 4..7 and divides N or not."""
+    n = draw(st.integers(12, 40))
+    return (n, draw(st.sampled_from([2, 3])), draw(st.integers(1, 4)),
+            draw(st.integers(1, 5)), draw(st.integers(0, n - 1)),
+            draw(st.integers(0, n - 1)), draw(st.integers(1, 8)),
+            draw(st.integers(0, 2**32 - 1)))
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.integers(12, 40), st.sampled_from([2, 3]), st.integers(1, 4),
-       st.integers(1, 5), st.data(), st.integers(1, 8),
-       st.integers(0, 2**32 - 1))
-def test_checkpointed_cache_bitwise_equals_keeping_every_environment(
-        n, f, chi, classes, data, t, seed):
-    """Dropping and rebuilding class-axis environments changes no bit: at
-    every center of a walk right then left, the environments read there,
-    ``apply`` and the gradient are those of a cache that keeps every
-    environment."""
-    label = data.draw(st.integers(0, n - 1), label="label_site")
+@given(checkpointed_chains())
+# k = 4 does not divide N = 13, so right[N] is kept as the boundary, not
+# as a multiple of k; the label at either end
+@example((13, 2, 2, 3, 0, 0, 5, 0))
+@example((13, 2, 2, 3, 12, 0, 5, 1))
+@example((13, 3, 3, 4, 12, 6, 3, 2))
+def test_checkpointed_cache_bitwise_equals_keeping_every_environment(case):
+    """Dropping and rebuilding environments changes no bit: at every
+    center of a walk from the construction center right, then left, the
+    environments read there, ``apply`` and the gradient are those of a
+    cache that keeps every environment."""
+    n, f, chi, classes, label, start, t, seed = case
     w, phi, _ = labeled_chain(n, f, chi, classes, label, t, seed)
     rng = np.random.default_rng(seed + 2)
-    cores = [c.copy() for c in canonicalize(w, 0).cores]
-    cache = EnvironmentCache(cores, phi, label_site=label, center=0)
-    keeping = KeepingCache(cores, phi, label_site=label, center=0)
+    cores = [c.copy() for c in canonicalize(w, start).cores]
+    cache = EnvironmentCache(cores, phi, label_site=label, center=start)
+    keeping = KeepingCache(cores, phi, label_site=label, center=start)
     # each walk regauges its own list; the two stay equal bit for bit
-    for c, _ in zip(walk(cache, cores, n), walk(keeping, [*cores], n)):
+    for c, _ in zip(walk(cache, cores, n, start),
+                    walk(keeping, [*cores], n, start)):
         assert np.array_equal(cache.left[c], keeping.left[c])
         assert np.array_equal(cache.right[c + 1], keeping.right[c + 1])
         core = rng.standard_normal(cores[c].shape)
@@ -320,18 +340,39 @@ def test_checkpointed_cache_bitwise_equals_keeping_every_environment(
 
 def test_sweep_holds_sqrt_n_class_axis_environments():
     """Over one sweep of a 196-site labeled chain (MNIST geometry) the
-    cache never holds more than 2k + 2 class-axis environments, k =
-    ceil(sqrt(196)) = 14, where keeping them all holds 98 at the start."""
+    cache never holds more than 2k + 2 class-free and 2k + 2 class-axis
+    environments, k = ceil(sqrt(196)) = 14.  Keeping them all holds 99
+    class-free and 98 class-axis ones at the start, and all 197
+    class-free ones at the label site."""
     n, k = 196, 14
     w, phi, _ = labeled_chain(n, 2, 3, 10, n // 2, 4, 21)
     cores = [c.copy() for c in canonicalize(w, 0).cores]
     cache = CountingCache(cores, phi, label_site=n // 2, center=0)
     for _ in walk(cache, cores, n):
         cache.counts.append(cache.held())
-    assert max(cache.counts) <= 2 * k + 2
-    keeping = KeepingCache(cores, phi, label_site=n // 2, center=0)
-    assert sum(env is not None and env.ndim == 3
-               for env in keeping.right) == n // 2
+    most_free, most_axis = np.max(cache.counts, axis=0)
+    assert most_free <= 2 * k + 2 and most_axis <= 2 * k + 2
+    keeping = KeepingCountingCache(cores, phi, label_site=n // 2, center=0)
+    assert keeping.held() == (99, 98)
+    for _ in walk(keeping, cores, n):
+        keeping.counts.append(keeping.held())
+    assert np.max(keeping.counts, axis=0).tolist() == [n + 1, 98]
+
+
+def test_unlabeled_walk_keeps_every_environment():
+    """An unlabeled chain drops nothing, even where k = ceil(sqrt N)
+    would: at every center of a walk right then left, left[0..c] and
+    right[c+1..N] are all held, and the cache makes N - 1 absorbs to
+    build and one per move, with no rebuild."""
+    n = 30
+    w = random_init(n, 2, 3, scale=0.7, seed=22)
+    phi = np.random.default_rng(23).standard_normal((4, n, 2))
+    cores = [c.copy() for c in canonicalize(w, 0).cores]
+    cache = CountingCache(cores, phi, center=0)
+    for c in walk(cache, cores, n):
+        assert all(env is not None
+                   for env in cache.left[:c + 1] + cache.right[c + 1:])
+    assert len(cache.counts) == (n - 1) + 2 * (n - 1)
 
 
 def test_einsum_path_yields_contraction_steps():
