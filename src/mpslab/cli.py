@@ -16,7 +16,7 @@ from . import __version__
 from .classify import export_predictions
 from .datagen import generate_dataset, save_dataset_csv
 from .errors import ScanAbortedError
-from .experiments import (DMRG, GRIDS, SCENARIOS, ExperimentConfig,
+from .experiments import (DMRG, SCENARIOS, ExperimentConfig,
                           config_from_dict, load_mnist_pair, run_scenario,
                           run_single)
 from .mps import save_mps
@@ -141,7 +141,7 @@ def _config(args) -> ExperimentConfig:
 
 def _config_entries(args) -> dict:
     """The config fields ``--config``'s file and the flags set, flags
-    last; a single value fills a one-point grid."""
+    last."""
     data = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -149,8 +149,6 @@ def _config_entries(args) -> dict:
         data = data.get("config", data)
     for name, value in vars(args).items():
         if name in ExperimentConfig.__dataclass_fields__ and value is not None:
-            if name in GRIDS and not isinstance(value, tuple):
-                value = (value,)
             data[name] = value
     return data
 

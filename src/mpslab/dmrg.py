@@ -132,7 +132,21 @@ class TrainTrace:
 
 
 class EnvironmentCache:
-    """Per-sample partial contractions L_j / R_j around the center site.
+    """The chain a sweep trains: its cores, in mixed canonical gauge at
+    ``center``, and the per-sample partial contractions L_j / R_j around
+    that center.
+
+    ``EnvironmentCache(w, phi, center)`` canonicalizes ``w`` at ``center``
+    and keeps C-contiguous copies of its cores in ``cores``: a left QR
+    move leaves its isometry a transposed view, and strides pick the
+    BLAS path of every later product.  The label site is ``w``'s.  The
+    caller writes only ``cores[center]``, its trained center core;
+    ``move_right`` and ``move_left`` regauge that core by a QR
+    ``shift_center`` on ``cores`` (Schollwoeck, arXiv:1008.3477, sec.
+    4.4) and absorb its isometry into the environment on its side.  After
+    construction and after every move, the cores before ``center`` are
+    left-orthonormal, those after it right-orthonormal, and
+    ``left[center]`` and ``right[center + 1]`` are present.
 
     Environments on the label side of a labeled MPS carry the extra class
     axis.  A None entry is either stale (the center has moved past it) or
@@ -145,18 +159,11 @@ class EnvironmentCache:
     kept environment (sublinear-memory checkpointing, Chen et al.,
     arXiv:1604.06174).  A sweep then holds O(sqrt N) environments instead
     of O(N), at the cost of about 2N extra absorbs per sweep.  A rebuild
-    makes the same ``_absorb_left``/``_absorb_right`` calls on the same
-    arrays as the build or move that first made the environment, with a
-    fresh memo, so every environment read is bit for bit the one kept
-    before.
-
-    The cache keeps a reference to the list ``cores`` and reads it only
-    to rebuild, at cores on either side of the center but never at the
-    center.  The caller replaces a core of that list only when the center
-    reaches it, as ``train_arrays`` does with the list it sweeps, so every
-    core a rebuild reads is the one its environment was first built
-    from.  After construction and after every move, ``left[center]`` and
-    ``right[center + 1]`` are present.
+    reads only cores away from the center, which change only by the move
+    that absorbs them, so it makes the same ``_absorb_left``/
+    ``_absorb_right`` calls on the same arrays as the build or move that
+    first made the environment, with a fresh memo, and every environment
+    read is bit for bit the one kept before.
 
     On an unlabeled chain every operation is a GEMM on the local block
     X_c = row_outer(L_c, phi_c) of shape (T, chi_l*f): the outputs are the
@@ -181,13 +188,13 @@ class EnvironmentCache:
     steps) live in a per-center memo that every move drops.
     """
 
-    def __init__(self, cores, phi, label_site=None, center=0):
-        n = len(cores)
+    def __init__(self, w: MPS, phi, center=0):
+        n = w.n_sites
         t = phi.shape[0]
         self.phi = phi
-        self.label_site = label_site
+        self.label_site = w.label_site
         self.center = center
-        self._cores = cores
+        self.cores = cores = [c.copy() for c in canonicalize(w, center).cores]
         self._stride = math.isqrt(n - 1) + 1  # k = ceil(sqrt(N))
         self.left = [None] * (n + 1)
         self.right = [None] * (n + 1)
@@ -229,10 +236,11 @@ class EnvironmentCache:
         return _contract(f"{rterm},{cterm},tf->{out}",
                          (env, core, self.phi[:, j]), 1, memo)
 
-    def move_right(self, new_core):
-        """Center c -> c+1 after ``new_core`` replaced core c."""
+    def move_right(self):
+        """Center c -> c+1: regauge core c by QR, absorb it into L_{c+1}."""
         c = self.center
-        self.left[c + 1] = self._absorb_left(self.left[c], new_core, c,
+        shift_center(self.cores, c, 1)
+        self.left[c + 1] = self._absorb_left(self.left[c], self.cores[c], c,
                                              self._memo)
         self._drop(self.left, c)
         self.right[c + 1] = None
@@ -245,13 +253,14 @@ class EnvironmentCache:
                 m += 1
             for j in range(m - 1, c + 1, -1):
                 self.right[j] = self._absorb_right(
-                    self.right[j + 1], self._cores[j], j, {})
+                    self.right[j + 1], self.cores[j], j, {})
 
-    def move_left(self, new_core):
-        """Center c -> c-1 after ``new_core`` replaced core c."""
+    def move_left(self):
+        """Center c -> c-1: regauge core c by QR, absorb it into R_c."""
         c = self.center
-        self.right[c] = self._absorb_right(self.right[c + 1], new_core, c,
-                                           self._memo)
+        shift_center(self.cores, c, -1)
+        self.right[c] = self._absorb_right(self.right[c + 1], self.cores[c],
+                                           c, self._memo)
         self._drop(self.right, c + 1)
         self.left[c] = None
         self._memo = {}
@@ -263,7 +272,7 @@ class EnvironmentCache:
                 m -= 1
             for j in range(m, c - 1):
                 self.left[j + 1] = self._absorb_left(
-                    self.left[j], self._cores[j], j, {})
+                    self.left[j], self.cores[j], j, {})
 
     def apply(self, core) -> np.ndarray:
         """Model outputs with ``core`` in the center slot: (T,) or (T, C)."""
@@ -577,8 +586,9 @@ def train_arrays(w0: MPS, phi_tr, y_tr, phi_val=None, y_val=None,
                  phi_te=None, y_te=None, config: TrainConfig = TrainConfig()):
     """Sweeping CG training on featurized arrays.
 
-    Alternates left-to-right and right-to-left passes, moving the center
-    by a QR ``shift_center`` and updating the environment cache
+    Alternates left-to-right and right-to-left passes over the chain an
+    ``EnvironmentCache`` holds: each solve writes ``cache.cores`` at the
+    center, and the cache's moves regauge it and update the environments
     incrementally.  Returns the checkpointed model, mixed-canonical at
     site 0 since every sweep ends there, and the complete TrainTrace.
     Squared error trains a chain without a label site, cross-entropy one
@@ -598,26 +608,28 @@ def train_arrays(w0: MPS, phi_tr, y_tr, phi_val=None, y_val=None,
         need = "a" if classifying else "no"
         raise ValueError(f"loss_kind {kind!r} needs a chain with {need} "
                          f"label site, got label_site={label_site}")
+    cache = EnvironmentCache(w0, phi_tr, center=0)
+    # a sweep's center moves: right to the last site, back left to site 0,
+    # then stay for a last solve there
     n = w0.n_sites
-    # C-contiguous copies: strides pick the BLAS path of later products
-    cores = [c.copy() for c in canonicalize(w0, 0).cores]
-    cache = EnvironmentCache(cores, phi_tr, label_site=label_site, center=0)
+    plan = [1] * (n - 1) + [-1] * (n - 1) + [0]
     use_best = config.checkpoint == "best_validation" and phi_val is not None
     trace = TrainTrace()
     held_out = ((phi_val, y_val, trace.val_loss, trace.val_accuracy),
                 (phi_te, y_te, trace.test_loss, trace.test_accuracy))
     best_val = np.inf
     best_cores = None
-    objective, outputs = site_loss(cache, cores[0], y_tr, kind, config.ridge)
+    objective, outputs = site_loss(cache, cache.cores[0], y_tr, kind,
+                                   config.ridge)
     for sweep in range(config.sweeps + 1):
         started = time.perf_counter()
         start_objective = objective
         accepted = trials = 0
         step_sum = optimize_s = move_s = 0.0
-        for site, step in _sweep_plan(n) if sweep else ():
+        for step in plan if sweep else ():
             tick = time.perf_counter()
-            update = optimize_site(cache, cores[site], y_tr, config,
-                                   None if classifying else outputs)
+            update = optimize_site(cache, cache.cores[cache.center], y_tr,
+                                   config, None if classifying else outputs)
             optimize_s += time.perf_counter() - tick
             step_sum += update.step_sum
             accepted += update.accepted
@@ -626,13 +638,11 @@ def train_arrays(w0: MPS, phi_tr, y_tr, phi_val=None, y_val=None,
             trace.max_monotonicity_violation = max(
                 trace.max_monotonicity_violation,
                 update.objective - objective - 1e-12)
-            cores[site] = update.core
+            cache.cores[cache.center] = update.core
             objective, outputs = update.objective, update.outputs
             tick = time.perf_counter()
             if step:
-                shift_center(cores, site, step)
-                move = cache.move_right if step > 0 else cache.move_left
-                move(cores[site])
+                (cache.move_right if step > 0 else cache.move_left)()
             move_s += time.perf_counter() - tick
 
         tick = time.perf_counter()
@@ -653,7 +663,7 @@ def train_arrays(w0: MPS, phi_tr, y_tr, phi_val=None, y_val=None,
         trace.ls_trials.append(trials)
         trace.optimize_seconds.append(optimize_s)
         trace.move_seconds.append(move_s)
-        model = MPS(cores, label_site=label_site)
+        model = MPS(cache.cores, label_site=label_site)
         for phi, y, losses, accs in held_out:
             out = None if phi is None else model.evaluate_batch(phi)
             losses.append(np.nan if out is None else data_loss(out, y, kind))
@@ -665,19 +675,11 @@ def train_arrays(w0: MPS, phi_tr, y_tr, phi_val=None, y_val=None,
         if use_best and trace.val_loss[-1] <= best_val:
             best_val = trace.val_loss[-1]
             trace.best_validation_sweep = sweep
-            best_cores = [c.copy() for c in cores]
+            best_cores = [c.copy() for c in cache.cores]
         if sweep and start_objective - objective < config.sweep_tol:
             break
 
-    return MPS(best_cores or cores, label_site=label_site), trace
-
-
-def _sweep_plan(n):
-    """(site, step) pairs of one full sweep: left-to-right, then back.
-    After optimizing ``site`` the center moves by ``step`` (0: stay)."""
-    plan = [(s, 1) for s in range(n - 1)]
-    plan += [(s, -1) for s in range(n - 1, 0, -1)]
-    return plan + [(0, 0)]
+    return MPS(best_cores or cache.cores, label_site=label_site), trace
 
 
 def frame_labels(d: Dataset, frame: Dataset) -> np.ndarray:

@@ -39,7 +39,9 @@ BOTH = "both"
 SCENARIOS = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
              "custom")
 IMAGE_SCENARIOS = ("fig5", "fig9")
-GRIDS = ("eps_list", "ntr_list", "chi_list", "noise_levels")
+# the type of each grid's values
+GRIDS = {"eps_list": float, "ntr_list": int, "chi_list": int,
+         "noise_levels": float}
 
 
 @dataclass(frozen=True)
@@ -96,6 +98,7 @@ class ExperimentConfig:
                                  f"values, got {values}")
         for name, value, least in (
                 ("replicates", self.replicates, 1), ("jobs", self.jobs, 1),
+                ("base_seed", self.base_seed, 0),
                 ("chi_list", min(self.chi_list), 1),
                 ("ntr_list", min(self.ntr_list), 2),
                 ("n_test", self.n_test, 2)):
@@ -111,7 +114,8 @@ class ExperimentConfig:
         # the bounds of the target and feature map, before any scan
         for name, value, least in (
                 ("n_sites", self.n_sites, 1), ("phys_dim", self.phys_dim, 2),
-                ("chi_target", self.chi_target, 2)):
+                ("chi_target", self.chi_target, 2),
+                ("target_seed", self.target_seed, 0)):
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
         for eps in self.eps_list:
@@ -130,18 +134,35 @@ class ExperimentConfig:
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build a config from a manifest or config-file dictionary."""
+    """Build a config from a manifest, a config file or the flags.
+
+    A grid takes a list or a single value, which fills a one-point grid.
+    A key that names no field, or a value that does not fit its field's
+    type, raises ValueError naming the key; an int fits a float field.
+    """
     if "config" in data:
         data = data["config"]
-    known = {f for f in ExperimentConfig.__dataclass_fields__}
+    known = ExperimentConfig.__dataclass_fields__
     kwargs = {}
     for key, value in data.items():
         if key not in known:
             raise ValueError(f"unknown config key {key!r}")
-        if isinstance(value, list):
-            value = tuple(value)
-        kwargs[key] = value
+        grid = key in GRIDS
+        items = value if grid and isinstance(value, (list, tuple)) else [value]
+        kind = GRIDS[key] if grid else known[key].type
+        if not all(_fits(item, kind) for item in items):
+            raise ValueError(f"{key} takes values of type {kind.__name__}, "
+                             f"got {value!r}")
+        kwargs[key] = tuple(items) if grid else value
     return ExperimentConfig(**kwargs)
+
+
+def _fits(value, kind) -> bool:
+    """Whether ``value`` is a ``kind``; a bool is only a bool, and an int
+    is also a float."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 @dataclass
@@ -297,21 +318,12 @@ def _map_replicates(cfg, worker, jobs):
     one failure dict per job that raised: its key plus the exception's
     ``error`` type name and ``message``.
     """
-    results = []
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             futures = [pool.submit(worker, *args) for _, args in jobs]
-            for fut in futures:
-                try:
-                    results.append(fut.result())
-                except Exception as exc:  # noqa: BLE001 - recorded, counted
-                    results.append(exc)
+            results = [_outcome(fut.result) for fut in futures]
     else:
-        for _, args in jobs:
-            try:
-                results.append(worker(*args))
-            except Exception as exc:  # noqa: BLE001
-                results.append(exc)
+        results = [_outcome(worker, *args) for _, args in jobs]
     rows, failures = [], []
     for (key, _), res in zip(jobs, results):
         if isinstance(res, Exception):
@@ -325,6 +337,14 @@ def _map_replicates(cfg, worker, jobs):
         raise ScanAbortedError(
             f"{len(failures)} of {len(jobs)} replicate jobs failed")
     return rows, failures
+
+
+def _outcome(call, *args):
+    """``call(*args)``, or the exception it raised."""
+    try:
+        return call(*args)
+    except Exception as exc:  # noqa: BLE001 - recorded, counted
+        return exc
 
 
 # ---------------------------------------------------------------------------

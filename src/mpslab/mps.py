@@ -5,8 +5,8 @@ with chi_0 = chi_N = 1.  An optional label site carries one extra axis of
 extent C, making that core order-4 with shape (chi_{j-1}, f, C, chi_j).
 All operations return new MPS values; cores are treated as immutable.
 An MPS carries no gauge label: ``shift_center`` moves a mixed-canonical
-center one site, and ``canonicalize``, ``truncate`` and the DMRG sweep
-are built on it.
+center one site, and ``canonicalize``, ``truncate`` and the moves of the
+DMRG sweep's chain (``dmrg.EnvironmentCache``) are built on it.
 """
 
 import numpy as np

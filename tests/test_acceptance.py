@@ -21,7 +21,7 @@ from mpslab.experiments import (ExperimentConfig, emit_outputs,
                                 find_optimal_chi, has_significant_ushape,
                                 run_bond_scan)
 from mpslab.features import FeatureMap, featurize_batch, full_feature_tensor
-from mpslab.mps import canonicalize, compress, random_init
+from mpslab.mps import compress, random_init
 from mpslab.tensor import svd_truncate
 
 FMAP3 = FeatureMap(dim=3)
@@ -87,10 +87,8 @@ def _draw_gradient_instance(kind, seed):
         y = rng.integers(0, 4, size=8)
         ridge = 0.0
     site = int(rng.integers(0, n))
-    work = canonicalize(w, site)
-    cache = EnvironmentCache(work.cores, phi, label_site=w.label_site,
-                             center=site)
-    core = work.cores[site]
+    cache = EnvironmentCache(w, phi, center=site)
+    core = cache.cores[site]
     # rescale the center core so outputs have unit rms; deep random chains
     # otherwise produce tiny outputs whose cross-entropy curvature (~1/v^3)
     # the finite-difference step cannot resolve

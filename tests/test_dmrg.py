@@ -8,7 +8,7 @@ from mpslab.dmrg import (CROSS_ENTROPY, MSE, EnvironmentCache, TrainConfig,
                          output_grad_coeffs, site_gradient, site_loss, train)
 from mpslab.exact import inversion_and_compression
 from mpslab.features import FeatureMap, featurize_batch
-from mpslab.mps import canonicalize, compress, random_init, shift_center
+from mpslab.mps import canonicalize, compress, random_init
 
 FMAP3 = FeatureMap(dim=3)
 
@@ -27,13 +27,6 @@ def finite_difference(cache, core, y, kind, ridge, step=1e-5):
     return fd
 
 
-def make_cache(w, phi, center):
-    work = canonicalize(w, center)
-    cache = EnvironmentCache(work.cores, phi, label_site=w.label_site,
-                             center=center)
-    return work, cache
-
-
 def gradient_at(cache, core, y, kind, ridge):
     """site_gradient at ``core``, from site_loss's outputs there."""
     _, outputs = site_loss(cache, core, y, kind, ridge)
@@ -44,8 +37,8 @@ def gradient_site(w, site, d, ridge):
     """MSE objective gradient w.r.t. the core at ``site`` of a regression
     MPS, in mixed gauge at that site."""
     phi = featurize_batch(FeatureMap(dim=w.phys_dim), d.features)
-    work, cache = make_cache(w, phi, site)
-    return gradient_at(cache, work.cores[site], d.labels, MSE, ridge)
+    cache = EnvironmentCache(w, phi, center=site)
+    return gradient_at(cache, cache.cores[site], d.labels, MSE, ridge)
 
 
 def loss(w, d, ridge):
@@ -85,8 +78,8 @@ class TestLoss:
         w = random_init(6, 3, 4, scale=0.3, seed=5)
         phi = featurize_batch(FMAP3, d.features)
         for site in (0, 3, 5):
-            work, cache = make_cache(w, phi, site)
-            value, _ = site_loss(cache, work.cores[site], d.labels, MSE, 0.1)
+            cache = EnvironmentCache(w, phi, center=site)
+            value, _ = site_loss(cache, cache.cores[site], d.labels, MSE, 0.1)
             assert value == pytest.approx(loss(w, d, 0.1), rel=1e-12)
             assert value > loss(w, d, 0.0)
 
@@ -99,8 +92,8 @@ class TestGradient:
             phi = featurize_batch(FMAP3, rng.standard_normal((9, 5)))
             y = rng.standard_normal(9)
             site = trial % 5
-            work, cache = make_cache(w, phi, site)
-            core = work.cores[site]
+            cache = EnvironmentCache(w, phi, center=site)
+            core = cache.cores[site]
             g = gradient_at(cache, core, y, MSE, 1e-4)
             fd = finite_difference(cache, core, y, MSE, 1e-4)
             mask = np.abs(fd) > 1e-8
@@ -115,8 +108,8 @@ class TestGradient:
             phi = featurize_batch(FeatureMap(kind="trigonometric", dim=2), x)
             y = rng.integers(0, 4, size=8)
             site = [0, 2, 3, 4, 5][trial]
-            work, cache = make_cache(w, phi, site)
-            core = work.cores[site]
+            cache = EnvironmentCache(w, phi, center=site)
+            core = cache.cores[site]
             g = gradient_at(cache, core, y, CROSS_ENTROPY, 0.0)
             fd = finite_difference(cache, core, y, CROSS_ENTROPY, 0.0)
             mask = np.abs(fd) > 1e-8
@@ -150,8 +143,8 @@ class TestGradient:
         w = random_init(4, 3, 3, scale=0.5, seed=9)
         phi = np.zeros((6, 4, 3))
         y = np.zeros(6)
-        work, cache = make_cache(w, phi, 2)
-        core = work.cores[2]
+        cache = EnvironmentCache(w, phi, center=2)
+        core = cache.cores[2]
         g = gradient_at(cache, core, y, MSE, 0.25)
         np.testing.assert_array_equal(g, 0.25 * core)
 
@@ -162,8 +155,8 @@ class TestOptimizeSite:
         ridge = 1e-6
         w = inversion_and_compression(d, FMAP3, ridge, 27)
         phi = featurize_batch(FMAP3, d.features)
-        work, cache = make_cache(w, phi, 2)
-        core = work.cores[2]
+        cache = EnvironmentCache(w, phi, center=2)
+        core = cache.cores[2]
         cfg = TrainConfig(cg_steps=5, ridge=ridge)
         new_core = optimize_site(cache, core, d.labels, cfg).core
         assert np.max(np.abs(new_core - core)) <= 1e-10
@@ -177,7 +170,7 @@ class TestOptimizeSite:
         phi = featurize_batch(FMAP3, x)
         ridge = 0.05
         w = random_init(1, 3, 1, scale=0.5, seed=12)
-        cache = EnvironmentCache(w.cores, phi, center=0)
+        cache = EnvironmentCache(w, phi, center=0)
         cfg = TrainConfig(cg_steps=20, ridge=ridge)
         new_core = optimize_site(cache, w.cores[0], y, cfg).core
         p = phi[:, 0, :]
@@ -190,8 +183,8 @@ class TestOptimizeSite:
         w = random_init(5, 3, 4, scale=0.8, seed=14)
         phi = featurize_batch(FMAP3, rng.standard_normal((30, 5)))
         y = rng.standard_normal(30)
-        work, cache = make_cache(w, phi, 2)
-        core = work.cores[2]
+        cache = EnvironmentCache(w, phi, center=2)
+        core = cache.cores[2]
         cfg = TrainConfig(cg_steps=1, ridge=1e-6)
         losses = [site_loss(cache, core, y, MSE, 1e-6)[0]]
         for _ in range(5):
@@ -235,9 +228,9 @@ class TestOptimizeSite:
             y = rng.integers(0, 4, size=40)
         # class axis in the right environment, at the center, in the left
         for site in (0, 2, 4):
-            work, cache = make_cache(w, phi, site)
+            cache = EnvironmentCache(w, phi, center=site)
             counts.update(dict.fromkeys(counts, 0))
-            optimize_site(cache, work.cores[site], y,
+            optimize_site(cache, cache.cores[site], y,
                           TrainConfig(cg_steps=5, loss_kind=kind))
             assert counts["site_gradient"] >= 2  # an accepted CG step
             if kind == MSE:
@@ -267,12 +260,12 @@ class TestOptimizeSite:
         y = rng.standard_normal(40)
         cfg = TrainConfig(cg_steps=5, ridge=1e-4)
         for site in (0, 2, 4):
-            work, cache = make_cache(w, phi, site)
-            start = cache.apply(work.cores[site])
-            fresh = optimize_site(cache, work.cores[site], y, cfg)
+            cache = EnvironmentCache(w, phi, center=site)
+            start = cache.apply(cache.cores[site])
+            fresh = optimize_site(cache, cache.cores[site], y, cfg)
             applies.clear()
             steps.clear()
-            carried = optimize_site(cache, work.cores[site], y, cfg, start)
+            carried = optimize_site(cache, cache.cores[site], y, cfg, start)
             assert carried.accepted >= 1
             assert len(applies) == len(steps) == carried.accepted
             scale = np.max(np.abs(fresh.core))
@@ -313,8 +306,8 @@ class TestOptimizeSite:
             monkeypatch.setattr(dmrg, "_initial_step", step)
             for site in (0, 2, 4):
                 seen.clear()
-                work, cache = make_cache(w, phi, site)
-                update = optimize_site(cache, work.cores[site], y, cfg)
+                cache = EnvironmentCache(w, phi, center=site)
+                update = optimize_site(cache, cache.cores[site], y, cfg)
                 assert update.accepted == 5
                 assert 2 * update.trials == len(seen) == 10 * (1 + halvings)
                 for applied, carried in seen:
@@ -481,35 +474,36 @@ class TestCache:
         phi = featurize_batch(FMAP3,
                               np.random.default_rng(16).standard_normal((25, 6)))
         direct = w.evaluate_batch(phi)
-        work, cache = make_cache(w, phi, 0)
-        cores = [c.copy() for c in work.cores]
-        np.testing.assert_allclose(cache.apply(cores[0]), direct,
+        cache = EnvironmentCache(w, phi, center=0)
+        np.testing.assert_allclose(cache.apply(cache.cores[0]), direct,
                                    rtol=1e-12, atol=1e-12)
         # walk right then back left, re-checking coherence at every stop
         for site in range(5):
-            shift_center(cores, site, 1)
-            cache.move_right(cores[site])
-            np.testing.assert_allclose(cache.apply(cores[site + 1]), direct,
-                                       rtol=1e-12, atol=1e-12)
+            cache.move_right()
+            np.testing.assert_allclose(cache.apply(cache.cores[site + 1]),
+                                       direct, rtol=1e-12, atol=1e-12)
         for site in range(5, 0, -1):
-            shift_center(cores, site, -1)
-            cache.move_left(cores[site])
-            np.testing.assert_allclose(cache.apply(cores[site - 1]), direct,
-                                       rtol=1e-12, atol=1e-12)
+            cache.move_left()
+            np.testing.assert_allclose(cache.apply(cache.cores[site - 1]),
+                                       direct, rtol=1e-12, atol=1e-12)
 
     def test_labeled_cache_coherence(self):
+        """Walking right and then back left, the cache's own cores and
+        environments recombine to the model's outputs at every center."""
         w = random_init(5, 2, 4, scale=0.6, seed=17, label_site=2,
                         label_dim=3)
         x = np.random.default_rng(18).uniform(0, 1, size=(12, 5))
         phi = featurize_batch(FeatureMap(kind="trigonometric", dim=2), x)
         direct = w.evaluate_batch(phi)
-        work, cache = make_cache(w, phi, 0)
-        cores = [c.copy() for c in work.cores]
+        cache = EnvironmentCache(w, phi, center=0)
         for site in range(4):
-            shift_center(cores, site, 1)
-            cache.move_right(cores[site])
-            np.testing.assert_allclose(cache.apply(cores[site + 1]), direct,
-                                       rtol=1e-12, atol=1e-12)
+            cache.move_right()
+            np.testing.assert_allclose(cache.apply(cache.cores[site + 1]),
+                                       direct, rtol=1e-12, atol=1e-12)
+        for site in range(4, 0, -1):
+            cache.move_left()
+            np.testing.assert_allclose(cache.apply(cache.cores[site - 1]),
+                                       direct, rtol=1e-12, atol=1e-12)
 
 
 class EinsumCache(EnvironmentCache):
@@ -720,19 +714,21 @@ class TestTrain:
 
     @pytest.mark.parametrize("kind", [MSE, CROSS_ENTROPY])
     def test_environment_cores_are_c_contiguous(self, kind, monkeypatch):
-        """train_arrays copies the canonicalized cores before building the
-        environments: a left QR move leaves its isometry a transposed
-        view, and strides pick the BLAS path of every later product.
-        Without the copy every test still passed, but the dmrg-reg
-        benchmark's reference test_loss moved from 0.031153660208052172
-        to 0.031153660220036114 and op 1's best validation sweep from 43
-        to 46; the copy is what keeps training bit for bit."""
+        """The cache train_arrays sweeps copies the canonicalized cores
+        before building the environments: a left QR move leaves its
+        isometry a transposed view, and strides pick the BLAS path of
+        every later product.  Without the copy every test still passed,
+        but the dmrg-reg benchmark's reference test_loss moved from
+        0.031153660208052172 to 0.031153660220036114 and op 1's best
+        validation sweep from 43 to 46; the copy is what keeps training
+        bit for bit."""
         seen = []
         real = dmrg.EnvironmentCache
 
-        def recording(cores, *args, **kwargs):
-            seen.append([core.flags.c_contiguous for core in cores])
-            return real(cores, *args, **kwargs)
+        def recording(*args, **kwargs):
+            cache = real(*args, **kwargs)
+            seen.append([core.flags.c_contiguous for core in cache.cores])
+            return cache
 
         monkeypatch.setattr(dmrg, "EnvironmentCache", recording)
         rng = np.random.default_rng(44)

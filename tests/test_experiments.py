@@ -366,9 +366,39 @@ class TestConfig:
         for fields, message in ((dict(eps_list=(0.3, 1.5)), "^eps_list"),
                                 (dict(chi_target=1), "^chi_target"),
                                 (dict(phys_dim=1), "^phys_dim"),
-                                (dict(n_sites=0), "^n_sites")):
+                                (dict(n_sites=0), "^n_sites"),
+                                (dict(base_seed=-1), "^base_seed"),
+                                (dict(scenario="fig9", base_seed=-1),
+                                 "^base_seed"),
+                                (dict(target_seed=-3), "^target_seed")):
             with pytest.raises(ValueError, match=message):
                 ExperimentConfig(**fields).validate()
+        # a negative seed fails before any replicate job, not in one
+        with pytest.raises(ValueError, match="^base_seed"):
+            run_scan(ExperimentConfig(base_seed=-1, chi_list=(3,),
+                                      ntr_list=(40,), replicates=2),
+                     axis="chi")
+
+    def test_single_value_fills_one_point_grid(self):
+        cfg = config_from_dict({"chi_list": 6, "eps_list": [0.3],
+                                "noise_levels": 0})
+        assert (cfg.chi_list, cfg.eps_list, cfg.noise_levels) == (
+            (6,), (0.3,), (0,))
+        # an int is a valid float
+        assert config_from_dict({"ridge": 1}).ridge == 1
+
+    @pytest.mark.parametrize("entries, message", [
+        ({"replicates": "2"}, "^replicates takes values of type int"),
+        ({"replicates": True}, "^replicates takes values of type int"),
+        ({"chi_list": "6"}, "^chi_list takes values of type int"),
+        ({"ntr_list": [40, 50.0]}, "^ntr_list takes values of type int"),
+        ({"ridge": "1e-6"}, "^ridge takes values of type float"),
+        ({"apply_unitary": 1}, "^apply_unitary takes values of type bool"),
+        ({"out_dir": None}, "^out_dir takes values of type str"),
+    ])
+    def test_entry_of_wrong_type_rejected(self, entries, message):
+        with pytest.raises(ValueError, match=message):
+            config_from_dict(entries)
 
     @pytest.mark.parametrize("scenario", ["fig2", "fig9"])
     def test_noise_levels_validated_before_any_scan(self, scenario):
@@ -465,6 +495,34 @@ class TestCli:
         code = cli.main(["scan", "--replicates", "0",
                          "--out", str(tmp_path / "x")])
         assert code == 2
+
+    @pytest.mark.parametrize("entries", [{"replicates": "2"},
+                                         {"chi_list": "6"}])
+    def test_config_entry_of_wrong_type_exits_2(self, entries, tmp_path,
+                                                capsys):
+        """A config-file value that does not fit its field is a validation
+        failure naming the key, not a traceback."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(entries))
+        out = tmp_path / "x"
+        assert cli.main(["scan", "--config", str(path),
+                         "--out", str(out)]) == 2
+        (key,) = entries
+        assert capsys.readouterr().err.startswith(f"error: {key} takes")
+        assert not out.exists()
+
+    def test_config_file_single_value_fills_one_point_grid(self, tmp_path):
+        """A config file's single grid value scans one point, as the
+        matching flag does."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"chi_list": 3, "ntr_list": 40,
+                                    "n_test": 64, "replicates": 2}))
+        out = tmp_path / "x"
+        assert cli.main(["scan", "--config", str(path),
+                         "--out", str(out)]) == 0
+        with open(out / "raw.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["axis"], row["ntr"]) for row in rows] == [("3", "40")] * 2
 
     @pytest.mark.parametrize("flags, field", [
         (["--ridge", "0"], "ridge"),

@@ -8,6 +8,8 @@ center are orthonormal, bonds stay within their cap, and the
 N = 1, chi = 1 and a labeled core at the first and at the last site.
 Tolerances are relative to the squared norm of the tensor.  ``compress``
 with a shared SVD memo is held to the memo-free result bit for bit.
+The chain a DMRG ``EnvironmentCache`` holds keeps the mixed gauge at its
+center, and the model it was built from, through any walk of moves.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mpslab.dmrg import EnvironmentCache
 from mpslab.mps import (MPS, bond_cap, canonicalize, compress, random_init,
                         truncate)
 
@@ -89,6 +92,55 @@ def test_canonicalize(center, n, f, chi, label, seed):
     # the norm concentrates in the center core
     np.testing.assert_allclose(np.sum(c.cores[center] ** 2),
                                w.norm_squared(), rtol=TOL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(center=st.integers(0, 5), moves=st.lists(st.booleans(), max_size=12),
+       t=st.integers(1, 5), **shapes)
+@example(center=0, moves=[True] * 5 + [False] * 5, t=3, n=6, f=3, chi=6,
+         label="first", seed=7)
+@example(center=3, moves=[False, False, True], t=2, n=4, f=2, chi=3,
+         label="last", seed=8)
+@example(center=2, moves=[True, False] * 3, t=4, n=5, f=2, chi=4,
+         label=None, seed=9)
+def test_cache_keeps_mixed_gauge(center, moves, t, n, f, chi, label, seed):
+    """After construction and after every move of a walk (right where
+    ``moves`` says True and the center can go right, else left), the
+    cores before the cache's center are left-orthonormal and those after
+    it right-orthonormal within 1e-12, and the cores, and the
+    environments with the center core, evaluate to the model the cache
+    was built from, within 1e-12 of the Cauchy-Schwarz bound
+    ||W|| prod_j ||phi_j|| on each output."""
+    w = chain(n, f, chi, label, seed)
+    phi = np.random.default_rng(seed + 1).standard_normal((t, n, f))
+    want = w.evaluate_batch(phi)
+    bound = np.sqrt(w.norm_squared()) * np.prod(
+        np.linalg.norm(phi, axis=2), axis=1)
+    if want.ndim == 2:
+        bound = bound[:, None]
+    center = min(center, n - 1)
+    cache = EnvironmentCache(w, phi, center=center)
+    for right in [None] + moves:
+        if right is not None and n > 1:
+            if right and center < n - 1 or center == 0:
+                cache.move_right()
+                center += 1
+            else:
+                cache.move_left()
+                center -= 1
+        assert cache.center == center
+        for j in range(center):
+            m = cache.cores[j].reshape(-1, cache.cores[j].shape[-1])
+            np.testing.assert_allclose(m.T @ m, np.eye(m.shape[1]),
+                                       rtol=0, atol=1e-12)
+        for j in range(center + 1, n):
+            m = cache.cores[j].reshape(cache.cores[j].shape[0], -1)
+            np.testing.assert_allclose(m @ m.T, np.eye(m.shape[0]),
+                                       rtol=0, atol=1e-12)
+        got = MPS(cache.cores, label_site=w.label_site).evaluate_batch(phi)
+        assert np.all(np.abs(got - want) <= 1e-12 * bound)
+        assert np.all(np.abs(cache.apply(cache.cores[center]) - want)
+                      <= 1e-12 * bound)
 
 
 @settings(max_examples=60, deadline=None)

@@ -29,8 +29,7 @@ from mpslab import dmrg
 from mpslab.dmrg import (CROSS_ENTROPY, MSE, EnvironmentCache, TrainConfig,
                          data_loss, output_grad_coeffs)
 from mpslab.features import full_feature_tensor
-from mpslab.mps import (MPS, canonicalize, random_init, shift_center,
-                        truncate)
+from mpslab.mps import MPS, random_init, shift_center, truncate
 from mpslab.tensor import row_outer, svd_truncate
 
 RTOL = 1e-12
@@ -116,22 +115,14 @@ def einsum_gradient(coeffs, lenv, phi_c, renv, labeled_center):
 def test_cache_matches_evaluate_and_einsum_at_every_center(case):
     w, phi = case
     n = w.n_sites
-    cores = [c.copy() for c in canonicalize(w, 0).cores]
-    cache = EnvironmentCache(cores, phi, label_site=w.label_site, center=0)
+    cache = EnvironmentCache(w, phi, center=0)
     out_shape = (len(phi),) if w.label_site is None else (len(phi), LABEL_DIM)
     coeffs = np.random.default_rng(n).standard_normal(out_shape)
     # walk right to the last site, then back left to the first
-    for c, step in [(0, None)] + [(c, "R") for c in range(1, n)] + [
-            (c, "L") for c in range(n - 2, -1, -1)]:
-        if step == "R":
-            shift_center(cores, c - 1, 1)
-            cache.move_right(cores[c - 1])
-        elif step == "L":
-            shift_center(cores, c + 1, -1)
-            cache.move_left(cores[c + 1])
-        chain = MPS(cores, label_site=w.label_site)
+    for c in walk(cache, n):
+        chain = MPS(cache.cores, label_site=w.label_site)
         ref_abs = absolute(chain).evaluate_batch(np.abs(phi))
-        assert_matches(cache.apply(cores[c]), chain.evaluate_batch(phi),
+        assert_matches(cache.apply(cache.cores[c]), chain.evaluate_batch(phi),
                        ref_abs)
         grad, grad_abs = einsum_gradient(coeffs, cache.left[c], phi[:, c],
                                          cache.right[c + 1],
@@ -205,8 +196,8 @@ def test_labeled_cache_bitwise_equals_fused_einsum(case):
     w, phi, seed = case
     n, label = w.n_sites, w.label_site
     rng = np.random.default_rng(seed + 2)
-    cores = [c.copy() for c in canonicalize(w, 0).cores]
-    cache = EnvironmentCache(cores, phi, label_site=label, center=0)
+    cache = EnvironmentCache(w, phi, center=0)
+    cores = cache.cores
     left = [cache.left[0]] + [None] * n
     right = [None] * n + [cache.right[n]]
     for j in range(n - 1, 0, -1):
@@ -219,19 +210,17 @@ def test_labeled_cache_bitwise_equals_fused_einsum(case):
                 assert env is None or np.array_equal(env, ref)
 
     check_held()
-    for c, step in [(0, None)] + [(c, "R") for c in range(1, n)] + [
-            (c, "L") for c in range(n - 2, -1, -1)]:
-        if step == "R":
-            shift_center(cores, c - 1, 1)
+    previous = 0
+    for c in walk(cache, n):
+        # the move regauged the core it left and absorbed that isometry
+        if c > previous:
             spec = ABSORB_LEFT[class_axis_at(left[c - 1], cores[c - 1])]
             left[c] = fused(spec, left[c - 1], cores[c - 1], phi[:, c - 1])
-            cache.move_right(cores[c - 1])
-        elif step == "L":
-            shift_center(cores, c + 1, -1)
+        elif c < previous:
             spec = ABSORB_RIGHT[class_axis_at(right[c + 2], cores[c + 1])]
             right[c + 1] = fused(spec, right[c + 2], cores[c + 1],
                                  phi[:, c + 1])
-            cache.move_left(cores[c + 1])
+        previous = c
         check_held()
         lenv, renv = cache.left[c], cache.right[c + 1]
         where = ("center" if c == label else
@@ -282,18 +271,15 @@ class KeepingCountingCache(CountingCache, KeepingCache):
     """The counting cache with no environment dropped."""
 
 
-def walk(cache, cores, n, start=0):
+def walk(cache, n, start=0):
     """Move ``cache`` from center ``start`` right to the last site, then
-    left to the first, regauging ``cores`` by QR as a sweep does; yields
-    each center."""
+    left to the first, as a sweep does; yields each center."""
     yield start
     for c in range(start, n - 1):
-        shift_center(cores, c, 1)
-        cache.move_right(cores[c])
+        cache.move_right()
         yield c + 1
     for c in range(n - 1, 0, -1):
-        shift_center(cores, c, -1)
-        cache.move_left(cores[c])
+        cache.move_left()
         yield c - 1
 
 
@@ -323,15 +309,13 @@ def test_checkpointed_cache_bitwise_equals_keeping_every_environment(case):
     n, f, chi, classes, label, start, t, seed = case
     w, phi, _ = labeled_chain(n, f, chi, classes, label, t, seed)
     rng = np.random.default_rng(seed + 2)
-    cores = [c.copy() for c in canonicalize(w, start).cores]
-    cache = EnvironmentCache(cores, phi, label_site=label, center=start)
-    keeping = KeepingCache(cores, phi, label_site=label, center=start)
-    # each walk regauges its own list; the two stay equal bit for bit
-    for c, _ in zip(walk(cache, cores, n, start),
-                    walk(keeping, [*cores], n, start)):
+    cache = EnvironmentCache(w, phi, center=start)
+    keeping = KeepingCache(w, phi, center=start)
+    # each cache regauges its own cores; the two stay equal bit for bit
+    for c, _ in zip(walk(cache, n, start), walk(keeping, n, start)):
         assert np.array_equal(cache.left[c], keeping.left[c])
         assert np.array_equal(cache.right[c + 1], keeping.right[c + 1])
-        core = rng.standard_normal(cores[c].shape)
+        core = rng.standard_normal(cache.cores[c].shape)
         assert np.array_equal(cache.apply(core), keeping.apply(core))
         coeffs = rng.standard_normal((t, classes))
         assert np.array_equal(cache.grad_from_output_coeffs(coeffs),
@@ -346,15 +330,14 @@ def test_sweep_holds_sqrt_n_class_axis_environments():
     class-free ones at the label site."""
     n, k = 196, 14
     w, phi, _ = labeled_chain(n, 2, 3, 10, n // 2, 4, 21)
-    cores = [c.copy() for c in canonicalize(w, 0).cores]
-    cache = CountingCache(cores, phi, label_site=n // 2, center=0)
-    for _ in walk(cache, cores, n):
+    cache = CountingCache(w, phi, center=0)
+    for _ in walk(cache, n):
         cache.counts.append(cache.held())
     most_free, most_axis = np.max(cache.counts, axis=0)
     assert most_free <= 2 * k + 2 and most_axis <= 2 * k + 2
-    keeping = KeepingCountingCache(cores, phi, label_site=n // 2, center=0)
+    keeping = KeepingCountingCache(w, phi, center=0)
     assert keeping.held() == (99, 98)
-    for _ in walk(keeping, cores, n):
+    for _ in walk(keeping, n):
         keeping.counts.append(keeping.held())
     assert np.max(keeping.counts, axis=0).tolist() == [n + 1, 98]
 
@@ -367,9 +350,8 @@ def test_unlabeled_walk_keeps_every_environment():
     n = 30
     w = random_init(n, 2, 3, scale=0.7, seed=22)
     phi = np.random.default_rng(23).standard_normal((4, n, 2))
-    cores = [c.copy() for c in canonicalize(w, 0).cores]
-    cache = CountingCache(cores, phi, center=0)
-    for c in walk(cache, cores, n):
+    cache = CountingCache(w, phi, center=0)
+    for c in walk(cache, n):
         assert all(env is not None
                    for env in cache.left[:c + 1] + cache.right[c + 1:])
     assert len(cache.counts) == (n - 1) + 2 * (n - 1)
@@ -421,25 +403,23 @@ def test_unlabeled_cache_environments_match_einsum(case):
     w, phi, seed = case
     n = w.n_sites
     rng = np.random.default_rng(seed + 2)
-    cores = [c.copy() for c in canonicalize(w, 0).cores]
-    cache = EnvironmentCache(cores, phi, center=0)
+    cache = EnvironmentCache(w, phi, center=0)
+    cores = cache.cores
     for j in range(n - 1, 0, -1):
         assert_matches(cache.right[j], *einsum_env(
             ABSORB_RIGHT[None], cache.right[j + 1], cores[j], phi[:, j]))
-    for c, step in [(0, None)] + [(c, "R") for c in range(1, n)] + [
-            (c, "L") for c in range(n - 2, -1, -1)]:
-        if step == "R":
-            shift_center(cores, c - 1, 1)
-            ref = einsum_env(ABSORB_LEFT[None], cache.left[c - 1],
-                             cores[c - 1], phi[:, c - 1])
-            cache.move_right(cores[c - 1])
-            assert_matches(cache.left[c], *ref)
-        elif step == "L":
-            shift_center(cores, c + 1, -1)
-            ref = einsum_env(ABSORB_RIGHT[None], cache.right[c + 2],
-                             cores[c + 1], phi[:, c + 1])
-            cache.move_left(cores[c + 1])
-            assert_matches(cache.right[c + 1], *ref)
+    previous = 0
+    for c in walk(cache, n):
+        # the move regauged the core it left and absorbed that isometry
+        if c > previous:
+            assert_matches(cache.left[c], *einsum_env(
+                ABSORB_LEFT[None], cache.left[c - 1], cores[c - 1],
+                phi[:, c - 1]))
+        elif c < previous:
+            assert_matches(cache.right[c + 1], *einsum_env(
+                ABSORB_RIGHT[None], cache.right[c + 2], cores[c + 1],
+                phi[:, c + 1]))
+        previous = c
         if rng.random() < 0.5:
             cache.apply(rng.standard_normal(cores[c].shape))
 
@@ -553,8 +533,8 @@ def test_quadratic_site_solver(case):
     along d = -g, from the dense local design B.  Both are held to 1e-12
     of the objective before the update and of that step length."""
     w, phi, y, ridge, c = case
-    cores = [x.copy() for x in canonicalize(w, c).cores]
-    cache = EnvironmentCache(cores, phi, center=c)
+    cache = EnvironmentCache(w, phi, center=c)
+    cores = list(cache.cores)
     steps = []
 
     def recording(cache, d, g_dot_d, ridge):
@@ -662,10 +642,8 @@ def test_cross_entropy_site_solver_bitwise(case):
     config = TrainConfig(cg_steps=5, ridge=ridge, loss_kind=CROSS_ENTROPY)
     results = []
     for solver in (dmrg.optimize_site, pairwise_cross_entropy_cg):
-        cores = [x.copy() for x in canonicalize(w, c).cores]
-        cache = EnvironmentCache(cores, phi, label_site=w.label_site,
-                                 center=c)
-        results.append(solver(cache, cores[c], y, config))
+        cache = EnvironmentCache(w, phi, center=c)
+        results.append(solver(cache, cache.cores[c], y, config))
     update, (ref_core, *ref_rest) = results
     assert np.array_equal(update.core, ref_core)
     assert [update.objective, update.stalled, update.step_sum,
