@@ -16,7 +16,7 @@ from . import __version__
 from .classify import export_predictions
 from .datagen import generate_dataset, save_dataset_csv
 from .errors import ScanAbortedError
-from .experiments import (DMRG, SCENARIOS, ExperimentConfig,
+from .experiments import (DMRG, ENTRY_TYPES, SCENARIOS, ExperimentConfig,
                           config_from_dict, load_mnist_pair, run_scenario,
                           run_single)
 from .mps import save_mps
@@ -67,8 +67,9 @@ def _add_image_flags(p, required):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Each flag's dest is the ExperimentConfig field it sets; a flag
-    without a default here takes the field's default."""
+    """Each flag's dest is the config entry it sets; a flag without a
+    default here takes the scenario preset's value or the field's
+    default."""
     parser = argparse.ArgumentParser(
         prog="mpslab",
         description="MPS regression/classification laboratory")
@@ -129,7 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_image_flags(p, required=False)
     p.add_argument("--out", dest="out_dir", help="output directory")
     p.add_argument("--full", action="store_true", default=None,
-                   help="paper-scale replicate counts")
+                   help="the scenario's paper-scale replicate count, unless "
+                        "--replicates is given")
     p.add_argument("--jobs", type=int, help="parallel replicate workers")
     return parser
 
@@ -140,15 +142,19 @@ def _config(args) -> ExperimentConfig:
 
 
 def _config_entries(args) -> dict:
-    """The config fields ``--config``'s file and the flags set, flags
+    """The config entries ``--config``'s file and the flags set, flags
     last."""
     data = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
             data = json.load(fh)
-        data = data.get("config", data)
+        if isinstance(data, dict):
+            data = data.get("config", data)
+        if not isinstance(data, dict):
+            raise ValueError(f"{args.config} holds no JSON object of config "
+                             f"entries, got {data!r}")
     for name, value in vars(args).items():
-        if name in ExperimentConfig.__dataclass_fields__ and value is not None:
+        if name in ENTRY_TYPES and value is not None:
             data[name] = value
     return data
 
@@ -195,10 +201,8 @@ def _cmd_single(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    entries = _config_entries(args)
-    cfg = config_from_dict(entries)
-    # what the flags and the config file set wins over the scenario preset
-    _, paths = run_scenario(cfg, given=entries)
+    cfg = _config(args)
+    _, paths = run_scenario(cfg)
     print(f"scan complete; outputs in {cfg.out_dir}")
     for name, path in sorted(paths.items()):
         print(f"  {name}: {path}")

@@ -74,7 +74,6 @@ class ExperimentConfig:
     downsample: int = 2
     # harness
     out_dir: str = "scan-out"
-    full: bool = False
     jobs: int = 1
 
     def target_spec(self, epsilon: float) -> TargetSpec:
@@ -133,28 +132,71 @@ class ExperimentConfig:
                              f"design guard {DESIGN_GUARD}")
 
 
+# ---------------------------------------------------------------------------
+# scenario presets and the config reader, the one place a preset applies
+
+# Presets name only what differs from the ExperimentConfig defaults, which
+# are the paper's artificial-data grid (eps 0.3, ntr 300, chi 2..27).
+_PAPER_EPS = tuple(round(0.1 * k, 1) for k in range(1, 11))
+_IMAGES = dict(ntr_list=(1024,), chi_list=tuple(range(2, 21)), sweeps=100,
+               replicates=1)
+_PRESETS = {
+    "fig2": dict(method=INVERSION, ntr_list=tuple(range(50, 801, 50)),
+                 full_replicates=100, outer="ntr"),
+    "fig3": dict(method=INVERSION, eps_list=(0.1, 0.2, 0.3),
+                 full_replicates=100, outer="eps"),
+    "fig4": dict(method=BOTH, eps_list=(0.1, 0.3), full_replicates=32,
+                 outer="eps"),
+    "fig6": dict(method=BOTH, eps_list=(1.0,), full_replicates=32,
+                 outer="eps"),
+    "fig7": dict(method=INVERSION, eps_list=_PAPER_EPS, full_replicates=100,
+                 outer="eps"),
+    "fig8": dict(method=BOTH, eps_list=_PAPER_EPS, full_replicates=32,
+                 outer="eps"),
+    # fig5 follows its bond scan with a train-size scan on this grid
+    "fig5": dict(_IMAGES, trainsize=dict(
+        chi_list=(6,), ntr_list=(128, 256, 512, 1024, 2048, 4096))),
+    "fig9": dict(_IMAGES, noise_levels=(0.0, 0.1, 0.2), outer="noise"),
+}
+_FIELDS = ExperimentConfig.__dataclass_fields__
+# the type of each entry the reader takes: a field's, a grid's values', and
+# full's, which asks for the preset's paper-scale replicate count
+ENTRY_TYPES = {**{name: f.type for name, f in _FIELDS.items()}, **GRIDS,
+               "full": bool}
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build a config from a manifest, a config file or the flags.
+    """Build a config from a manifest, a config file or the flags: the
+    dataclass defaults, then the scenario's preset fields, then the
+    entries, so an entry wins even when it equals the default.
 
     A grid takes a list or a single value, which fills a one-point grid.
-    A key that names no field, or a value that does not fit its field's
-    type, raises ValueError naming the key; an int fits a float field.
+    ``full`` (true) sets the preset's paper-scale replicate count unless
+    ``replicates`` is given; a scenario without one rejects it.  A key
+    that names no entry, or a value that does not fit its type, raises
+    ValueError naming the key; an int fits a float field.
     """
     if "config" in data:
         data = data["config"]
-    known = ExperimentConfig.__dataclass_fields__
-    kwargs = {}
+    entries = {}
     for key, value in data.items():
-        if key not in known:
+        if key not in ENTRY_TYPES:
             raise ValueError(f"unknown config key {key!r}")
-        grid = key in GRIDS
+        grid, kind = key in GRIDS, ENTRY_TYPES[key]
         items = value if grid and isinstance(value, (list, tuple)) else [value]
-        kind = GRIDS[key] if grid else known[key].type
         if not all(_fits(item, kind) for item in items):
             raise ValueError(f"{key} takes values of type {kind.__name__}, "
                              f"got {value!r}")
-        kwargs[key] = tuple(items) if grid else value
-    return ExperimentConfig(**kwargs)
+        entries[key] = tuple(items) if grid else value
+    scenario = entries.get("scenario", "custom")
+    preset = _PRESETS.get(scenario, {})
+    fields = {name: value for name, value in preset.items() if name in _FIELDS}
+    if entries.pop("full", False):
+        if "full_replicates" not in preset:
+            raise ValueError(f"full: scenario {scenario!r} has no "
+                             f"paper-scale replicate count")
+        fields["replicates"] = preset["full_replicates"]
+    return ExperimentConfig(**{**fields, **entries})
 
 
 def _fits(value, kind) -> bool:
@@ -407,40 +449,31 @@ def run_single(cfg: ExperimentConfig, images=None):
 # ---------------------------------------------------------------------------
 # scans
 
-def _scan_sizes(cfg: ExperimentConfig, axis, ntr=None) -> list:
-    """The training sizes a scan along ``axis`` draws."""
-    return (list(cfg.ntr_list) if axis == "ntr"
-            else [cfg.ntr_list[0] if ntr is None else ntr])
-
-
-def run_scan(cfg: ExperimentConfig, axis="chi", images=None, eps=None,
-             ntr=None, noise=0.0) -> ScanResult:
+def run_scan(cfg: ExperimentConfig, axis="chi", images=None) -> ScanResult:
     """A test metric against bond dimension or training size, over
     replicate training sets.
 
-    ``axis="chi"`` runs ``cfg.chi_list`` at training size ``ntr``;
+    ``axis="chi"`` runs ``cfg.chi_list`` at training size ``ntr_list[0]``;
     ``axis="ntr"`` runs ``cfg.ntr_list`` at ``chi_list[0]``.  With
     ``images=(train_pool, test_set)`` each replicate trains classifiers at
-    label noise ``noise`` (metric ``test_error``); otherwise it fits
-    artificial data at ``eps`` against one shared test set (metric
-    ``inv_test_loss``, or ``dmrg_test_loss`` when DMRG runs).  ``eps`` and
-    ``ntr`` default to the first values of their grids.
+    label noise ``noise_levels[0]`` (metric ``test_error``); otherwise it
+    fits artificial data at ``eps_list[0]`` against one shared test set
+    (metric ``inv_test_loss``, or ``dmrg_test_loss`` when DMRG runs).
     """
     cfg.validate()
     if axis not in ("chi", "ntr"):
         raise ValueError(f"unknown scan axis {axis!r}")
     start = time.perf_counter()
-    sizes = _scan_sizes(cfg, axis, ntr)
+    sizes = list(cfg.ntr_list if axis == "ntr" else cfg.ntr_list[:1])
     chi_values = list(cfg.chi_list if axis == "chi" else cfg.chi_list[:1])
     axis_values = chi_values if axis == "chi" else sizes
     if images is None:
-        worker, outer = _regression_replicate, "eps"
-        value = cfg.eps_list[0] if eps is None else eps
+        worker, outer, value = _regression_replicate, "eps", cfg.eps_list[0]
         shared = _shared_test_set(cfg, value)
         metric = ("inv_test_loss" if cfg.method == INVERSION
                   else "dmrg_test_loss")
     else:
-        worker, outer, value = _mnist_replicate, "noise", noise
+        worker, outer, value = _mnist_replicate, "noise", cfg.noise_levels[0]
         shared, metric = images, "test_error"
     jobs = [({"replicate": r, outer: value, "ntr": n},
              (cfg, value, n, chi_values, r, *shared))
@@ -459,10 +492,10 @@ def run_scan(cfg: ExperimentConfig, axis="chi", images=None, eps=None,
                       metric=metric, failures=failures, seconds=seconds)
 
 
-def run_bond_scan(cfg: ExperimentConfig, eps=None, ntr=None) -> ScanResult:
+def run_bond_scan(cfg: ExperimentConfig) -> ScanResult:
     """Test loss versus bond dimension on artificial data; the name the
     benchmark harness calls and traces."""
-    return run_scan(cfg, eps=eps, ntr=ntr)
+    return run_scan(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -562,90 +595,43 @@ def write_manifest(cfg: ExperimentConfig, path, scans) -> None:
         fh.write("\n")
 
 
-def _emit_family(cfg: ExperimentConfig, outers, scans) -> dict:
+# a family's outer axis and the grid it runs one bond scan per value of
+_OUTER_GRIDS = {"eps": "eps_list", "ntr": "ntr_list", "noise": "noise_levels"}
+
+
+def _emit_family(cfg: ExperimentConfig, outer, scans) -> dict:
     """chi_star.csv, the combined figure and the manifest over a family of
-    bond scans, one per ``{outer name: value}`` in ``outers``.  A scan
+    bond scans, one per value of the ``outer`` axis's grid.  A scan
     whose mean is not finite at some chi raises ValueError before any of
     them is written."""
-    (name,) = outers[0]
-    values = [outer[name] for outer in outers]
+    values = getattr(cfg, _OUTER_GRIDS[outer])
     stars = [find_optimal_chi(scan) for scan in scans]
     paths = {"chi_star": os.path.join(cfg.out_dir, "chi_star.csv")}
     with open(paths["chi_star"], "w") as fh:
-        fh.write(f"{name},chi_star,mean,std\n")
+        fh.write(f"{outer},chi_star,mean,std\n")
         for value, (chi, m, s) in zip(values, stars):
             fh.write(f"{_format_cell(value)},{chi},{repr(m)},{repr(s)}\n")
     paths["figure"] = os.path.join(cfg.out_dir, "figure.svg")
     logy = all(np.all(s.mean > 0) for s in scans)
     line_plot(paths["figure"],
-              [_band_series(scan, f"{name}={value}")
+              [_band_series(scan, f"{outer}={value}")
                for value, scan in zip(values, scans)],
-              title=f"{cfg.scenario}: scans over {name}",
+              title=f"{cfg.scenario}: scans over {outer}",
               xlabel=scans[0].axis_name, ylabel=scans[0].metric, logy=logy)
     paths["manifest"] = os.path.join(cfg.out_dir, "manifest.json")
     write_manifest(cfg, paths["manifest"], scans)
     return paths
 
 
-# ---------------------------------------------------------------------------
-# scenario presets
-
-# Presets name only what differs from the ExperimentConfig defaults, which
-# are the paper's artificial-data grid (eps 0.3, ntr 300, chi 2..27).
-_PAPER_EPS = tuple(round(0.1 * k, 1) for k in range(1, 11))
-_IMAGES = dict(ntr_list=(1024,), chi_list=tuple(range(2, 21)), sweeps=100,
-               replicates=1)
-_PRESETS = {
-    "fig2": dict(method=INVERSION, ntr_list=tuple(range(50, 801, 50)),
-                 full_replicates=100, outer="ntr"),
-    "fig3": dict(method=INVERSION, eps_list=(0.1, 0.2, 0.3),
-                 full_replicates=100, outer="eps"),
-    "fig4": dict(method=BOTH, eps_list=(0.1, 0.3), full_replicates=32,
-                 outer="eps"),
-    "fig6": dict(method=BOTH, eps_list=(1.0,), full_replicates=32,
-                 outer="eps"),
-    "fig7": dict(method=INVERSION, eps_list=_PAPER_EPS, full_replicates=100,
-                 outer="eps"),
-    "fig8": dict(method=BOTH, eps_list=_PAPER_EPS, full_replicates=32,
-                 outer="eps"),
-    # fig5 follows its bond scan with a train-size scan on this grid
-    "fig5": dict(_IMAGES, trainsize=dict(
-        chi_list=(6,), ntr_list=(128, 256, 512, 1024, 2048, 4096))),
-    "fig9": dict(_IMAGES, noise_levels=(0.0, 0.1, 0.2), outer="noise"),
-}
-
-
-def scenario_config(cfg: ExperimentConfig, given=()) -> ExperimentConfig:
-    """Fill the figure-specific grids.
-
-    A preset sets a field only when the field is still at its dataclass
-    default and not named in ``given``, the fields set explicitly (flags
-    and config-file entries), so those win even when they equal the
-    default; --full restores the paper-scale replicate counts.
-    """
-    if cfg.scenario == "custom":
-        return cfg
-    if cfg.scenario not in _PRESETS:
-        raise ValueError(f"unknown scenario {cfg.scenario!r}")
-    base, preset = ExperimentConfig(), _PRESETS[cfg.scenario]
-    updates = {name: value for name, value in preset.items()
-               if name in base.__dataclass_fields__ and name not in given
-               and getattr(cfg, name) == getattr(base, name)}
-    if cfg.full and "full_replicates" in preset:
-        updates["replicates"] = preset["full_replicates"]
-    return replace(cfg, **updates)
-
-
 def _scenario_plan(cfg: ExperimentConfig):
-    """The scans a scenario runs, in order, as (directory under out_dir,
-    config, axis, outer) tuples.  fig5 is a bond and a train-size scan; a
-    family is one bond scan per value of an outer grid, ``outer`` holding
-    ``{grid name: value}``; a lone scan is written to out_dir itself."""
+    """A scenario's outer axis (None unless it is a family) and the scans
+    it runs, in order, as (directory under out_dir, config, axis) triples.
+    fig5 is a bond and a train-size scan; a family is one bond scan per
+    value of an outer grid, at a config whose grid holds that value alone;
+    a lone scan is written to out_dir itself."""
     if cfg.scenario == "fig5":
         sizes = replace(cfg, **_PRESETS["fig5"]["trainsize"])
-        return [("bond", cfg, "chi", {}), ("trainsize", sizes, "ntr", {})]
-    grids = {"eps": cfg.eps_list, "ntr": cfg.ntr_list,
-             "noise": cfg.noise_levels}
+        return None, [("bond", cfg, "chi"), ("trainsize", sizes, "ntr")]
     if cfg.scenario != "custom":
         outer = _PRESETS[cfg.scenario]["outer"]
     elif len(cfg.eps_list) > 1:
@@ -653,39 +639,42 @@ def _scenario_plan(cfg: ExperimentConfig):
     elif len(cfg.ntr_list) > 1 and len(cfg.chi_list) > 1:
         outer = "ntr"
     else:
-        return [("", cfg, "ntr" if len(cfg.ntr_list) > 1 else "chi", {})]
-    return [(f"{outer}={value:g}" if isinstance(value, float)
-             else f"{outer}={value}", cfg, "chi", {outer: value})
-            for value in grids[outer]]
+        return None, [("", cfg, "ntr" if len(cfg.ntr_list) > 1 else "chi")]
+    grid = _OUTER_GRIDS[outer]
+    return outer, [(f"{outer}={value:g}" if isinstance(value, float)
+                    else f"{outer}={value}",
+                    replace(cfg, **{grid: (value,)}), "chi")
+                   for value in getattr(cfg, grid)]
 
 
-def run_scenario(cfg: ExperimentConfig, given=()):
-    """Run a scenario's plan and write each scan as it ends, then a
-    family's summary; returns (ScanResults in plan order, paths).
-    ``given`` names the fields no preset overrides (``scenario_config``)."""
-    cfg = scenario_config(cfg, given)
+def run_scenario(cfg: ExperimentConfig):
+    """Run the plan of ``cfg`` as it stands (``config_from_dict`` applies
+    a scenario's preset) and write each scan, with a manifest of its own
+    config, as it ends, then a family's summary; returns (ScanResults in
+    plan order, paths)."""
     cfg.validate()
-    plan = _scenario_plan(cfg)
+    outer, plan = _scenario_plan(cfg)
     names = [name for name, *_ in plan]
     if len(set(names)) < len(names):
-        raise ValueError(f"the scans at {[outer for *_, outer in plan]} "
+        raise ValueError(f"the {outer} values "
+                         f"{list(getattr(cfg, _OUTER_GRIDS[outer]))} "
                          f"would share the directories {names}")
     images = None
     if cfg.scenario in IMAGE_SCENARIOS:
         images = load_mnist_pair(cfg)
-        for _, config, axis, outer in plan:
-            for n in _scan_sizes(config, axis, outer.get("ntr")):
+        for _, config, axis in plan:
+            for n in config.ntr_list if axis == "ntr" else config.ntr_list[:1]:
                 if n > images[0].count:
                     raise ValueError(f"training size {n} exceeds the "
                                      f"{images[0].count}-image training pool")
     scans, paths = [], {}
-    for name, config, axis, outer in plan:
-        scan = run_scan(config, axis, images, **outer)
+    for name, config, axis in plan:
+        scan = run_scan(config, axis, images)
         written = emit_outputs(scan, config, os.path.join(cfg.out_dir, name))
         scans.append(scan)
-        if not outer:
+        if outer is None:
             paths.update({f"{name}_{k}" if name else k: v
                           for k, v in written.items()})
-    if plan[0][3]:
-        paths = _emit_family(cfg, [outer for *_, outer in plan], scans)
+    if outer is not None:
+        paths = _emit_family(cfg, outer, scans)
     return scans, paths

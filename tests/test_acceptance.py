@@ -9,6 +9,7 @@ at 4.7e-5 (see README).  Criterion 11 needs real MNIST files
 """
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -194,11 +195,13 @@ def test_criterion_06_chi_star_trends(ushape_scan):
     cfg, scan300 = ushape_scan
     stars_ntr = []
     for ntr in (100, 300, 600):
-        scan = scan300 if ntr == 300 else run_bond_scan(cfg, ntr=ntr)
+        scan = (scan300 if ntr == 300
+                else run_bond_scan(replace(cfg, ntr_list=(ntr,))))
         stars_ntr.append(find_optimal_chi(scan)[0])
     stars_eps = []
     for eps in (0.1, 0.3):
-        scan = scan300 if eps == 0.3 else run_bond_scan(cfg, eps=eps)
+        scan = (scan300 if eps == 0.3
+                else run_bond_scan(replace(cfg, eps_list=(eps,))))
         stars_eps.append(find_optimal_chi(scan)[0])
     ok = (np.all(np.diff(stars_ntr) >= 0) and np.all(np.diff(stars_eps) >= 0))
     report(6, ok, f"chi*(N_tr=100,300,600) = {stars_ntr} non-decreasing; "

@@ -12,6 +12,8 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mpslab import cli, experiments
 from mpslab.datagen import generate_dataset
@@ -30,6 +32,26 @@ from mpslab.tensor import row_outer
 
 TINY = ExperimentConfig(chi_list=(2, 3, 4), ntr_list=(60,), eps_list=(0.3,),
                         replicates=3, base_seed=500, n_test=64)
+
+
+def _entry_values(name):
+    """Values of the config entry ``name``: its default, a preset's value
+    or any other value of its type."""
+    kind = experiments.ENTRY_TYPES[name]
+    values = {int: st.integers(0, 5000), float: st.floats(0.0, 1.0),
+              bool: st.booleans(), str: st.text(max_size=3)}[kind]
+    if name in experiments.GRIDS:
+        values = st.lists(values, min_size=1, max_size=3).map(tuple)
+    known = [preset[name] for preset in experiments._PRESETS.values()
+             if name in preset]
+    if name in ExperimentConfig.__dataclass_fields__:
+        known.append(getattr(ExperimentConfig(), name))
+    return st.one_of(st.sampled_from(known), values) if known else values
+
+
+READER_ENTRIES = {name: _entry_values(name)
+                  for name in experiments.ENTRY_TYPES}
+READER_ENTRIES["scenario"] = st.sampled_from(experiments.SCENARIOS)
 
 
 def synthetic_scan(means, stds=None):
@@ -224,7 +246,10 @@ class TestSharedWork:
 class TestOtherScans:
     def test_epsilon_scan_single_value_reduces_to_bond_scan(self):
         family = dataclasses.replace(TINY, eps_list=(0.2, 0.3))
-        scan = run_scan(family, eps=0.3)
+        _, plan = experiments._scenario_plan(family)
+        name, member, axis = plan[-1]
+        assert name == "eps=0.3"
+        scan = run_scan(member, axis)
         direct = run_bond_scan(TINY)
         np.testing.assert_array_equal(scan.mean, direct.mean)
         assert scan.raw_rows == direct.raw_rows
@@ -336,7 +361,8 @@ class TestMnistScans:
                                base_seed=5, sweeps=1, cg_steps=2,
                                noise_levels=(0.0, 0.25))
         for noise in cfg.noise_levels:
-            scan = run_scan(cfg, images=(pool, test), noise=noise)
+            scan = run_scan(dataclasses.replace(cfg, noise_levels=(noise,)),
+                            images=(pool, test))
             assert {r["noise"] for r in scan.raw_rows} == {noise}
 
     def test_trainsize_scan_axis(self, tiny_images):
@@ -411,16 +437,56 @@ class TestConfig:
                 cfg.validate()
 
     def test_scenario_presets(self):
-        cfg = experiments.scenario_config(ExperimentConfig(scenario="fig2"))
+        cfg = config_from_dict({"scenario": "fig2"})
         assert cfg.ntr_list == tuple(range(50, 801, 50))
         assert cfg.replicates == 8
-        full = experiments.scenario_config(
-            ExperimentConfig(scenario="fig2", full=True))
+        full = config_from_dict({"scenario": "fig2", "full": True})
         assert full.replicates == 100
-        fig4 = experiments.scenario_config(
-            ExperimentConfig(scenario="fig4", full=True))
+        fig4 = config_from_dict({"scenario": "fig4", "full": True})
         assert fig4.method == "both"
         assert fig4.replicates == 32
+
+    @settings(max_examples=200, deadline=None)
+    @given(entries=st.fixed_dictionaries({}, optional=READER_ENTRIES))
+    @example(entries={"scenario": "fig3", "eps_list": (0.3,)})
+    @example(entries={"scenario": "fig2", "full": True, "replicates": 3})
+    def test_reader_precedence(self, entries):
+        """The reader builds the defaults, then the scenario's preset
+        fields, then the entries; ``full`` sets the preset's paper-scale
+        replicate count unless ``replicates`` is given."""
+        preset = experiments._PRESETS.get(entries.get("scenario"), {})
+        full = entries.get("full", False)
+        if full and "full_replicates" not in preset:
+            with pytest.raises(ValueError, match="^full: scenario"):
+                config_from_dict(entries)
+            return
+        cfg = config_from_dict(entries)
+        for name, default in dataclasses.asdict(ExperimentConfig()).items():
+            if name in entries:
+                assert getattr(cfg, name) == entries[name], name
+            elif name == "replicates" and full:
+                assert cfg.replicates == preset["full_replicates"]
+            else:
+                assert getattr(cfg, name) == preset.get(name, default), name
+        manifest = json.loads(json.dumps(dataclasses.asdict(cfg)))
+        assert config_from_dict(manifest) == cfg
+
+    @pytest.mark.parametrize("scenario", ["custom", "fig5", "fig9"])
+    def test_full_rejected_without_paper_scale_count(self, scenario,
+                                                     tmp_path, capsys):
+        """``full`` on a scenario with no paper-scale replicate count is a
+        validation failure, not a flag that does nothing; false (an old
+        manifest's entry) is accepted."""
+        with pytest.raises(ValueError, match=f"^full: scenario {scenario!r}"):
+            config_from_dict({"scenario": scenario, "full": True})
+        assert config_from_dict({"scenario": scenario, "full": False}) == (
+            config_from_dict({"scenario": scenario}))
+        out = tmp_path / "x"
+        assert cli.main(["scan", "--scenario", scenario, "--full",
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "full" in err and scenario in err
+        assert not out.exists()
 
 
 class TestCli:
@@ -490,6 +556,47 @@ class TestCli:
                          "--out", str(out)]) == 0
         assert sorted(entry.name for entry in out.iterdir()
                       if entry.is_dir()) == scans
+
+    @pytest.mark.parametrize("flags, member", [
+        (["--eps", "0.2,0.3", "--ntr", "40"], "eps=0.2"),
+        (["--scenario", "fig3", "--eps", "0.2,0.3", "--ntr", "40"], "eps=0.2"),
+        (["--scenario", "fig2", "--ntr", "30,40"], "ntr=30"),
+    ])
+    def test_member_manifest_reruns_that_scan_alone(self, flags, member,
+                                                    tmp_path):
+        """A family member's manifest records that member's config: it
+        reruns that scan alone, byte for byte."""
+        first = tmp_path / "first"
+        assert cli.main(["scan", *flags, "--chi", "2,3", "--replicates", "2",
+                         "--out", str(first)]) == 0
+        rerun = tmp_path / "rerun"
+        assert cli.main(["scan", "--config",
+                         str(first / member / "manifest.json"),
+                         "--out", str(rerun)]) == 0
+        (raw,) = rerun.rglob("raw.csv")
+        assert raw.read_bytes() == (first / member / "raw.csv").read_bytes()
+
+    def test_full_keeps_given_replicates(self, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(["scan", "--scenario", "fig2", "--full",
+                         "--replicates", "3", "--chi", "2", "--ntr", "40",
+                         "--out", str(out)]) == 0
+        with open(out / "ntr=40" / "raw.csv") as fh:
+            assert sorted(row["replicate"] for row in csv.DictReader(fh)) == [
+                "0", "1", "2"]
+
+    @pytest.mark.parametrize("content", ["[1, 2]", '{"config": 5}'])
+    def test_config_file_without_object_exits_2(self, content, tmp_path,
+                                                 capsys):
+        """A config file that holds no JSON object of entries is a
+        validation failure naming the file, not a traceback."""
+        path = tmp_path / "config.json"
+        path.write_text(content)
+        out = tmp_path / "x"
+        assert cli.main(["scan", "--config", str(path),
+                         "--out", str(out)]) == 2
+        assert str(path) in capsys.readouterr().err
+        assert not out.exists()
 
     def test_validation_failure_exits_2(self, tmp_path):
         code = cli.main(["scan", "--replicates", "0",
@@ -713,7 +820,7 @@ class TestScenarioDispatch:
             fields = dict(fields, **idx_files)
         out = tmp_path / "out"
         _, paths = experiments.run_scenario(
-            ExperimentConfig(out_dir=str(out), **fields))
+            config_from_dict(dict(fields, out_dir=str(out))))
         assert set(paths) == keys
         assert all(os.path.isfile(path) for path in paths.values())
         subdirs = sorted(entry.name for entry in out.iterdir()
@@ -733,6 +840,16 @@ class TestScenarioDispatch:
                     seconds.append(json.load(fh)["seconds"])
             with open(paths["manifest"]) as fh:
                 assert json.load(fh)["seconds"] == pytest.approx(sum(seconds))
+
+    def test_fig5_scans_at_its_noise_level(self, tmp_path, idx_files):
+        """Both fig5 scans train on labels at the config's noise level."""
+        fields, _, _ = DISPATCH_CASES["fig5"]
+        out = tmp_path / "out"
+        experiments.run_scenario(config_from_dict(dict(
+            fields, noise_levels=0.25, out_dir=str(out), **idx_files)))
+        for name in ("bond", "trainsize"):
+            with open(out / name / "raw.csv") as fh:
+                assert {row["noise"] for row in csv.DictReader(fh)} == {"0.25"}
 
     def test_family_stops_at_non_finite_mean(self, tmp_path, monkeypatch):
         """Every scan directory is written; chi_star.csv is not."""
@@ -803,9 +920,9 @@ class TestFig5:
     def test_bond_scan_written_before_size_scan(self, tmp_path, jobs):
         out = tmp_path / "out"
         with pytest.raises(ScanAbortedError):
-            experiments.run_scenario(ExperimentConfig(
+            experiments.run_scenario(config_from_dict(dict(
                 out_dir=str(out), ntr_list=(16,), **self.FIELDS,
-                **image_files(tmp_path, 4096)))
+                **image_files(tmp_path, 4096))))
         with open(out / "bond" / "raw.csv") as fh:
             assert len(list(csv.DictReader(fh))) == 2
         assert not (out / "trainsize").exists()
