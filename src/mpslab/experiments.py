@@ -172,7 +172,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
     A grid takes a list or a single value, which fills a one-point grid.
     ``full`` (true) sets the preset's paper-scale replicate count unless
-    ``replicates`` is given; a scenario without one rejects it.  A key
+    ``replicates`` is given, where a scenario without one rejects it.  A key
     that names no entry, or a value that does not fit its type, raises
     ValueError naming the key; an int fits a float field.
     """
@@ -191,7 +191,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     scenario = entries.get("scenario", "custom")
     preset = _PRESETS.get(scenario, {})
     fields = {name: value for name, value in preset.items() if name in _FIELDS}
-    if entries.pop("full", False):
+    if entries.pop("full", False) and "replicates" not in entries:
         if "full_replicates" not in preset:
             raise ValueError(f"full: scenario {scenario!r} has no "
                              f"paper-scale replicate count")
@@ -464,7 +464,7 @@ def run_scan(cfg: ExperimentConfig, axis="chi", images=None) -> ScanResult:
     if axis not in ("chi", "ntr"):
         raise ValueError(f"unknown scan axis {axis!r}")
     start = time.perf_counter()
-    sizes = list(cfg.ntr_list if axis == "ntr" else cfg.ntr_list[:1])
+    sizes = _training_sizes(cfg, axis)
     chi_values = list(cfg.chi_list if axis == "chi" else cfg.chi_list[:1])
     axis_values = chi_values if axis == "chi" else sizes
     if images is None:
@@ -490,6 +490,11 @@ def run_scan(cfg: ExperimentConfig, axis="chi", images=None) -> ScanResult:
     return ScanResult(axis_name=axis, axis=axis_values, mean=mean, std=std,
                       count=count, raw_header=header, raw_rows=rows,
                       metric=metric, failures=failures, seconds=seconds)
+
+
+def _training_sizes(cfg: ExperimentConfig, axis) -> list:
+    """The training sizes a scan along ``axis`` draws."""
+    return list(cfg.ntr_list if axis == "ntr" else cfg.ntr_list[:1])
 
 
 def run_bond_scan(cfg: ExperimentConfig) -> ScanResult:
@@ -627,8 +632,9 @@ def _scenario_plan(cfg: ExperimentConfig):
     """A scenario's outer axis (None unless it is a family) and the scans
     it runs, in order, as (directory under out_dir, config, axis) triples.
     fig5 is a bond and a train-size scan; a family is one bond scan per
-    value of an outer grid, at a config whose grid holds that value alone;
-    a lone scan is written to out_dir itself."""
+    value of an outer grid, at a config whose grid holds that value alone
+    and whose out_dir is the member's directory, so rerunning it leaves the
+    family's own files alone; a lone scan is written to out_dir itself."""
     if cfg.scenario == "fig5":
         sizes = replace(cfg, **_PRESETS["fig5"]["trainsize"])
         return None, [("bond", cfg, "chi"), ("trainsize", sizes, "ntr")]
@@ -641,17 +647,19 @@ def _scenario_plan(cfg: ExperimentConfig):
     else:
         return None, [("", cfg, "ntr" if len(cfg.ntr_list) > 1 else "chi")]
     grid = _OUTER_GRIDS[outer]
-    return outer, [(f"{outer}={value:g}" if isinstance(value, float)
-                    else f"{outer}={value}",
-                    replace(cfg, **{grid: (value,)}), "chi")
-                   for value in getattr(cfg, grid)]
+    names = [f"{outer}={value:g}" if isinstance(value, float)
+             else f"{outer}={value}" for value in getattr(cfg, grid)]
+    return outer, [(name, replace(cfg, **{grid: (value,)},
+                                  out_dir=os.path.join(cfg.out_dir, name)),
+                    "chi") for name, value in zip(names, getattr(cfg, grid))]
 
 
 def run_scenario(cfg: ExperimentConfig):
     """Run the plan of ``cfg`` as it stands (``config_from_dict`` applies
-    a scenario's preset) and write each scan, with a manifest of its own
-    config, as it ends, then a family's summary; returns (ScanResults in
-    plan order, paths)."""
+    a scenario's preset) and write each scan as it ends, then a family's
+    summary; returns (ScanResults in plan order, paths).  A family
+    member's manifest records the member's config; fig5's two record
+    ``cfg``, whose plan reruns both of its scans."""
     cfg.validate()
     outer, plan = _scenario_plan(cfg)
     names = [name for name, *_ in plan]
@@ -663,14 +671,15 @@ def run_scenario(cfg: ExperimentConfig):
     if cfg.scenario in IMAGE_SCENARIOS:
         images = load_mnist_pair(cfg)
         for _, config, axis in plan:
-            for n in config.ntr_list if axis == "ntr" else config.ntr_list[:1]:
+            for n in _training_sizes(config, axis):
                 if n > images[0].count:
                     raise ValueError(f"training size {n} exceeds the "
                                      f"{images[0].count}-image training pool")
     scans, paths = [], {}
     for name, config, axis in plan:
         scan = run_scan(config, axis, images)
-        written = emit_outputs(scan, config, os.path.join(cfg.out_dir, name))
+        written = emit_outputs(scan, cfg if outer is None else config,
+                               os.path.join(cfg.out_dir, name))
         scans.append(scan)
         if outer is None:
             paths.update({f"{name}_{k}" if name else k: v

@@ -450,12 +450,13 @@ class TestConfig:
     @given(entries=st.fixed_dictionaries({}, optional=READER_ENTRIES))
     @example(entries={"scenario": "fig3", "eps_list": (0.3,)})
     @example(entries={"scenario": "fig2", "full": True, "replicates": 3})
+    @example(entries={"scenario": "fig9", "full": True, "replicates": 1})
     def test_reader_precedence(self, entries):
         """The reader builds the defaults, then the scenario's preset
         fields, then the entries; ``full`` sets the preset's paper-scale
         replicate count unless ``replicates`` is given."""
         preset = experiments._PRESETS.get(entries.get("scenario"), {})
-        full = entries.get("full", False)
+        full = entries.get("full", False) and "replicates" not in entries
         if full and "full_replicates" not in preset:
             with pytest.raises(ValueError, match="^full: scenario"):
                 config_from_dict(entries)
@@ -475,12 +476,15 @@ class TestConfig:
     def test_full_rejected_without_paper_scale_count(self, scenario,
                                                      tmp_path, capsys):
         """``full`` on a scenario with no paper-scale replicate count is a
-        validation failure, not a flag that does nothing; false (an old
-        manifest's entry) is accepted."""
+        validation failure, not a flag that does nothing; false, or true
+        beside ``replicates`` (old manifests' entries), is accepted."""
         with pytest.raises(ValueError, match=f"^full: scenario {scenario!r}"):
             config_from_dict({"scenario": scenario, "full": True})
         assert config_from_dict({"scenario": scenario, "full": False}) == (
             config_from_dict({"scenario": scenario}))
+        assert config_from_dict(
+            {"scenario": scenario, "full": True, "replicates": 1}) == (
+            config_from_dict({"scenario": scenario, "replicates": 1}))
         out = tmp_path / "x"
         assert cli.main(["scan", "--scenario", scenario, "--full",
                          "--out", str(out)]) == 2
@@ -575,6 +579,33 @@ class TestCli:
                          "--out", str(rerun)]) == 0
         (raw,) = rerun.rglob("raw.csv")
         assert raw.read_bytes() == (first / member / "raw.csv").read_bytes()
+
+    @pytest.mark.parametrize("flags, member", [
+        (["--eps", "0.2,0.3", "--ntr", "40"], "eps=0.2"),
+        (["--scenario", "fig4", "--eps", "0.2,0.3", "--ntr", "40",
+          "--sweeps", "2", "--cg-steps", "2"], "eps=0.2"),
+    ])
+    def test_member_rerun_in_place_keeps_family_files(self, flags, member,
+                                                      tmp_path):
+        """Rerun without --out, a member's manifest writes under the
+        member's own directory: the family's top-level files and its other
+        members are left as they were, and the rerun's raw.csv is
+        byte-identical."""
+        first = tmp_path / "first"
+        assert cli.main(["scan", *flags, "--chi", "2,3", "--replicates", "2",
+                         "--out", str(first)]) == 0
+        def outside_member():
+            return {path: path.read_bytes() for path in first.rglob("*")
+                    if path.is_file()
+                    and path.relative_to(first).parts[0] != member}
+
+        before = outside_member()
+        raw = (first / member / "raw.csv").read_bytes()
+        assert cli.main(["scan", "--config",
+                         str(first / member / "manifest.json")]) == 0
+        assert outside_member() == before
+        written = list((first / member).rglob("raw.csv"))
+        assert written and all(path.read_bytes() == raw for path in written)
 
     def test_full_keeps_given_replicates(self, tmp_path):
         out = tmp_path / "out"
@@ -841,15 +872,19 @@ class TestScenarioDispatch:
             with open(paths["manifest"]) as fh:
                 assert json.load(fh)["seconds"] == pytest.approx(sum(seconds))
 
-    def test_fig5_scans_at_its_noise_level(self, tmp_path, idx_files):
-        """Both fig5 scans train on labels at the config's noise level."""
+    def test_fig5_scans_follow_its_config(self, tmp_path, idx_files):
+        """Both fig5 scans train on labels at the config's noise level, and
+        both manifests record the config whose plan reruns them."""
         fields, _, _ = DISPATCH_CASES["fig5"]
         out = tmp_path / "out"
-        experiments.run_scenario(config_from_dict(dict(
-            fields, noise_levels=0.25, out_dir=str(out), **idx_files)))
+        cfg = config_from_dict(dict(fields, noise_levels=0.25,
+                                    out_dir=str(out), **idx_files))
+        experiments.run_scenario(cfg)
         for name in ("bond", "trainsize"):
             with open(out / name / "raw.csv") as fh:
                 assert {row["noise"] for row in csv.DictReader(fh)} == {"0.25"}
+            with open(out / name / "manifest.json") as fh:
+                assert config_from_dict(json.load(fh)) == cfg
 
     def test_family_stops_at_non_finite_mean(self, tmp_path, monkeypatch):
         """Every scan directory is written; chi_star.csv is not."""
