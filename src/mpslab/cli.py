@@ -147,7 +147,10 @@ def _config_entries(args) -> dict:
     data = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{args.config} is not JSON: {exc}") from exc
         if isinstance(data, dict):
             data = data.get("config", data)
         if not isinstance(data, dict):

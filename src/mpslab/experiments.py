@@ -1,9 +1,11 @@
 """Replicated scan harness: one runner for bond-dimension and train-size
-scans, and scenarios as plans of such scans (a family sweeps epsilon,
-training size or label noise) run and written by one loop, with mean/sigma
-aggregation, CSV + SVG outputs, and manifests that rerun any scan bitwise."""
+scans, and scenarios as plans of such scans (a family sweeps the product
+of every grid with more than one value but the scan axis's) run and
+written by one loop, with mean/sigma aggregation, CSV + SVG outputs, and
+manifests that rerun any scan bitwise."""
 
 import csv
+import itertools
 import json
 import logging
 import os
@@ -108,6 +110,12 @@ class ExperimentConfig:
             if not 0.0 <= noise <= 1.0:
                 raise ValueError(f"noise_levels values must be in [0, 1], "
                                  f"got {noise}")
+        # a grid no scan of the scenario reads would make a family of
+        # identical scans
+        grid = "eps_list" if self.scenario in IMAGE_SCENARIOS else "noise_levels"
+        if len(getattr(self, grid)) > 1:
+            raise ValueError(f"{grid} is not read by scenario "
+                             f"{self.scenario!r}, got {getattr(self, grid)}")
         if self.scenario in IMAGE_SCENARIOS:
             return
         # the bounds of the target and feature map, before any scan
@@ -142,21 +150,17 @@ _IMAGES = dict(ntr_list=(1024,), chi_list=tuple(range(2, 21)), sweeps=100,
                replicates=1)
 _PRESETS = {
     "fig2": dict(method=INVERSION, ntr_list=tuple(range(50, 801, 50)),
-                 full_replicates=100, outer="ntr"),
+                 full_replicates=100),
     "fig3": dict(method=INVERSION, eps_list=(0.1, 0.2, 0.3),
-                 full_replicates=100, outer="eps"),
-    "fig4": dict(method=BOTH, eps_list=(0.1, 0.3), full_replicates=32,
-                 outer="eps"),
-    "fig6": dict(method=BOTH, eps_list=(1.0,), full_replicates=32,
-                 outer="eps"),
-    "fig7": dict(method=INVERSION, eps_list=_PAPER_EPS, full_replicates=100,
-                 outer="eps"),
-    "fig8": dict(method=BOTH, eps_list=_PAPER_EPS, full_replicates=32,
-                 outer="eps"),
+                 full_replicates=100),
+    "fig4": dict(method=BOTH, eps_list=(0.1, 0.3), full_replicates=32),
+    "fig6": dict(method=BOTH, eps_list=(1.0,), full_replicates=32),
+    "fig7": dict(method=INVERSION, eps_list=_PAPER_EPS, full_replicates=100),
+    "fig8": dict(method=BOTH, eps_list=_PAPER_EPS, full_replicates=32),
     # fig5 follows its bond scan with a train-size scan on this grid
     "fig5": dict(_IMAGES, trainsize=dict(
         chi_list=(6,), ntr_list=(128, 256, 512, 1024, 2048, 4096))),
-    "fig9": dict(_IMAGES, noise_levels=(0.0, 0.1, 0.2), outer="noise"),
+    "fig9": dict(_IMAGES, noise_levels=(0.0, 0.1, 0.2)),
 }
 _FIELDS = ExperimentConfig.__dataclass_fields__
 # the type of each entry the reader takes: a field's, a grid's values', and
@@ -212,7 +216,7 @@ class ScanResult:
     """Aggregated scan along one axis plus the raw per-replicate table.
 
     ``failures`` holds one dict per failed replicate job: its job key
-    (replicate and the outer axis values) plus the exception's ``error``
+    (replicate, ntr and eps or noise) plus the exception's ``error``
     type name and ``message``.  ``seconds`` is the scan's wall time.
     """
 
@@ -273,8 +277,8 @@ def _aggregate(rows, axis_values, metric):
 
 
 # ---------------------------------------------------------------------------
-# artificial-data replicates; every worker takes (cfg, outer value, ntr,
-# chi values, replicate, *shared inputs) and returns one row dict per chi
+# artificial-data replicates; every fits generator takes (cfg, eps or noise,
+# ntr, chi values, replicate, *shared inputs) and yields one row per chi
 
 def _shared_test_set(cfg: ExperimentConfig, eps):
     """The test set every replicate of a scan at ``eps`` shares, its
@@ -345,18 +349,17 @@ def _regression_fits(cfg, eps, ntr, chi_values, rep, test_set, phi_te,
         yield row, w, trace
 
 
-def _regression_replicate(cfg, eps, ntr, chi_values, rep, test_set, phi_te,
-                          halves_te):
-    """All bond dimensions for one training replicate. Returns row dicts."""
-    return [row for row, _, _ in _regression_fits(
-        cfg, eps, ntr, chi_values, rep, test_set, phi_te, halves_te)]
+def _replicate_rows(fits, *args):
+    """The raw rows of one replicate job: every row the ``fits`` generator
+    (``_regression_fits`` or ``_mnist_fits``) yields for ``args``."""
+    return [row for row, _, _ in fits(*args)]
 
 
 def _map_replicates(cfg, worker, jobs):
     """Run replicate jobs (optionally in a pool) with an ordered merge.
 
     ``jobs`` is a list of (key, args) pairs, where key is a dict naming
-    the job (replicate and outer axis values).  Returns (rows, failures),
+    the job (replicate, ntr and eps or noise).  Returns (rows, failures),
     one failure dict per job that raised: its key plus the exception's
     ``error`` type name and ``message``.
     """
@@ -427,12 +430,6 @@ def _mnist_fits(cfg, noise, ntr, chi_values, rep, train_pool, test_set):
         }, model, trace
 
 
-def _mnist_replicate(cfg, noise, ntr, chi_values, rep, train_pool, test_set):
-    """All bond dimensions for one classifier replicate. Returns row dicts."""
-    return [row for row, _, _ in _mnist_fits(
-        cfg, noise, ntr, chi_values, rep, train_pool, test_set)]
-
-
 def run_single(cfg: ExperimentConfig, images=None):
     """(row, model, trace) of replicate 0 at the first value of every grid:
     the row is that job's raw.csv row in a scan.  ``images=(train_pool,
@@ -453,32 +450,35 @@ def run_scan(cfg: ExperimentConfig, axis="chi", images=None) -> ScanResult:
     """A test metric against bond dimension or training size, over
     replicate training sets.
 
-    ``axis="chi"`` runs ``cfg.chi_list`` at training size ``ntr_list[0]``;
-    ``axis="ntr"`` runs ``cfg.ntr_list`` at ``chi_list[0]``.  With
-    ``images=(train_pool, test_set)`` each replicate trains classifiers at
-    label noise ``noise_levels[0]`` (metric ``test_error``); otherwise it
-    fits artificial data at ``eps_list[0]`` against one shared test set
-    (metric ``inv_test_loss``, or ``dmrg_test_loss`` when DMRG runs).
+    ``axis="chi"`` runs ``cfg.chi_list`` and ``axis="ntr"`` runs
+    ``cfg.ntr_list``; every other grid holds one value, and a second one
+    raises ValueError naming its grid.  With ``images=(train_pool,
+    test_set)`` each replicate trains classifiers at the label noise
+    (metric ``test_error``); otherwise it fits artificial data at the
+    epsilon against one shared test set (metric ``inv_test_loss``, or
+    ``dmrg_test_loss`` when DMRG runs).
     """
     cfg.validate()
     if axis not in ("chi", "ntr"):
         raise ValueError(f"unknown scan axis {axis!r}")
+    for name in GRIDS:
+        if name != f"{axis}_list" and len(getattr(cfg, name)) > 1:
+            raise ValueError(f"{name} holds {getattr(cfg, name)}; a {axis} "
+                             f"scan runs one value of it")
     start = time.perf_counter()
-    sizes = _training_sizes(cfg, axis)
-    chi_values = list(cfg.chi_list if axis == "chi" else cfg.chi_list[:1])
-    axis_values = chi_values if axis == "chi" else sizes
+    axis_values = list(getattr(cfg, f"{axis}_list"))
     if images is None:
-        worker, outer, value = _regression_replicate, "eps", cfg.eps_list[0]
+        fits, column, value = _regression_fits, "eps", cfg.eps_list[0]
         shared = _shared_test_set(cfg, value)
         metric = ("inv_test_loss" if cfg.method == INVERSION
                   else "dmrg_test_loss")
     else:
-        worker, outer, value = _mnist_replicate, "noise", cfg.noise_levels[0]
+        fits, column, value = _mnist_fits, "noise", cfg.noise_levels[0]
         shared, metric = images, "test_error"
-    jobs = [({"replicate": r, outer: value, "ntr": n},
-             (cfg, value, n, chi_values, r, *shared))
-            for n in sizes for r in range(cfg.replicates)]
-    rows, failures = _map_replicates(cfg, worker, jobs)
+    jobs = [({"replicate": r, column: value, "ntr": n},
+             (fits, cfg, value, n, cfg.chi_list, r, *shared))
+            for n in cfg.ntr_list for r in range(cfg.replicates)]
+    rows, failures = _map_replicates(cfg, _replicate_rows, jobs)
     if axis == "ntr":
         for row in rows:
             row["axis"] = row["ntr"]
@@ -490,11 +490,6 @@ def run_scan(cfg: ExperimentConfig, axis="chi", images=None) -> ScanResult:
     return ScanResult(axis_name=axis, axis=axis_values, mean=mean, std=std,
                       count=count, raw_header=header, raw_rows=rows,
                       metric=metric, failures=failures, seconds=seconds)
-
-
-def _training_sizes(cfg: ExperimentConfig, axis) -> list:
-    """The training sizes a scan along ``axis`` draws."""
-    return list(cfg.ntr_list if axis == "ntr" else cfg.ntr_list[:1])
 
 
 def run_bond_scan(cfg: ExperimentConfig) -> ScanResult:
@@ -600,28 +595,29 @@ def write_manifest(cfg: ExperimentConfig, path, scans) -> None:
         fh.write("\n")
 
 
-# a family's outer axis and the grid it runs one bond scan per value of
-_OUTER_GRIDS = {"eps": "eps_list", "ntr": "ntr_list", "noise": "noise_levels"}
-
-
-def _emit_family(cfg: ExperimentConfig, outer, scans) -> dict:
-    """chi_star.csv, the combined figure and the manifest over a family of
-    bond scans, one per value of the ``outer`` axis's grid.  A scan
-    whose mean is not finite at some chi raises ValueError before any of
-    them is written."""
-    values = getattr(cfg, _OUTER_GRIDS[outer])
+def _emit_family(cfg: ExperimentConfig, family, plan, scans) -> dict:
+    """chi_star.csv (one leading column per ``family`` grid, then the
+    best axis value, its mean and sigma), the combined figure and the
+    manifest over the scans of a family's ``plan``.  A scan whose mean is
+    not finite at some chi raises ValueError before any of them is
+    written."""
     stars = [find_optimal_chi(scan) for scan in scans]
+    names = [grid.split("_")[0] for grid in family]
+    points = [[getattr(config, grid)[0] for grid in family]
+              for _, config, _ in plan]
     paths = {"chi_star": os.path.join(cfg.out_dir, "chi_star.csv")}
     with open(paths["chi_star"], "w") as fh:
-        fh.write(f"{outer},chi_star,mean,std\n")
-        for value, (chi, m, s) in zip(values, stars):
-            fh.write(f"{_format_cell(value)},{chi},{repr(m)},{repr(s)}\n")
+        fh.write(",".join(names) + f",{scans[0].axis_name}_star,mean,std\n")
+        for point, (best, m, s) in zip(points, stars):
+            fh.write(",".join(map(_format_cell, point))
+                     + f",{best},{repr(m)},{repr(s)}\n")
     paths["figure"] = os.path.join(cfg.out_dir, "figure.svg")
     logy = all(np.all(s.mean > 0) for s in scans)
     line_plot(paths["figure"],
-              [_band_series(scan, f"{outer}={value}")
-               for value, scan in zip(values, scans)],
-              title=f"{cfg.scenario}: scans over {outer}",
+              [_band_series(scan, ", ".join(
+                  f"{name}={value}" for name, value in zip(names, point)))
+               for point, scan in zip(points, scans)],
+              title=f"{cfg.scenario}: scans over {', '.join(names)}",
               xlabel=scans[0].axis_name, ylabel=scans[0].metric, logy=logy)
     paths["manifest"] = os.path.join(cfg.out_dir, "manifest.json")
     write_manifest(cfg, paths["manifest"], scans)
@@ -629,29 +625,33 @@ def _emit_family(cfg: ExperimentConfig, outer, scans) -> dict:
 
 
 def _scenario_plan(cfg: ExperimentConfig):
-    """A scenario's outer axis (None unless it is a family) and the scans
-    it runs, in order, as (directory under out_dir, config, axis) triples.
-    fig5 is a bond and a train-size scan; a family is one bond scan per
-    value of an outer grid, at a config whose grid holds that value alone
-    and whose out_dir is the member's directory, so rerunning it leaves the
-    family's own files alone; a lone scan is written to out_dir itself."""
+    """A scenario's family grids and the scans it runs, in order, as
+    (directory under out_dir, config, axis) triples.  fig5 is a bond and a
+    train-size scan.  Otherwise the axis is chi, or ntr when chi_list has
+    one value and ntr_list more, and every other grid with more than one
+    value is a family grid: one scan per point of their product, in GRIDS
+    order, at a config whose family grids hold that point alone and whose
+    out_dir is the member's directory (``eps=0.2/ntr=40``), so its
+    manifest reruns that scan alone, in place.  With no family grid the
+    one scan is written to out_dir itself."""
     if cfg.scenario == "fig5":
         sizes = replace(cfg, **_PRESETS["fig5"]["trainsize"])
-        return None, [("bond", cfg, "chi"), ("trainsize", sizes, "ntr")]
-    if cfg.scenario != "custom":
-        outer = _PRESETS[cfg.scenario]["outer"]
-    elif len(cfg.eps_list) > 1:
-        outer = "eps"
-    elif len(cfg.ntr_list) > 1 and len(cfg.chi_list) > 1:
-        outer = "ntr"
-    else:
-        return None, [("", cfg, "ntr" if len(cfg.ntr_list) > 1 else "chi")]
-    grid = _OUTER_GRIDS[outer]
-    names = [f"{outer}={value:g}" if isinstance(value, float)
-             else f"{outer}={value}" for value in getattr(cfg, grid)]
-    return outer, [(name, replace(cfg, **{grid: (value,)},
-                                  out_dir=os.path.join(cfg.out_dir, name)),
-                    "chi") for name, value in zip(names, getattr(cfg, grid))]
+        return [], [("bond", cfg, "chi"), ("trainsize", sizes, "ntr")]
+    axis = "ntr" if len(cfg.chi_list) == 1 < len(cfg.ntr_list) else "chi"
+    family = [grid for grid in GRIDS
+              if grid != f"{axis}_list" and len(getattr(cfg, grid)) > 1]
+    if not family:
+        return [], [("", cfg, axis)]
+    plan = []
+    for point in itertools.product(*(getattr(cfg, grid) for grid in family)):
+        name = os.path.join(*(
+            f"{grid.split('_')[0]}={value:g}" if isinstance(value, float)
+            else f"{grid.split('_')[0]}={value}"
+            for grid, value in zip(family, point)))
+        plan.append((name, replace(cfg, **{
+            grid: (value,) for grid, value in zip(family, point)},
+            out_dir=os.path.join(cfg.out_dir, name)), axis))
+    return family, plan
 
 
 def run_scenario(cfg: ExperimentConfig):
@@ -661,29 +661,29 @@ def run_scenario(cfg: ExperimentConfig):
     member's manifest records the member's config; fig5's two record
     ``cfg``, whose plan reruns both of its scans."""
     cfg.validate()
-    outer, plan = _scenario_plan(cfg)
+    family, plan = _scenario_plan(cfg)
     names = [name for name, *_ in plan]
     if len(set(names)) < len(names):
-        raise ValueError(f"the {outer} values "
-                         f"{list(getattr(cfg, _OUTER_GRIDS[outer]))} "
+        raise ValueError(f"the values of {family} "
+                         f"{[getattr(cfg, grid) for grid in family]} "
                          f"would share the directories {names}")
     images = None
     if cfg.scenario in IMAGE_SCENARIOS:
         images = load_mnist_pair(cfg)
-        for _, config, axis in plan:
-            for n in _training_sizes(config, axis):
+        for _, config, _ in plan:
+            for n in config.ntr_list:
                 if n > images[0].count:
                     raise ValueError(f"training size {n} exceeds the "
                                      f"{images[0].count}-image training pool")
     scans, paths = [], {}
     for name, config, axis in plan:
         scan = run_scan(config, axis, images)
-        written = emit_outputs(scan, cfg if outer is None else config,
+        written = emit_outputs(scan, config if family else cfg,
                                os.path.join(cfg.out_dir, name))
         scans.append(scan)
-        if outer is None:
+        if not family:
             paths.update({f"{name}_{k}" if name else k: v
                           for k, v in written.items()})
-    if outer is not None:
-        paths = _emit_family(cfg, outer, scans)
+    if family:
+        paths = _emit_family(cfg, family, plan, scans)
     return scans, paths

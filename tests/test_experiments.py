@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import itertools
 import json
 import logging
 import os
@@ -7,6 +8,7 @@ import pathlib
 import struct
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import xml.etree.ElementTree as ET
 
@@ -121,14 +123,14 @@ class TestBondScan:
                     "dmrg_best_sweep"} <= set(row)
 
     def test_failed_replicate_recorded(self, tmp_path, monkeypatch, caplog):
-        replicate = experiments._regression_replicate
+        replicate = experiments._replicate_rows
 
-        def flaky(cfg, eps, ntr, chi_values, rep, *shared):
+        def flaky(fits, cfg, eps, ntr, chi_values, rep, *shared):
             if rep == 3:
                 raise FloatingPointError("diverged, at replicate 3")
-            return replicate(cfg, eps, ntr, chi_values, rep, *shared)
+            return replicate(fits, cfg, eps, ntr, chi_values, rep, *shared)
 
-        monkeypatch.setattr(experiments, "_regression_replicate", flaky)
+        monkeypatch.setattr(experiments, "_replicate_rows", flaky)
         cfg = dataclasses.replace(TINY, replicates=5)
         with caplog.at_level(logging.WARNING, logger="mpslab.experiments"):
             scan = run_bond_scan(cfg)
@@ -158,7 +160,7 @@ class TestBondScan:
     def test_abort_on_failures(self, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("boom")
-        monkeypatch.setattr(experiments, "_regression_replicate", broken)
+        monkeypatch.setattr(experiments, "_replicate_rows", broken)
         with pytest.raises(ScanAbortedError):
             run_bond_scan(TINY)
 
@@ -228,8 +230,10 @@ class TestSharedWork:
                 else:
                     assert row[key] == value, key
 
-    @pytest.mark.parametrize("axis", ["chi", "ntr"])
-    def test_test_set_generated_once_per_scan(self, axis, monkeypatch):
+    @pytest.mark.parametrize("axis, grids", [
+        ("chi", dict(ntr_list=(40,), chi_list=(2, 3))),
+        ("ntr", dict(ntr_list=(40, 60), chi_list=(3,)))], ids=["chi", "ntr"])
+    def test_test_set_generated_once_per_scan(self, axis, grids, monkeypatch):
         seeds = []
 
         def counting(spec, n, seed):
@@ -237,7 +241,7 @@ class TestSharedWork:
             return generate_dataset(spec, n, seed)
 
         monkeypatch.setattr(experiments, "generate_dataset", counting)
-        cfg = dataclasses.replace(TINY, ntr_list=(40, 60), chi_list=(3,))
+        cfg = dataclasses.replace(TINY, **grids)
         run_scan(cfg, axis)
         assert seeds.count(cfg.base_seed + TEST_SEED_OFFSET) == 1
         assert len(seeds) > cfg.replicates
@@ -387,6 +391,9 @@ class TestConfig:
             ExperimentConfig(chi_list=()).validate()
         with pytest.raises(ValueError):
             run_scan(ExperimentConfig(), axis="eps")
+        # a chi scan runs one training size
+        with pytest.raises(ValueError, match="^ntr_list"):
+            run_scan(dataclasses.replace(TINY, ntr_list=(40, 60)), axis="chi")
         # every grid value's target and the feature map, before any scan;
         # each error names the config field
         for fields, message in ((dict(eps_list=(0.3, 1.5)), "^eps_list"),
@@ -542,15 +549,17 @@ class TestCli:
 
     @pytest.mark.parametrize("flags, config, scans", [
         (["--scenario", "fig3", "--eps", "0.3", "--ntr", "40"], None,
-         ["eps=0.3"]),
-        (["--scenario", "fig2", "--ntr", "300"], None, ["ntr=300"]),
+         {".": ("eps", "0.3")}),
+        (["--scenario", "fig2", "--ntr", "300"], None, {".": ("ntr", "300")}),
         ([], {"scenario": "fig3", "eps_list": [0.3], "ntr_list": [40],
-              "n_test": 64}, ["eps=0.3"]),
+              "n_test": 64}, {".": ("eps", "0.3")}),
     ])
     def test_explicit_setting_wins_over_preset(self, flags, config, scans,
                                                tmp_path):
         """A flag or config-file entry equal to the dataclass default still
-        overrides the scenario's preset grid."""
+        overrides the scenario's preset grid: its one value is a lone scan,
+        written to the output directory itself.  ``scans`` maps each scan
+        directory to the raw.csv column and the one value it holds."""
         if config is not None:
             path = tmp_path / "config.json"
             path.write_text(json.dumps(config))
@@ -558,8 +567,12 @@ class TestCli:
         out = tmp_path / "out"
         assert cli.main(["scan", *flags, "--chi", "2,3", "--replicates", "2",
                          "--out", str(out)]) == 0
-        assert sorted(entry.name for entry in out.iterdir()
-                      if entry.is_dir()) == scans
+        assert sorted(str(raw.parent.relative_to(out))
+                      for raw in out.rglob("raw.csv")) == sorted(scans)
+        assert [entry for entry in out.iterdir() if entry.is_dir()] == []
+        for name, (column, value) in scans.items():
+            with open(out / name / "raw.csv") as fh:
+                assert {row[column] for row in csv.DictReader(fh)} == {value}
 
     @pytest.mark.parametrize("flags, member", [
         (["--eps", "0.2,0.3", "--ntr", "40"], "eps=0.2"),
@@ -584,39 +597,63 @@ class TestCli:
         (["--eps", "0.2,0.3", "--ntr", "40"], "eps=0.2"),
         (["--scenario", "fig4", "--eps", "0.2,0.3", "--ntr", "40",
           "--sweeps", "2", "--cg-steps", "2"], "eps=0.2"),
+        (["--eps", "0.2,0.3", "--ntr", "30,40"], "eps=0.2/ntr=40"),
     ])
     def test_member_rerun_in_place_keeps_family_files(self, flags, member,
                                                       tmp_path):
-        """Rerun without --out, a member's manifest writes under the
-        member's own directory: the family's top-level files and its other
-        members are left as they were, and the rerun's raw.csv is
-        byte-identical."""
+        """Rerun without --out, a member's manifest reruns that scan alone,
+        in place: the family's top-level files and its other members are
+        left as they were, the member directory holds one raw.csv, byte-
+        identical, and its manifest records the same config."""
         first = tmp_path / "first"
         assert cli.main(["scan", *flags, "--chi", "2,3", "--replicates", "2",
                          "--out", str(first)]) == 0
+        home = first / member
+
         def outside_member():
             return {path: path.read_bytes() for path in first.rglob("*")
-                    if path.is_file()
-                    and path.relative_to(first).parts[0] != member}
+                    if path.is_file() and home not in path.parents}
 
-        before = outside_member()
-        raw = (first / member / "raw.csv").read_bytes()
+        def config():
+            with open(home / "manifest.json") as fh:
+                return json.load(fh)["config"]
+
+        before, recorded = outside_member(), config()
+        raw = (home / "raw.csv").read_bytes()
         assert cli.main(["scan", "--config",
-                         str(first / member / "manifest.json")]) == 0
+                         str(home / "manifest.json")]) == 0
         assert outside_member() == before
-        written = list((first / member).rglob("raw.csv"))
-        assert written and all(path.read_bytes() == raw for path in written)
+        assert list(home.rglob("raw.csv")) == [home / "raw.csv"]
+        assert (home / "raw.csv").read_bytes() == raw
+        assert config() == recorded
+
+    def test_member_scans_every_value_its_manifest_records(self, tmp_path):
+        """An eps family at one chi scans training size in each member:
+        every member's raw.csv holds rows at each training size its
+        manifest records, and chi_star.csv names the best one."""
+        out = tmp_path / "out"
+        assert cli.main(["scan", "--scenario", "fig3", "--eps", "0.2,0.3",
+                         "--ntr", "30,40", "--chi", "2", "--replicates", "1",
+                         "--out", str(out)]) == 0
+        for eps in ("0.2", "0.3"):
+            with open(out / f"eps={eps}" / "raw.csv") as fh:
+                assert {(row["eps"], row["ntr"]) for row in csv.DictReader(
+                    fh)} == {(eps, "30"), (eps, "40")}
+            with open(out / f"eps={eps}" / "manifest.json") as fh:
+                assert json.load(fh)["config"]["ntr_list"] == [30, 40]
+        with open(out / "chi_star.csv") as fh:
+            assert fh.readline() == "eps,ntr_star,mean,std\n"
 
     def test_full_keeps_given_replicates(self, tmp_path):
         out = tmp_path / "out"
         assert cli.main(["scan", "--scenario", "fig2", "--full",
                          "--replicates", "3", "--chi", "2", "--ntr", "40",
                          "--out", str(out)]) == 0
-        with open(out / "ntr=40" / "raw.csv") as fh:
+        with open(out / "raw.csv") as fh:
             assert sorted(row["replicate"] for row in csv.DictReader(fh)) == [
                 "0", "1", "2"]
 
-    @pytest.mark.parametrize("content", ["[1, 2]", '{"config": 5}'])
+    @pytest.mark.parametrize("content", ["[1, 2]", '{"config": 5}', "{bad"])
     def test_config_file_without_object_exits_2(self, content, tmp_path,
                                                  capsys):
         """A config file that holds no JSON object of entries is a
@@ -681,6 +718,9 @@ class TestCli:
         (["--config", "n_sites0.json"], "error: n_sites"),
         (["--config", "chi_target1.json"], "error: chi_target"),
         (["--eps", "0.3,1.5"], "error: eps_list"),
+        # a grid no scan of the scenario reads takes one value
+        (["--config", "noise2.json"], "error: noise_levels"),
+        (["--scenario", "fig9", "--eps", "0.2,0.3"], "error: eps_list"),
     ])
     def test_invalid_value_exits_2_before_any_job(self, flags, field,
                                                   tmp_path, monkeypatch,
@@ -689,14 +729,16 @@ class TestCli:
         rejected up front, naming the config field or value, before any
         job runs or file is written."""
         jobs = []
-        replicate = experiments._regression_replicate
+        replicate = experiments._replicate_rows
 
         def counted(*args):
             jobs.append(args)
             return replicate(*args)
 
-        monkeypatch.setattr(experiments, "_regression_replicate", counted)
+        monkeypatch.setattr(experiments, "_replicate_rows", counted)
         (tmp_path / "n_test.json").write_text(json.dumps({"n_test": 1}))
+        (tmp_path / "noise2.json").write_text(
+            json.dumps({"noise_levels": [0, 0.1]}))
         # 3 ** 10 features: past the inversion's design guard
         (tmp_path / "n_sites.json").write_text(json.dumps({"n_sites": 10}))
         for name, value in (("phys_dim", 1), ("n_sites", 0),
@@ -716,7 +758,7 @@ class TestCli:
     def test_aborted_scan_exits_3(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("boom")
-        monkeypatch.setattr(experiments, "_regression_replicate", broken)
+        monkeypatch.setattr(experiments, "_replicate_rows", broken)
         code = cli.main(["scan", "--chi", "2", "--ntr", "50",
                          "--replicates", "2", "--out", str(tmp_path / "y")])
         assert code == 3
@@ -815,13 +857,18 @@ DISPATCH_CASES = {
         dict(REGRESSION, chi_list=(2, 3), ntr_list=(40,),
              eps_list=(0.2, 0.3)),
         MULTI_KEYS, {"eps=0.2": ([2, 3], 4), "eps=0.3": ([2, 3], 4)}),
+    "custom-eps-x-ntr": (
+        dict(REGRESSION, chi_list=(2, 3), ntr_list=(30, 40),
+             eps_list=(0.2, 0.3)),
+        MULTI_KEYS, {f"eps={eps}/ntr={ntr}": ([2, 3], 4)
+                     for eps in (0.2, 0.3) for ntr in (30, 40)}),
     "fig2": (
         dict(REGRESSION, scenario="fig2", chi_list=(2, 3), ntr_list=(30, 40)),
         MULTI_KEYS, {"ntr=30": ([2, 3], 4), "ntr=40": ([2, 3], 4)}),
     "fig6": (
         dict(REGRESSION, scenario="fig6", chi_list=(2, 3), ntr_list=(40,),
              sweeps=2, cg_steps=2),
-        MULTI_KEYS, {"eps=1": ([2, 3], 4)}),
+        SINGLE_KEYS, {".": ([2, 3], 4)}),
     "fig5": (
         dict(scenario="fig5", chi_list=(2, 3), ntr_list=(16,), sweeps=1,
              cg_steps=2, downsample=1),
@@ -856,7 +903,10 @@ class TestScenarioDispatch:
         assert all(os.path.isfile(path) for path in paths.values())
         subdirs = sorted(entry.name for entry in out.iterdir()
                          if entry.is_dir())
-        assert subdirs == sorted(name for name in scans if name != ".")
+        assert subdirs == sorted({name.split("/")[0] for name in scans
+                                  if name != "."})
+        assert sorted(str(raw.parent.relative_to(out))
+                      for raw in out.rglob("raw.csv")) == sorted(scans)
         for name, (axis, rows) in scans.items():
             with open(out / name / "summary.csv") as fh:
                 assert [int(r["axis"]) for r in csv.DictReader(fh)] == axis
@@ -864,7 +914,11 @@ class TestScenarioDispatch:
                 assert len(list(csv.DictReader(fh))) == rows
         if keys == MULTI_KEYS:
             with open(paths["chi_star"]) as fh:
-                assert len(list(csv.DictReader(fh))) == len(scans)
+                reader = csv.DictReader(fh)
+                assert len(list(reader)) == len(scans)
+            grids = [part.split("=")[0]
+                     for part in next(iter(scans)).split("/")]
+            assert reader.fieldnames == [*grids, "chi_star", "mean", "std"]
             seconds = []
             for name in scans:
                 with open(out / name / "manifest.json") as fh:
@@ -888,16 +942,16 @@ class TestScenarioDispatch:
 
     def test_family_stops_at_non_finite_mean(self, tmp_path, monkeypatch):
         """Every scan directory is written; chi_star.csv is not."""
-        replicate = experiments._regression_replicate
+        replicate = experiments._replicate_rows
 
-        def diverging(cfg, eps, *args):
-            rows = replicate(cfg, eps, *args)
+        def diverging(fits, cfg, eps, *args):
+            rows = replicate(fits, cfg, eps, *args)
             for row in rows:
                 if eps == 0.2 and row["axis"] == 3:
                     row["inv_test_loss"] = np.nan
             return rows
 
-        monkeypatch.setattr(experiments, "_regression_replicate", diverging)
+        monkeypatch.setattr(experiments, "_replicate_rows", diverging)
         out = tmp_path / "out"
         fields, _, scans = DISPATCH_CASES["custom-multi-eps"]
         with pytest.raises(ValueError, match=r"at chi = \[3\]"):
@@ -906,6 +960,75 @@ class TestScenarioDispatch:
         for name in scans:
             assert (out / name / "raw.csv").is_file()
         assert not (out / "chi_star.csv").exists()
+
+
+def _grid(values):
+    """A strategy for a grid: distinct draws from ``values``."""
+    return st.lists(st.sampled_from(values), min_size=1,
+                    max_size=len(values), unique=True).map(tuple)
+
+
+# small grids of a 3-site, f=2 regression and of 2x2-image classifiers
+FAMILY_GRIDS = st.one_of(
+    st.fixed_dictionaries({"eps_list": _grid((0.2, 0.5, 1.0)),
+                           "ntr_list": _grid((8, 12)),
+                           "chi_list": _grid((2, 3))}),
+    st.fixed_dictionaries({"noise_levels": _grid((0.0, 0.25)),
+                           "ntr_list": _grid((8, 12)),
+                           "chi_list": _grid((2, 3))}))
+
+
+class TestFamilies:
+    """Every grid with more than one value, but the scan axis's, is a
+    family grid: the family runs each point of the grids' product once, and
+    each member directory's manifest is that member's config."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(grids=FAMILY_GRIDS)
+    @example(grids={"eps_list": (0.2, 1.0), "ntr_list": (8, 12),
+                    "chi_list": (2, 3)})
+    @example(grids={"noise_levels": (0.0, 0.25), "ntr_list": (8, 12),
+                    "chi_list": (2,)})
+    def test_rows_are_the_grid_product(self, grids):
+        image = "noise_levels" in grids
+        value_grid = "noise_levels" if image else "eps_list"
+        with tempfile.TemporaryDirectory() as tmp:
+            out = pathlib.Path(tmp) / "out"
+            fields = dict(grids, replicates=1, sweeps=1, cg_steps=2,
+                          out_dir=str(out))
+            if image:
+                fields.update(scenario="fig9", downsample=1,
+                              **image_files(pathlib.Path(tmp), 24))
+            else:
+                fields.update(n_sites=3, phys_dim=2, chi_target=4, n_test=16)
+            cfg = config_from_dict(fields)
+            experiments.run_scenario(cfg)
+            rows = []
+            for raw in out.rglob("raw.csv"):
+                with open(raw.parent / "manifest.json") as fh:
+                    member = config_from_dict(json.load(fh))
+                assert member.out_dir == str(raw.parent)
+                # the member differs from the family only in its grids,
+                # each the family's grid or one of its values
+                assert dataclasses.replace(
+                    member, out_dir=cfg.out_dir,
+                    **{grid: getattr(cfg, grid) for grid in grids}) == cfg
+                for grid in grids:
+                    assert getattr(member, grid) == getattr(cfg, grid) or (
+                        len(getattr(member, grid)) == 1
+                        and getattr(member, grid)[0] in getattr(cfg, grid))
+                with open(raw) as fh:
+                    member_rows = [(_cell(row[value_grid.split("_")[0]]),
+                                    _cell(row["ntr"]), _cell(row["axis"]))
+                                   for row in csv.DictReader(fh)]
+                assert {value for value, _, _ in member_rows} == set(
+                    getattr(member, value_grid))
+                rows.extend(member_rows)
+        axis = "ntr" if len(cfg.chi_list) == 1 < len(cfg.ntr_list) else "chi"
+        want = [(value, ntr, chi if axis == "chi" else ntr)
+                for value, ntr, chi in itertools.product(
+                    getattr(cfg, value_grid), cfg.ntr_list, cfg.chi_list)]
+        assert sorted(rows) == sorted(want)
 
 
 class TestFig5:
@@ -921,7 +1044,7 @@ class TestFig5:
         at 512 or more training images fail."""
         calls = []
 
-        def replicate(cfg, noise, ntr, chi_values, rep, train_pool,
+        def replicate(fits, cfg, noise, ntr, chi_values, rep, train_pool,
                       test_set):
             calls.append((ntr, rep))
             if ntr >= 512:
@@ -930,7 +1053,7 @@ class TestFig5:
                      "replicate": rep, "test_error": 0.5}
                     for chi in chi_values]
 
-        monkeypatch.setattr(experiments, "_mnist_replicate", replicate)
+        monkeypatch.setattr(experiments, "_replicate_rows", replicate)
         return calls
 
     def test_small_pool_fails_before_any_job(self, tmp_path, jobs, capsys):
