@@ -16,6 +16,7 @@ from .dmrg import PROB_FLOOR, TrainConfig, train_arrays
 from .errors import IdxFormatError
 from .features import TRIGONOMETRIC, FeatureMap, featurize_batch
 from .mps import MPS, random_init
+from .tables import write_table
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
@@ -149,10 +150,6 @@ def export_predictions(w: MPS, d: ImageDataset, path) -> None:
     """CSV of per-image predictions: index,true,predicted,p0..p9."""
     p = predict_proba(w, featurize_images(d))
     pred = np.argmax(p, axis=1)
-    header = "index,true,predicted," + ",".join(
-        f"p{c}" for c in range(d.num_classes))
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for i in range(d.count):
-            probs = ",".join(repr(float(v)) for v in p[i])
-            fh.write(f"{i},{d.labels[i]},{pred[i]},{probs}\n")
+    write_table(path, ["index", "true", "predicted"]
+                + [f"p{c}" for c in range(d.num_classes)],
+                ([i, d.labels[i], pred[i], *p[i]] for i in range(d.count)))

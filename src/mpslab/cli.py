@@ -16,9 +16,9 @@ from . import __version__
 from .classify import export_predictions
 from .datagen import generate_dataset, save_dataset_csv
 from .errors import ScanAbortedError
-from .experiments import (DMRG, ENTRY_TYPES, SCENARIOS, ExperimentConfig,
-                          config_from_dict, load_mnist_pair, run_scenario,
-                          run_single)
+from .experiments import (BOTH, ENTRY_TYPES, INVERSION, SCENARIOS,
+                          ExperimentConfig, config_from_dict, load_mnist_pair,
+                          run_scenario, run_single)
 from .mps import save_mps
 
 LOG_FORMAT = "%(levelname)s %(name)s: %(message)s"
@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dmrg", help="sweeping CG training from inversion init")
     _add_target_flags(p)
-    p.set_defaults(method=DMRG)
+    p.set_defaults(method=BOTH)
     p.add_argument("--chi", dest="chi_list", type=int, default=8)
     p.add_argument("--ridge", type=float)
     p.add_argument("--sweeps", type=int)
@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="0.1,0.2,0.3")
     p.add_argument("--replicates", type=int)
     p.add_argument("--seed", dest="base_seed", type=int, help="base seed")
-    p.add_argument("--method", choices=("inversion", "dmrg", "both"))
+    p.add_argument("--method", choices=(INVERSION, BOTH))
     p.add_argument("--ridge", type=float)
     p.add_argument("--sweeps", type=int)
     p.add_argument("--cg-steps", type=int)

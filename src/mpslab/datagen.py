@@ -7,7 +7,6 @@ Every monomial of total degree n in the resulting label polynomial then
 carries an epsilon^n prefactor, so one scalar tunes data complexity.
 """
 
-import csv
 import functools
 from dataclasses import dataclass
 
@@ -16,6 +15,7 @@ import numpy as np
 from .errors import DegenerateDataError
 from .features import FeatureMap, featurize_batch
 from .mps import MPS
+from .tables import write_table
 
 
 @dataclass(frozen=True)
@@ -187,10 +187,7 @@ def add_label_noise(labels: np.ndarray, fraction: float, num_classes: int,
 
 
 def save_dataset_csv(d: Dataset, path) -> None:
-    """Write `x1,...,xN,y` rows with 17 significant digits (lossless)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j + 1}" for j in range(d.n_features)] + ["y"])
-        for row, y in zip(d.features, d.labels):
-            writer.writerow([f"{v:.17g}" for v in row] + [f"{y:.17g}"])
+    """Write `x1,...,xN,y` rows of shortest round-trip floats (lossless)."""
+    write_table(path, [f"x{j + 1}" for j in range(d.n_features)] + ["y"],
+                ([*row, y] for row, y in zip(d.features, d.labels)))
 

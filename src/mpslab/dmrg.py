@@ -49,6 +49,7 @@ except ImportError as err:
 from .datagen import Dataset
 from .features import FeatureMap, featurize_batch
 from .mps import MPS, canonicalize, left_step, right_step, shift_center
+from .tables import write_table
 from .tensor import row_outer
 
 ARMIJO_C = 1e-4
@@ -124,11 +125,9 @@ class TrainTrace:
         ``sweep``."""
         names = [f.name for f in fields(self)
                  if f.type is list and getattr(self, f.name)]
-        with open(path, "w") as fh:
-            fh.write(",".join("sweep" if name == "sweeps" else name
-                              for name in names) + "\n")
-            for row in zip(*(getattr(self, name) for name in names)):
-                fh.write(",".join(repr(v) for v in row) + "\n")
+        write_table(path, ["sweep" if name == "sweeps" else name
+                           for name in names],
+                    zip(*(getattr(self, name) for name in names)))
 
 
 class EnvironmentCache:
@@ -597,7 +596,8 @@ def train_arrays(w0: MPS, phi_tr, y_tr, phi_val=None, y_val=None,
     Sweep 0 is the loop's first pass, over no sites: it records the
     initial state.  Each sweep's training loss (and classifier accuracy)
     comes from the model outputs of its last solve, and only the
-    validation and test sets are evaluated per sweep.  Squared error also
+    validation and test sets are evaluated per sweep; the trace holds
+    their lists only for the sets given.  Squared error also
     carries those outputs from each site's solve to the next (a regauge
     leaves them unchanged); cross-entropy, whose training is
     roundoff-chaotic, starts every solve from a fresh apply.
@@ -664,11 +664,11 @@ def train_arrays(w0: MPS, phi_tr, y_tr, phi_val=None, y_val=None,
         trace.optimize_seconds.append(optimize_s)
         trace.move_seconds.append(move_s)
         model = MPS(cache.cores, label_site=label_site)
-        for phi, y, losses, accs in held_out:
-            out = None if phi is None else model.evaluate_batch(phi)
-            losses.append(np.nan if out is None else data_loss(out, y, kind))
+        for phi, y, losses, accs in (s for s in held_out if s[0] is not None):
+            out = model.evaluate_batch(phi)
+            losses.append(data_loss(out, y, kind))
             if classifying:
-                accs.append(np.nan if out is None else _accuracy(out, y))
+                accs.append(_accuracy(out, y))
         trace.evaluate_seconds.append(
             time.perf_counter() - tick if sweep else 0.0)
 

@@ -4,7 +4,6 @@ of every grid with more than one value but the scan axis's) run and
 written by one loop, with mean/sigma aggregation, CSV + SVG outputs, and
 manifests that rerun any scan bitwise."""
 
-import csv
 import itertools
 import json
 import logging
@@ -27,6 +26,7 @@ from .exact import (DESIGN_GUARD, build_design_system, design_halves,
 from .features import FeatureMap, featurize_batch
 from .mps import compress
 from .svgplot import line_plot
+from .tables import write_table
 
 logger = logging.getLogger(__name__)
 
@@ -35,7 +35,6 @@ VAL_SEED_OFFSET = 2_000_003
 NOISE_SEED_OFFSET = 3_000_017
 
 INVERSION = "inversion"
-DMRG = "dmrg"
 BOTH = "both"
 
 SCENARIOS = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
@@ -90,7 +89,7 @@ class ExperimentConfig:
     def validate(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
-        if self.method not in (INVERSION, DMRG, BOTH):
+        if self.method not in (INVERSION, BOTH):
             raise ValueError(f"unknown method {self.method!r}")
         for name in GRIDS:
             values = getattr(self, name)
@@ -319,7 +318,7 @@ def _regression_fits(cfg, eps, ntr, chi_values, rep, test_set, phi_te,
     stack = np.stack([w.to_full_tensor().ravel() for w in models])
     pred_tr = evaluate_halves(system.left, system.right, stack)
     pred_te = evaluate_halves(*halves_te, stack)
-    training = cfg.method in (DMRG, BOTH)
+    training = cfg.method == BOTH
     if training:
         val_set = generate_dataset(spec, cfg.n_test,
                                    cfg.base_seed + VAL_SEED_OFFSET + rep)
@@ -511,60 +510,40 @@ def _header_order(key):
     return (1, 0, key)
 
 
-def _format_cell(value):
-    if isinstance(value, (bool, np.bool_)):
-        return str(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def _band_series(scan: ScanResult, label) -> dict:
-    """The scan's mean curve with a one-sigma band, as a line_plot series."""
-    return {"x": scan.axis, "y": scan.mean,
-            "band": (scan.mean - scan.std, scan.mean + scan.std),
-            "label": label}
-
-
 def emit_outputs(scan: ScanResult, cfg: ExperimentConfig, out_dir) -> dict:
     """Write raw.csv, summary.csv, failures.csv, figure.svg, and
     manifest.json."""
     os.makedirs(out_dir, exist_ok=True)
-    paths = {}
+    return {
+        "raw": write_table(
+            os.path.join(out_dir, "raw.csv"), scan.raw_header,
+            [[row.get(k, "") for k in scan.raw_header]
+             for row in scan.raw_rows]),
+        "summary": write_table(
+            os.path.join(out_dir, "summary.csv"), ["axis", "mean", "std", "n"],
+            zip(scan.axis, scan.mean, scan.std, scan.count)),
+        "failures": write_table(
+            os.path.join(out_dir, "failures.csv"), _FAILURE_HEADER,
+            [[failure.get(k, "") for k in _FAILURE_HEADER]
+             for failure in scan.failures]),
+        **_write_figure_and_manifest(
+            cfg, out_dir, [scan], [scan.metric],
+            f"{cfg.scenario}: {scan.metric} vs {scan.axis_name}"),
+    }
 
-    paths["raw"] = os.path.join(out_dir, "raw.csv")
-    with open(paths["raw"], "w") as fh:
-        fh.write(",".join(scan.raw_header) + "\n")
-        for row in scan.raw_rows:
-            fh.write(",".join(_format_cell(row.get(k, ""))
-                              for k in scan.raw_header) + "\n")
 
-    paths["summary"] = os.path.join(out_dir, "summary.csv")
-    with open(paths["summary"], "w") as fh:
-        fh.write("axis,mean,std,n\n")
-        for v, m, s, n in zip(scan.axis, scan.mean, scan.std, scan.count):
-            fh.write(f"{_format_cell(v)},{repr(float(m))},"
-                     f"{repr(float(s))},{int(n)}\n")
-
-    paths["failures"] = os.path.join(out_dir, "failures.csv")
-    with open(paths["failures"], "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_FAILURE_HEADER)
-        for failure in scan.failures:
-            writer.writerow([_format_cell(failure.get(k, ""))
-                             for k in _FAILURE_HEADER])
-
-    paths["figure"] = os.path.join(out_dir, "figure.svg")
-    losses_positive = bool(np.all(scan.mean > 0))
-    line_plot(
-        paths["figure"], [_band_series(scan, scan.metric)],
-        title=f"{cfg.scenario}: {scan.metric} vs {scan.axis_name}",
-        xlabel=scan.axis_name, ylabel=scan.metric, logy=losses_positive)
-
-    paths["manifest"] = os.path.join(out_dir, "manifest.json")
-    write_manifest(cfg, paths["manifest"], [scan])
+def _write_figure_and_manifest(cfg, out_dir, scans, labels, title) -> dict:
+    """figure.svg, each scan's mean curve with a one-sigma band under its
+    label (log y when every mean is positive), and manifest.json."""
+    paths = {"figure": os.path.join(out_dir, "figure.svg"),
+             "manifest": os.path.join(out_dir, "manifest.json")}
+    line_plot(paths["figure"],
+              [{"x": scan.axis, "y": scan.mean,
+                "band": (scan.mean - scan.std, scan.mean + scan.std),
+                "label": label} for scan, label in zip(scans, labels)],
+              title=title, xlabel=scans[0].axis_name, ylabel=scans[0].metric,
+              logy=all(np.all(scan.mean > 0) for scan in scans))
+    write_manifest(cfg, paths["manifest"], scans)
     return paths
 
 
@@ -605,23 +584,15 @@ def _emit_family(cfg: ExperimentConfig, family, plan, scans) -> dict:
     names = [grid.split("_")[0] for grid in family]
     points = [[getattr(config, grid)[0] for grid in family]
               for _, config, _ in plan]
-    paths = {"chi_star": os.path.join(cfg.out_dir, "chi_star.csv")}
-    with open(paths["chi_star"], "w") as fh:
-        fh.write(",".join(names) + f",{scans[0].axis_name}_star,mean,std\n")
-        for point, (best, m, s) in zip(points, stars):
-            fh.write(",".join(map(_format_cell, point))
-                     + f",{best},{repr(m)},{repr(s)}\n")
-    paths["figure"] = os.path.join(cfg.out_dir, "figure.svg")
-    logy = all(np.all(s.mean > 0) for s in scans)
-    line_plot(paths["figure"],
-              [_band_series(scan, ", ".join(
-                  f"{name}={value}" for name, value in zip(names, point)))
-               for point, scan in zip(points, scans)],
-              title=f"{cfg.scenario}: scans over {', '.join(names)}",
-              xlabel=scans[0].axis_name, ylabel=scans[0].metric, logy=logy)
-    paths["manifest"] = os.path.join(cfg.out_dir, "manifest.json")
-    write_manifest(cfg, paths["manifest"], scans)
-    return paths
+    labels = [", ".join(f"{name}={value}" for name, value in zip(names, point))
+              for point in points]
+    chi_star = write_table(
+        os.path.join(cfg.out_dir, "chi_star.csv"),
+        names + [f"{scans[0].axis_name}_star", "mean", "std"],
+        [point + list(star) for point, star in zip(points, stars)])
+    return {"chi_star": chi_star, **_write_figure_and_manifest(
+        cfg, cfg.out_dir, scans, labels,
+        f"{cfg.scenario}: scans over {', '.join(names)}")}
 
 
 def _scenario_plan(cfg: ExperimentConfig):

@@ -305,6 +305,12 @@ class TestCsvRoundTrip:
         save_dataset_csv(d, path)
         with open(path) as fh:
             assert fh.readline().strip() == "x1,x2,x3,x4,x5,x6,y"
+        text = path.read_bytes().decode()
+        assert "\r" not in text
+        # every cell is its value's shortest round-trip repr
+        assert text.splitlines()[1:] == [
+            ",".join(repr(float(v)) for v in [*row, y])
+            for row, y in zip(d.features, d.labels)]
         back = load_dataset_csv(path)
         np.testing.assert_array_equal(back.features, d.features)
         np.testing.assert_array_equal(back.labels, d.labels)

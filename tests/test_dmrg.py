@@ -617,7 +617,8 @@ class TestTrain:
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == ("sweep,train_loss,val_loss,test_loss,objective,"
+        # no validation or test set, so no val_* or test_* column
+        assert lines[0] == ("sweep,train_loss,objective,"
                             "seconds,cg_accepted,mean_step,ls_trials,"
                             "optimize_seconds,move_seconds,evaluate_seconds")
         assert len(lines) == len(trace.sweeps) + 1
@@ -626,10 +627,10 @@ class TestTrain:
                 trace.mean_step, trace.ls_trials, trace.optimize_seconds,
                 trace.move_seconds, trace.evaluate_seconds):
             cells = line.split(",")
-            assert [float(v) for v in cells[4:6]] == [obj, sec]
-            assert int(cells[6]) == steps and int(cells[8]) == trials
-            assert float(cells[7]) == alpha
-            assert [float(v) for v in cells[9:]] == phases
+            assert [float(v) for v in cells[2:4]] == [obj, sec]
+            assert int(cells[4]) == steps and int(cells[6]) == trials
+            assert float(cells[5]) == alpha
+            assert [float(v) for v in cells[7:]] == phases
 
     def test_phase_seconds(self):
         d = generate_dataset(TargetSpec(seed=2), 60, seed=24)

@@ -122,12 +122,18 @@ class TestBondScan:
             assert {"inv_test_loss", "dmrg_test_loss",
                     "dmrg_best_sweep"} <= set(row)
 
-    def test_failed_replicate_recorded(self, tmp_path, monkeypatch, caplog):
+    @pytest.mark.parametrize("message", [
+        "diverged, at replicate 3",
+        # a quote and a line break are quoted, and read back as written
+        'diverged "badly"\nat replicate 3',
+    ], ids=["comma", "quote-newline"])
+    def test_failed_replicate_recorded(self, message, tmp_path, monkeypatch,
+                                       caplog):
         replicate = experiments._replicate_rows
 
         def flaky(fits, cfg, eps, ntr, chi_values, rep, *shared):
             if rep == 3:
-                raise FloatingPointError("diverged, at replicate 3")
+                raise FloatingPointError(message)
             return replicate(fits, cfg, eps, ntr, chi_values, rep, *shared)
 
         monkeypatch.setattr(experiments, "_replicate_rows", flaky)
@@ -140,7 +146,7 @@ class TestBondScan:
             failures = list(csv.DictReader(fh))
         assert failures == [{"replicate": "3", "eps": "0.3", "ntr": "60",
                              "noise": "", "error": "FloatingPointError",
-                             "message": "diverged, at replicate 3"}]
+                             "message": message}]
         with open(paths["manifest"]) as fh:
             assert json.load(fh)["failures"] == 1
         assert "FloatingPointError" in caplog.text
@@ -387,6 +393,8 @@ class TestConfig:
             ExperimentConfig(replicates=0).validate()
         with pytest.raises(ValueError):
             ExperimentConfig(method="newton").validate()
+        with pytest.raises(ValueError):
+            ExperimentConfig(method="dmrg").validate()
         with pytest.raises(ValueError):
             ExperimentConfig(chi_list=()).validate()
         with pytest.raises(ValueError):
@@ -701,8 +709,8 @@ class TestCli:
 
     @pytest.mark.parametrize("flags, field", [
         (["--ridge", "0"], "ridge"),
-        (["--method", "dmrg", "--sweeps", "0"], "sweeps"),
-        (["--method", "dmrg", "--cg-steps", "0"], "cg_steps"),
+        (["--method", "both", "--sweeps", "0"], "sweeps"),
+        (["--method", "both", "--cg-steps", "0"], "cg_steps"),
         (["--chi", "0,2"], "chi_list"),
         (["--ntr", "1"], "ntr_list"),
         (["--config", "n_test.json"], "n_test"),
@@ -1114,7 +1122,7 @@ SINGLE_RUNS = {
     "dmrg": (
         ["--ntr", "60", "--chi", "3", "--sweeps", "3", "--cg-steps", "2",
          "--seed", "7", "--n-test", "48"],
-        dict(method="dmrg", ntr_list=[60], chi_list=[3], sweeps=3,
+        dict(method="both", ntr_list=[60], chi_list=[3], sweeps=3,
              cg_steps=2, base_seed=7, n_test=48),
         "chi={axis} sweeps={dmrg_sweeps_run} best_sweep={dmrg_best_sweep} "
         "train_loss={dmrg_train_loss:.6e} val_loss={dmrg_val_loss:.6e} "
