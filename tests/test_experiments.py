@@ -122,13 +122,18 @@ class TestBondScan:
             assert {"inv_test_loss", "dmrg_test_loss",
                     "dmrg_best_sweep"} <= set(row)
 
-    @pytest.mark.parametrize("message", [
-        "diverged, at replicate 3",
+    def test_failed_replicate_recorded(self, tmp_path, monkeypatch, caplog):
+        self.check_failed_replicate("diverged, at replicate 3", tmp_path,
+                                    monkeypatch, caplog)
+
+    def test_failed_replicate_message_quoted(self, tmp_path, monkeypatch,
+                                             caplog):
         # a quote and a line break are quoted, and read back as written
-        'diverged "badly"\nat replicate 3',
-    ], ids=["comma", "quote-newline"])
-    def test_failed_replicate_recorded(self, message, tmp_path, monkeypatch,
-                                       caplog):
+        self.check_failed_replicate('diverged "badly"\nat replicate 3',
+                                    tmp_path, monkeypatch, caplog)
+
+    @staticmethod
+    def check_failed_replicate(message, tmp_path, monkeypatch, caplog):
         replicate = experiments._replicate_rows
 
         def flaky(fits, cfg, eps, ntr, chi_values, rep, *shared):
