@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 validation failure, 3 aborted scan.
 """
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -18,7 +17,7 @@ from .datagen import generate_dataset, save_dataset_csv
 from .errors import ScanAbortedError
 from .experiments import (BOTH, ENTRY_TYPES, INVERSION, SCENARIOS,
                           ExperimentConfig, config_from_dict, load_mnist_pair,
-                          run_scenario, run_single)
+                          read_config, run_scenario, run_single)
 from .mps import save_mps
 
 LOG_FORMAT = "%(levelname)s %(name)s: %(message)s"
@@ -113,7 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="replicated scans reproducing the figures")
     p.add_argument("--scenario", choices=SCENARIOS,
                    help="default: the config file's, else custom")
-    p.add_argument("--config", help="JSON config or manifest; flags override")
+    p.add_argument("--config", help="JSON config or manifest; flags override; "
+                   "a relative out_dir in it is relative to its directory")
     p.add_argument("--chi", dest="chi_list", type=parse_int_list,
                    metavar="2..27")
     p.add_argument("--ntr", dest="ntr_list", type=parse_int_list,
@@ -137,29 +137,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args) -> ExperimentConfig:
-    """The config the flags name, over ``--config``'s file if given."""
-    return config_from_dict(_config_entries(args))
-
-
-def _config_entries(args) -> dict:
-    """The config entries ``--config``'s file and the flags set, flags
-    last."""
-    data = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{args.config} is not JSON: {exc}") from exc
-        if isinstance(data, dict):
-            data = data.get("config", data)
-        if not isinstance(data, dict):
-            raise ValueError(f"{args.config} holds no JSON object of config "
-                             f"entries, got {data!r}")
-    for name, value in vars(args).items():
-        if name in ENTRY_TYPES and value is not None:
-            data[name] = value
-    return data
+    """The config of the entries the flags set, over those of
+    ``--config``'s file if given."""
+    data = read_config(args.config) if getattr(args, "config", None) else {}
+    data.update({name: value for name, value in vars(args).items()
+                 if name in ENTRY_TYPES and value is not None})
+    return config_from_dict(data)
 
 
 def _cmd_gen(args) -> int:

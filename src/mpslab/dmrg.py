@@ -72,8 +72,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.sweeps < 1 or self.cg_steps < 1:
             raise ValueError("sweeps and cg_steps must be >= 1")
-        if self.ridge < 0.0:
-            raise ValueError("ridge coefficient must be >= 0")
+        if not 0.0 <= self.ridge < math.inf:
+            raise ValueError(f"ridge must be finite and >= 0, got {self.ridge}")
         if self.loss_kind not in (MSE, CROSS_ENTROPY):
             raise ValueError(f"unknown loss kind {self.loss_kind!r}")
         if self.checkpoint not in ("best_validation", "last"):

@@ -129,8 +129,8 @@ def build_design_system(phi: np.ndarray, y: np.ndarray,
                         ridge: float) -> DesignSystem:
     """The system for featurized samples phi (T, N, f) and finite labels
     y (T,); guarded to f^N <= 10^4."""
-    if ridge <= 0.0:
-        raise ValueError(f"ridge coefficient must be > 0, got {ridge}")
+    if not 0.0 < ridge < np.inf:
+        raise ValueError(f"ridge must be finite and > 0, got {ridge}")
     t, n, f = phi.shape
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (t,):

@@ -129,9 +129,8 @@ class ExperimentConfig:
                 raise ValueError(f"eps_list values must be in (0, 1], got "
                                  f"{eps}")
         # every artificial-data replicate starts from the inversion
-        if self.ridge <= 0.0:
-            raise ValueError(f"ridge coefficient must be > 0, got "
-                             f"{self.ridge}")
+        if not 0.0 < self.ridge < np.inf:
+            raise ValueError(f"ridge must be finite and > 0, got {self.ridge}")
         dim = self.phys_dim ** self.n_sites
         if dim > DESIGN_GUARD:
             raise ValueError(f"phys_dim ** n_sites = {self.phys_dim} ** "
@@ -140,7 +139,7 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# scenario presets and the config reader, the one place a preset applies
+# scenario presets and the config readers, the one place a preset applies
 
 # Presets name only what differs from the ExperimentConfig defaults, which
 # are the paper's artificial-data grid (eps 0.3, ntr 300, chi 2..27).
@@ -168,8 +167,30 @@ ENTRY_TYPES = {**{name: f.type for name, f in _FIELDS.items()}, **GRIDS,
                "full": bool}
 
 
+def read_config(path) -> dict:
+    """The config entries of the JSON file ``path``: a config file's
+    object, or a manifest's ``config``.  A relative ``out_dir`` is taken
+    relative to the file's own directory, so a manifest reruns in place
+    from any working directory.  A file that is not JSON or holds no
+    object of entries raises ValueError naming it."""
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path} is not JSON: {exc}") from exc
+    if isinstance(data, dict):
+        data = data.get("config", data)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} holds no JSON object of config entries, "
+                         f"got {data!r}")
+    if isinstance(data.get("out_dir"), str):
+        data["out_dir"] = os.path.normpath(
+            os.path.join(os.path.dirname(path), data["out_dir"]))
+    return data
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build a config from a manifest, a config file or the flags: the
+    """Build a config from entries (``read_config``'s or the flags'): the
     dataclass defaults, then the scenario's preset fields, then the
     entries, so an entry wins even when it equals the default.
 
@@ -179,8 +200,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     that names no entry, or a value that does not fit its type, raises
     ValueError naming the key; an int fits a float field.
     """
-    if "config" in data:
-        data = data["config"]
     entries = {}
     for key, value in data.items():
         if key not in ENTRY_TYPES:
@@ -429,51 +448,62 @@ def _mnist_fits(cfg, noise, ntr, chi_values, rep, train_pool, test_set):
         }, model, trace
 
 
+def _scan_data(cfg: ExperimentConfig, images):
+    """(fits, column, value, shared) of a scan of ``cfg``: with
+    ``images=(train_pool, test_set)``, or an image scenario's IDX files
+    when none are given, classifiers at the label noise; otherwise
+    artificial-data fits at the epsilon against one shared test set.
+    ``column`` is the raw.csv column of that noise or epsilon ``value``,
+    and ``shared`` the inputs every replicate job takes."""
+    if images is None and cfg.scenario in IMAGE_SCENARIOS:
+        images = load_mnist_pair(cfg)
+    if images is not None:
+        return _mnist_fits, "noise", cfg.noise_levels[0], images
+    eps = cfg.eps_list[0]
+    return _regression_fits, "eps", eps, _shared_test_set(cfg, eps)
+
+
 def run_single(cfg: ExperimentConfig, images=None):
     """(row, model, trace) of replicate 0 at the first value of every grid:
-    the row is that job's raw.csv row in a scan.  ``images=(train_pool,
-    test_set)`` trains a classifier, as the image scenarios do."""
+    the row is that job's raw.csv row in a scan, whose data it reads as
+    ``run_scan`` does."""
     cfg.validate()
-    chi, ntr = cfg.chi_list[:1], cfg.ntr_list[0]
-    if images is None:
-        eps = cfg.eps_list[0]
-        return next(_regression_fits(cfg, eps, ntr, chi, 0,
-                                     *_shared_test_set(cfg, eps)))
-    return next(_mnist_fits(cfg, cfg.noise_levels[0], ntr, chi, 0, *images))
+    fits, _, value, shared = _scan_data(cfg, images)
+    return next(fits(cfg, value, cfg.ntr_list[0], cfg.chi_list[:1], 0,
+                     *shared))
 
 
 # ---------------------------------------------------------------------------
 # scans
 
-def run_scan(cfg: ExperimentConfig, axis="chi", images=None) -> ScanResult:
-    """A test metric against bond dimension or training size, over
-    replicate training sets.
+def scan_axis(cfg: ExperimentConfig) -> str:
+    """The axis a scan of ``cfg`` runs: ``ntr`` when chi_list has one
+    value and ntr_list more, otherwise ``chi``."""
+    return "ntr" if len(cfg.chi_list) == 1 < len(cfg.ntr_list) else "chi"
 
-    ``axis="chi"`` runs ``cfg.chi_list`` and ``axis="ntr"`` runs
-    ``cfg.ntr_list``; every other grid holds one value, and a second one
-    raises ValueError naming its grid.  With ``images=(train_pool,
-    test_set)`` each replicate trains classifiers at the label noise
-    (metric ``test_error``); otherwise it fits artificial data at the
-    epsilon against one shared test set (metric ``inv_test_loss``, or
-    ``dmrg_test_loss`` when DMRG runs).
+
+def run_scan(cfg: ExperimentConfig, images=None) -> ScanResult:
+    """A test metric against the ``scan_axis`` of ``cfg``, bond dimension
+    or training size, over replicate training sets.
+
+    Every other grid holds one value, and a second one raises ValueError
+    naming its grid.  With ``images=(train_pool, test_set)``, or an image
+    scenario's IDX files when none are given, each replicate trains
+    classifiers at the label noise (metric ``test_error``); otherwise it
+    fits artificial data at the epsilon against one shared test set
+    (metric ``inv_test_loss``, or ``dmrg_test_loss`` when DMRG runs).
     """
     cfg.validate()
-    if axis not in ("chi", "ntr"):
-        raise ValueError(f"unknown scan axis {axis!r}")
+    axis = scan_axis(cfg)
     for name in GRIDS:
         if name != f"{axis}_list" and len(getattr(cfg, name)) > 1:
             raise ValueError(f"{name} holds {getattr(cfg, name)}; a {axis} "
                              f"scan runs one value of it")
     start = time.perf_counter()
     axis_values = list(getattr(cfg, f"{axis}_list"))
-    if images is None:
-        fits, column, value = _regression_fits, "eps", cfg.eps_list[0]
-        shared = _shared_test_set(cfg, value)
-        metric = ("inv_test_loss" if cfg.method == INVERSION
-                  else "dmrg_test_loss")
-    else:
-        fits, column, value = _mnist_fits, "noise", cfg.noise_levels[0]
-        shared, metric = images, "test_error"
+    fits, column, value, shared = _scan_data(cfg, images)
+    metric = ("test_error" if column == "noise" else
+              "inv_test_loss" if cfg.method == INVERSION else "dmrg_test_loss")
     jobs = [({"replicate": r, column: value, "ntr": n},
              (fits, cfg, value, n, cfg.chi_list, r, *shared))
             for n in cfg.ntr_list for r in range(cfg.replicates)]
@@ -492,8 +522,8 @@ def run_scan(cfg: ExperimentConfig, axis="chi", images=None) -> ScanResult:
 
 
 def run_bond_scan(cfg: ExperimentConfig) -> ScanResult:
-    """Test loss versus bond dimension on artificial data; the name the
-    benchmark harness calls and traces."""
+    """``run_scan`` on artificial data; the name the benchmark harness
+    calls and traces."""
     return run_scan(cfg)
 
 
@@ -549,7 +579,9 @@ def _write_figure_and_manifest(cfg, out_dir, scans, labels, title) -> dict:
 
 def write_manifest(cfg: ExperimentConfig, path, scans) -> None:
     """The config that reruns the scans, its conventions, their failed
-    replicate jobs and wall seconds, and the numerical software."""
+    replicate jobs and wall seconds, and the numerical software.  The
+    config's ``out_dir`` is recorded relative to the manifest's directory,
+    which ``read_config`` resolves it against."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "software_version": __version__,
@@ -567,7 +599,8 @@ def write_manifest(cfg: ExperimentConfig, path, scans) -> None:
             "test_seed": f"base_seed + {TEST_SEED_OFFSET}",
             "validation_seed": f"base_seed + {VAL_SEED_OFFSET} + replicate",
         },
-        "config": asdict(cfg),
+        "config": dict(asdict(cfg), out_dir=os.path.relpath(
+            cfg.out_dir, os.path.dirname(os.path.abspath(path)))),
     }
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -583,7 +616,7 @@ def _emit_family(cfg: ExperimentConfig, family, plan, scans) -> dict:
     stars = [find_optimal_chi(scan) for scan in scans]
     names = [grid.split("_")[0] for grid in family]
     points = [[getattr(config, grid)[0] for grid in family]
-              for _, config, _ in plan]
+              for _, config in plan]
     labels = [", ".join(f"{name}={value}" for name, value in zip(names, point))
               for point in points]
     chi_star = write_table(
@@ -597,22 +630,22 @@ def _emit_family(cfg: ExperimentConfig, family, plan, scans) -> dict:
 
 def _scenario_plan(cfg: ExperimentConfig):
     """A scenario's family grids and the scans it runs, in order, as
-    (directory under out_dir, config, axis) triples.  fig5 is a bond and a
-    train-size scan.  Otherwise the axis is chi, or ntr when chi_list has
-    one value and ntr_list more, and every other grid with more than one
-    value is a family grid: one scan per point of their product, in GRIDS
-    order, at a config whose family grids hold that point alone and whose
-    out_dir is the member's directory (``eps=0.2/ntr=40``), so its
-    manifest reruns that scan alone, in place.  With no family grid the
-    one scan is written to out_dir itself."""
+    (directory under out_dir, config) pairs.  fig5 is a bond and a
+    train-size scan.  Otherwise every grid with more than one value but
+    the ``scan_axis``'s is a family grid: one scan per point of their
+    product, in GRIDS order, at a config whose family grids hold that
+    point alone and whose out_dir is the member's directory
+    (``eps=0.2/ntr=40``), so its manifest reruns that scan alone, in
+    place.  With no family grid the one scan is written to out_dir
+    itself."""
     if cfg.scenario == "fig5":
         sizes = replace(cfg, **_PRESETS["fig5"]["trainsize"])
-        return [], [("bond", cfg, "chi"), ("trainsize", sizes, "ntr")]
-    axis = "ntr" if len(cfg.chi_list) == 1 < len(cfg.ntr_list) else "chi"
+        return [], [("bond", cfg), ("trainsize", sizes)]
+    axis = scan_axis(cfg)
     family = [grid for grid in GRIDS
               if grid != f"{axis}_list" and len(getattr(cfg, grid)) > 1]
     if not family:
-        return [], [("", cfg, axis)]
+        return [], [("", cfg)]
     plan = []
     for point in itertools.product(*(getattr(cfg, grid) for grid in family)):
         name = os.path.join(*(
@@ -621,7 +654,7 @@ def _scenario_plan(cfg: ExperimentConfig):
             for grid, value in zip(family, point)))
         plan.append((name, replace(cfg, **{
             grid: (value,) for grid, value in zip(family, point)},
-            out_dir=os.path.join(cfg.out_dir, name)), axis))
+            out_dir=os.path.join(cfg.out_dir, name))))
     return family, plan
 
 
@@ -633,7 +666,7 @@ def run_scenario(cfg: ExperimentConfig):
     ``cfg``, whose plan reruns both of its scans."""
     cfg.validate()
     family, plan = _scenario_plan(cfg)
-    names = [name for name, *_ in plan]
+    names = [name for name, _ in plan]
     if len(set(names)) < len(names):
         raise ValueError(f"the values of {family} "
                          f"{[getattr(cfg, grid) for grid in family]} "
@@ -641,14 +674,14 @@ def run_scenario(cfg: ExperimentConfig):
     images = None
     if cfg.scenario in IMAGE_SCENARIOS:
         images = load_mnist_pair(cfg)
-        for _, config, _ in plan:
+        for _, config in plan:
             for n in config.ntr_list:
                 if n > images[0].count:
                     raise ValueError(f"training size {n} exceeds the "
                                      f"{images[0].count}-image training pool")
     scans, paths = [], {}
-    for name, config, axis in plan:
-        scan = run_scan(config, axis, images)
+    for name, config in plan:
+        scan = run_scan(config, images)
         written = emit_outputs(scan, config if family else cfg,
                                os.path.join(cfg.out_dir, name))
         scans.append(scan)

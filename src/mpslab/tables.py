@@ -3,6 +3,7 @@ failures and chi_star files, a training trace, classifier predictions and
 generated datasets share one cell format and one line end."""
 
 import csv
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -22,11 +23,13 @@ def write_table(path, header, rows):
     ``path``.  A bool or int cell is written as its ``str``, a float as
     its shortest round-trip ``repr`` (``nan``, ``inf`` and ``-0.0``
     included), anything else as its ``str``.  Only cells that hold a
-    comma, quote or LF are quoted, and lines end in LF; Python 3.11's
-    ``csv`` leaves a carriage return in a cell unquoted, so such a cell
-    does not read back."""
+    comma, quote, CR or LF are quoted, and lines end in LF."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        # csv quotes a cell holding a character of its line terminator, so
+        # the writer ends lines in CRLF and each line is written with LF
+        writer = csv.writer(
+            SimpleNamespace(write=lambda line: fh.write(line[:-2] + "\n")),
+            lineterminator="\r\n")
         writer.writerow(header)
         writer.writerows(map(_format_cell, row) for row in rows)
     return path

@@ -337,11 +337,8 @@ def test_criterion_12_scan_determinism(tmp_path):
     cfg = ExperimentConfig(chi_list=(2, 3, 4), ntr_list=(80,), replicates=3,
                            base_seed=4242, n_test=64)
     first = emit_outputs(run_bond_scan(cfg), cfg, tmp_path / "a")
-    import json
-
-    from mpslab.experiments import config_from_dict
-    with open(first["manifest"]) as fh:
-        cfg2 = config_from_dict(json.load(fh))
+    from mpslab.experiments import config_from_dict, read_config
+    cfg2 = config_from_dict(read_config(first["manifest"]))
     second = emit_outputs(run_bond_scan(cfg2), cfg2, tmp_path / "b")
     same = open(first["raw"]).read() == open(second["raw"]).read()
     report(12, same, "raw.csv reproduced bitwise from the manifest")

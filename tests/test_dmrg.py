@@ -690,6 +690,11 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(checkpoint="best_test")
 
+    @pytest.mark.parametrize("ridge", [np.nan, np.inf])
+    def test_non_finite_ridge_rejected(self, ridge):
+        with pytest.raises(ValueError, match="^ridge must be finite"):
+            TrainConfig(ridge=ridge)
+
     @pytest.mark.parametrize("kind, label_site, message", [
         (MSE, 2, "loss_kind 'mse' needs a chain with no label site, "
                  "got label_site=2"),

@@ -91,6 +91,12 @@ class TestBuildDesignSystem:
         with pytest.raises(ValueError):
             design_system(d, FeatureMap(dim=2), ridge=0.0)
 
+    @pytest.mark.parametrize("ridge", [np.nan, np.inf])
+    def test_non_finite_ridge_rejected_by_name(self, ridge):
+        d = tiny_dataset(3, 2, seed=6)
+        with pytest.raises(ValueError, match="^ridge must be finite"):
+            design_system(d, FeatureMap(dim=2), ridge=ridge)
+
     @pytest.mark.parametrize("shape", [(4,), (6,), (5, 1)])
     def test_label_shape_must_match_samples(self, shape):
         phi = featurize_batch(FeatureMap(dim=2),

@@ -27,7 +27,8 @@ from mpslab.experiments import (TEST_SEED_OFFSET, VAL_SEED_OFFSET,
                                 ExperimentConfig, ScanResult,
                                 config_from_dict, emit_outputs,
                                 find_optimal_chi, has_significant_ushape,
-                                run_bond_scan, run_scan)
+                                load_mnist_pair, read_config, run_bond_scan,
+                                run_scan)
 from mpslab.features import featurize_batch
 from mpslab.mps import compress, load_mps
 from mpslab.tensor import row_outer
@@ -128,9 +129,12 @@ class TestBondScan:
 
     def test_failed_replicate_message_quoted(self, tmp_path, monkeypatch,
                                              caplog):
-        # a quote and a line break are quoted, and read back as written
-        self.check_failed_replicate('diverged "badly"\nat replicate 3',
-                                    tmp_path, monkeypatch, caplog)
+        # a quote, a line feed and a carriage return are quoted, and read
+        # back as written
+        for message in ('diverged "badly"\nat replicate 3',
+                        "diverged\rat replicate 3"):
+            self.check_failed_replicate(message, tmp_path, monkeypatch,
+                                        caplog)
 
     @staticmethod
     def check_failed_replicate(message, tmp_path, monkeypatch, caplog):
@@ -147,7 +151,7 @@ class TestBondScan:
             scan = run_bond_scan(cfg)
         assert {r["replicate"] for r in scan.raw_rows} == {0, 1, 2, 4}
         paths = emit_outputs(scan, cfg, tmp_path / "out")
-        with open(paths["failures"]) as fh:
+        with open(paths["failures"], newline="") as fh:
             failures = list(csv.DictReader(fh))
         assert failures == [{"replicate": "3", "eps": "0.3", "ntr": "60",
                              "noise": "", "error": "FloatingPointError",
@@ -253,7 +257,7 @@ class TestSharedWork:
 
         monkeypatch.setattr(experiments, "generate_dataset", counting)
         cfg = dataclasses.replace(TINY, **grids)
-        run_scan(cfg, axis)
+        assert run_scan(cfg).axis_name == axis
         assert seeds.count(cfg.base_seed + TEST_SEED_OFFSET) == 1
         assert len(seeds) > cfg.replicates
 
@@ -262,24 +266,27 @@ class TestOtherScans:
     def test_epsilon_scan_single_value_reduces_to_bond_scan(self):
         family = dataclasses.replace(TINY, eps_list=(0.2, 0.3))
         _, plan = experiments._scenario_plan(family)
-        name, member, axis = plan[-1]
+        name, member = plan[-1]
         assert name == "eps=0.3"
-        scan = run_scan(member, axis)
+        scan = run_scan(member)
         direct = run_bond_scan(TINY)
         np.testing.assert_array_equal(scan.mean, direct.mean)
         assert scan.raw_rows == direct.raw_rows
 
     def test_trainsize_scan_single_point(self):
+        """A one-point config, one chi and one training size, is a chi
+        scan: no config makes a one-point training-size scan."""
         cfg = ExperimentConfig(chi_list=(4,), ntr_list=(80,), replicates=2,
                                base_seed=9, n_test=32)
-        scan = run_scan(cfg, "ntr")
-        assert scan.axis == [80]
-        assert scan.axis_name == "ntr"
+        assert experiments.scan_axis(cfg) == "chi"
+        scan = run_scan(cfg)
+        assert scan.axis == [4]
+        assert scan.axis_name == "chi"
 
     def test_trainsize_scan_axis(self):
         cfg = ExperimentConfig(chi_list=(4,), ntr_list=(60, 90), replicates=2,
                                base_seed=9, n_test=32)
-        scan = run_scan(cfg, "ntr")
+        scan = run_scan(cfg)
         assert scan.axis == [60, 90]
         assert all(r["axis"] == r["ntr"] for r in scan.raw_rows)
 
@@ -315,8 +322,7 @@ class TestEmit:
     def test_manifest_rerun_bitwise(self, tmp_path):
         scan = run_bond_scan(TINY)
         paths = emit_outputs(scan, TINY, tmp_path / "a")
-        with open(paths["manifest"]) as fh:
-            cfg2 = config_from_dict(json.load(fh))
+        cfg2 = config_from_dict(read_config(paths["manifest"]))
         scan2 = run_bond_scan(cfg2)
         paths2 = emit_outputs(scan2, cfg2, tmp_path / "b")
         assert open(paths["raw"]).read() == open(paths2["raw"]).read()
@@ -380,11 +386,24 @@ class TestMnistScans:
                             images=(pool, test))
             assert {r["noise"] for r in scan.raw_rows} == {noise}
 
+    def test_image_scenario_reads_its_files(self, tmp_path):
+        """An image scenario's scan given no images reads its IDX files:
+        it runs what the scan on ``load_mnist_pair`` runs."""
+        cfg = ExperimentConfig(scenario="fig9", chi_list=(2, 3),
+                               ntr_list=(16,), noise_levels=(0.25,),
+                               replicates=2, base_seed=5, sweeps=1,
+                               cg_steps=2, downsample=1,
+                               **image_files(tmp_path, 40))
+        scan = run_scan(cfg)
+        assert scan.metric == "test_error"
+        assert scan.raw_rows == run_scan(
+            cfg, images=load_mnist_pair(cfg)).raw_rows
+
     def test_trainsize_scan_axis(self, tiny_images):
         pool, test = tiny_images
         cfg = ExperimentConfig(chi_list=(2,), ntr_list=(16, 32), replicates=1,
                                base_seed=5, sweeps=1, cg_steps=2)
-        scan = run_scan(cfg, "ntr", images=(pool, test))
+        scan = run_scan(cfg, images=(pool, test))
         assert scan.axis == [16, 32]
 
 
@@ -402,11 +421,9 @@ class TestConfig:
             ExperimentConfig(method="dmrg").validate()
         with pytest.raises(ValueError):
             ExperimentConfig(chi_list=()).validate()
-        with pytest.raises(ValueError):
-            run_scan(ExperimentConfig(), axis="eps")
         # a chi scan runs one training size
         with pytest.raises(ValueError, match="^ntr_list"):
-            run_scan(dataclasses.replace(TINY, ntr_list=(40, 60)), axis="chi")
+            run_scan(dataclasses.replace(TINY, ntr_list=(40, 60)))
         # every grid value's target and the feature map, before any scan;
         # each error names the config field
         for fields, message in ((dict(eps_list=(0.3, 1.5)), "^eps_list"),
@@ -422,8 +439,25 @@ class TestConfig:
         # a negative seed fails before any replicate job, not in one
         with pytest.raises(ValueError, match="^base_seed"):
             run_scan(ExperimentConfig(base_seed=-1, chi_list=(3,),
-                                      ntr_list=(40,), replicates=2),
-                     axis="chi")
+                                      ntr_list=(40,), replicates=2))
+
+    def test_read_config_resolves_out_dir_against_its_file(self, tmp_path,
+                                                          monkeypatch):
+        """A config file's relative out_dir is relative to the file's own
+        directory, not to the working directory; an absolute one is
+        kept."""
+        (tmp_path / "configs").mkdir()
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        path = os.path.join("..", "configs", "scan.json")
+        for out_dir, want in (("../runs/a", tmp_path / "runs" / "a"),
+                              (".", tmp_path / "configs"),
+                              (str(tmp_path / "b"), tmp_path / "b")):
+            with open(path, "w") as fh:
+                json.dump({"chi_list": [2, 3], "out_dir": out_dir}, fh)
+            entries = read_config(path)
+            assert entries["chi_list"] == [2, 3]
+            assert os.path.abspath(entries["out_dir"]) == str(want)
 
     def test_single_value_fills_one_point_grid(self):
         cfg = config_from_dict({"chi_list": 6, "eps_list": [0.3],
@@ -657,6 +691,32 @@ class TestCli:
         with open(out / "chi_star.csv") as fh:
             assert fh.readline() == "eps,ntr_star,mean,std\n"
 
+    @pytest.mark.parametrize("member", ["eps=0.2", "."],
+                             ids=["member", "family"])
+    def test_manifest_reruns_in_place_from_any_directory(self, member,
+                                                         tmp_path,
+                                                         monkeypatch):
+        """A manifest written under a relative --out, rerun without --out
+        from another working directory, rewrites its own scans in place,
+        byte for byte, and writes nothing under the working directory."""
+        home, elsewhere = tmp_path / "home", tmp_path / "elsewhere"
+        home.mkdir()
+        elsewhere.mkdir()
+        monkeypatch.chdir(home)
+        assert cli.main(["scan", "--eps", "0.2,0.3", "--ntr", "40", "--chi",
+                         "2,3", "--replicates", "2", "--out", "fam"]) == 0
+        target = home / "fam" / member
+        raws = {path: path.read_bytes() for path in target.rglob("raw.csv")}
+        assert len(raws) == (1 if member != "." else 2)
+        for path in raws:
+            path.unlink()
+        monkeypatch.chdir(elsewhere)
+        manifest = os.path.join("..", "home", "fam", member, "manifest.json")
+        assert cli.main(["scan", "--config", manifest]) == 0
+        assert {path: path.read_bytes()
+                for path in target.rglob("raw.csv")} == raws
+        assert list(elsewhere.iterdir()) == []
+
     def test_full_keeps_given_replicates(self, tmp_path):
         out = tmp_path / "out"
         assert cli.main(["scan", "--scenario", "fig2", "--full",
@@ -734,6 +794,9 @@ class TestCli:
         # a grid no scan of the scenario reads takes one value
         (["--config", "noise2.json"], "error: noise_levels"),
         (["--scenario", "fig9", "--eps", "0.2,0.3"], "error: eps_list"),
+        # a ridge that is not finite, which no comparison with 0 rejects
+        (["--ridge", "nan"], "error: ridge"),
+        (["--ridge", "inf"], "error: ridge"),
     ])
     def test_invalid_value_exits_2_before_any_job(self, flags, field,
                                                   tmp_path, monkeypatch,
@@ -950,8 +1013,34 @@ class TestScenarioDispatch:
         for name in ("bond", "trainsize"):
             with open(out / name / "raw.csv") as fh:
                 assert {row["noise"] for row in csv.DictReader(fh)} == {"0.25"}
-            with open(out / name / "manifest.json") as fh:
-                assert config_from_dict(json.load(fh)) == cfg
+            assert config_from_dict(
+                read_config(out / name / "manifest.json")) == cfg
+
+    def test_fig5_bond_manifest_reruns_in_place(self, tmp_path, idx_files,
+                                                monkeypatch):
+        """fig5's bond/manifest.json records fig5's whole config with
+        out_dir ``..``: rerun from another working directory it rewrites
+        both of fig5's scans in place, byte for byte."""
+        fields, _, scans = DISPATCH_CASES["fig5"]
+        home, elsewhere = tmp_path / "home", tmp_path / "elsewhere"
+        home.mkdir()
+        elsewhere.mkdir()
+        monkeypatch.chdir(home)
+        experiments.run_scenario(config_from_dict(dict(
+            fields, replicates=1, out_dir="fig5", **idx_files)))
+        with open(home / "fig5" / "bond" / "manifest.json") as fh:
+            assert json.load(fh)["config"]["out_dir"] == ".."
+        raws = {path: path.read_bytes()
+                for path in (home / "fig5").rglob("raw.csv")}
+        assert len(raws) == len(scans)
+        for path in raws:
+            path.unlink()
+        monkeypatch.chdir(elsewhere)
+        assert cli.main(["scan", "--config",
+                         str(home / "fig5" / "bond" / "manifest.json")]) == 0
+        assert {path: path.read_bytes()
+                for path in (home / "fig5").rglob("raw.csv")} == raws
+        assert list(elsewhere.iterdir()) == []
 
     def test_family_stops_at_non_finite_mean(self, tmp_path, monkeypatch):
         """Every scan directory is written; chi_star.csv is not."""
@@ -1018,8 +1107,8 @@ class TestFamilies:
             experiments.run_scenario(cfg)
             rows = []
             for raw in out.rglob("raw.csv"):
-                with open(raw.parent / "manifest.json") as fh:
-                    member = config_from_dict(json.load(fh))
+                member = config_from_dict(
+                    read_config(raw.parent / "manifest.json"))
                 assert member.out_dir == str(raw.parent)
                 # the member differs from the family only in its grids,
                 # each the family's grid or one of its values
