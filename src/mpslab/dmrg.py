@@ -183,8 +183,10 @@ class EnvironmentCache:
     chaotic under roundoff, so these operations keep numpy's exact
     pairwise steps.
 
-    Products of L_c, phi_c and R_c (X_c, R_c^T, the memoized einsum
-    steps) live in a per-center memo that every move drops.
+    ``phi`` is a (T, N, f) array or ``features.SiteFeatures``, read one
+    site at a time.  phi_c and the products of L_c, phi_c and R_c (X_c,
+    R_c^T, the memoized einsum steps) live in a per-center memo that every
+    move drops; each build or rebuild absorb reads its own site.
     """
 
     def __init__(self, w: MPS, phi, center=0):
@@ -216,24 +218,33 @@ class EnvironmentCache:
                 and j < len(envs) - 1):
             envs[j] = None
 
+    def _site(self, j, memo):
+        """phi_j, site j's (T, f) local vectors, kept in ``memo``: per-site
+        features embed a site on every read."""
+        if "phi" not in memo:
+            memo["phi"] = self.phi[:, j]
+        return memo["phi"]
+
     def _absorb_left(self, env, core, j, memo):
         """L_{j+1} from L_j and core j; unlabeled, one GEMM on the local
         block X_j kept in ``memo``."""
+        phi_j = self._site(j, memo)
         if self.label_site is None:
-            return left_step(_local_block(memo, env, self.phi[:, j]), core)
+            return left_step(_local_block(memo, env, phi_j), core)
         lterm, cterm = _env_term("l", env), _core_term(core)
         out = "trc" if "c" in lterm + cterm else "tr"
-        return _contract(f"{lterm},{cterm},tf->{out}",
-                         (env, core, self.phi[:, j]), 1, memo)
+        return _contract(f"{lterm},{cterm},tf->{out}", (env, core, phi_j), 1,
+                         memo)
 
     def _absorb_right(self, env, core, j, memo):
         """R_j from R_{j+1} and core j; unlabeled, one GEMM."""
+        phi_j = self._site(j, memo)
         if self.label_site is None:
-            return right_step(row_outer(self.phi[:, j], env), core)
+            return right_step(row_outer(phi_j, env), core)
         rterm, cterm = _env_term("r", env), _core_term(core)
         out = "tlc" if "c" in rterm + cterm else "tl"
-        return _contract(f"{rterm},{cterm},tf->{out}",
-                         (env, core, self.phi[:, j]), 1, memo)
+        return _contract(f"{rterm},{cterm},tf->{out}", (env, core, phi_j), 1,
+                         memo)
 
     def move_right(self):
         """Center c -> c+1: regauge core c by QR, absorb it into L_{c+1}."""
@@ -277,38 +288,38 @@ class EnvironmentCache:
         """Model outputs with ``core`` in the center slot: (T,) or (T, C)."""
         c = self.center
         lenv, renv = self.left[c], self.right[c + 1]
+        phi_c = self._site(c, self._memo)
         if self.label_site is None:
             # row-wise dot with R_c, summed by a GEMV.  On these small
             # blocks ndarray.dot, the same BLAS call as @, costs less per
             # call than the matmul ufunc.
-            block = _local_block(self._memo, lenv, self.phi[:, c])
+            block = _local_block(self._memo, lenv, phi_c)
             rows = block.dot(core.reshape(-1, core.shape[-1]))
             rows *= renv
             return rows.dot(_ones(rows.shape[1]))
         spec = (f"{_env_term('l', lenv)},{_core_term(core)},tf,"
                 f"{_env_term('r', renv)}->tc")
-        return _contract(spec, (lenv, core, self.phi[:, c], renv), 1,
-                         self._memo)
+        return _contract(spec, (lenv, core, phi_c, renv), 1, self._memo)
 
     def grad_from_output_coeffs(self, coeffs) -> np.ndarray:
         """Chain rule: d(loss)/d(core) from d(loss)/d(output) coefficients."""
         c = self.center
         lenv, renv = self.left[c], self.right[c + 1]
+        phi_c = self._site(c, self._memo)
         if self.label_site is None:
             # ((R_c^T * coeffs) @ X_c)^T: the per-sample scaling runs along
             # the rows of R_c^T, laid out once per center
             renv_t = self._memo.get("RT")
             if renv_t is None:
                 renv_t = self._memo["RT"] = np.ascontiguousarray(renv.T)
-            block = _local_block(self._memo, lenv, self.phi[:, c])
+            block = _local_block(self._memo, lenv, phi_c)
             grad = (renv_t * coeffs).dot(block).T
             return grad.reshape(lenv.shape[1], self.phi.shape[2],
                                 renv.shape[1])
         cterm = "lfcr" if c == self.label_site else "lfr"
         spec = (f"tc,{_env_term('l', lenv)},tf,"
                 f"{_env_term('r', renv)}->{cterm}")
-        return _contract(spec, (coeffs, lenv, self.phi[:, c], renv), 0,
-                         self._memo)
+        return _contract(spec, (coeffs, lenv, phi_c, renv), 0, self._memo)
 
 
 def _local_block(memo: dict, env: np.ndarray, phi_j: np.ndarray) -> np.ndarray:
@@ -583,7 +594,9 @@ def _accuracy(outputs: np.ndarray, y: np.ndarray) -> float:
 
 def train_arrays(w0: MPS, phi_tr, y_tr, phi_val=None, y_val=None,
                  phi_te=None, y_te=None, config: TrainConfig = TrainConfig()):
-    """Sweeping CG training on featurized arrays.
+    """Sweeping CG training on featurized samples: (T, N, f) arrays or
+    ``features.SiteFeatures``, read one site at a time.  Cross-entropy
+    labels outside the chain's classes raise ValueError before any sweep.
 
     Alternates left-to-right and right-to-left passes over the chain an
     ``EnvironmentCache`` holds: each solve writes ``cache.cores`` at the
@@ -608,6 +621,9 @@ def train_arrays(w0: MPS, phi_tr, y_tr, phi_val=None, y_val=None,
         need = "a" if classifying else "no"
         raise ValueError(f"loss_kind {kind!r} needs a chain with {need} "
                          f"label site, got label_site={label_site}")
+    if classifying:
+        for name, y in (("y_tr", y_tr), ("y_val", y_val), ("y_te", y_te)):
+            _check_classes(name, y, w0.label_dim)
     cache = EnvironmentCache(w0, phi_tr, center=0)
     # a sweep's center moves: right to the last site, back left to site 0,
     # then stay for a last solve there
@@ -680,6 +696,18 @@ def train_arrays(w0: MPS, phi_tr, y_tr, phi_val=None, y_val=None,
             break
 
     return MPS(best_cores or cache.cores, label_site=label_site), trace
+
+
+def _check_classes(name: str, y, num_classes: int) -> None:
+    """ValueError naming ``name`` unless every label of ``y`` (None for an
+    absent set) is a class index in [0, num_classes)."""
+    if y is None:
+        return
+    y = np.asarray(y)
+    outside = y[(y < 0) | (y >= num_classes)]
+    if outside.size:
+        raise ValueError(f"{name} holds label {outside[0]}, not a class in "
+                         f"[0, {num_classes}) of the chain's label axis")
 
 
 def frame_labels(d: Dataset, frame: Dataset) -> np.ndarray:

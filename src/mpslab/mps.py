@@ -12,6 +12,7 @@ DMRG sweep's chain (``dmrg.EnvironmentCache``) are built on it.
 import numpy as np
 
 from .errors import CapacityError, DimensionMismatchError
+from .features import SiteFeatures
 from .tensor import row_outer, svd_truncate
 
 FULL_TENSOR_GUARD = 10**7
@@ -79,8 +80,9 @@ class MPS:
     def copy(self) -> "MPS":
         return MPS([c.copy() for c in self.cores], label_site=self.label_site)
 
-    def evaluate_batch(self, phi: np.ndarray) -> np.ndarray:
-        """Contract with (T, N, f) featurized samples.
+    def evaluate_batch(self, phi) -> np.ndarray:
+        """Contract with (T, N, f) featurized samples: an array, or
+        ``SiteFeatures`` whose sites are embedded as the pass reads them.
 
         Returns shape (T,) for a plain MPS, (T, C) for a labeled one.
         One pass carries a (T, chi) boundary block from the left up to the
@@ -91,8 +93,9 @@ class MPS:
         einsum path planning per call.  Cost O(T N f chi^2) +
         O(T C chi^2).
         """
-        phi = np.asarray(phi, dtype=np.float64)
-        if phi.ndim != 3 or phi.shape[1] != self.n_sites:
+        if not isinstance(phi, SiteFeatures):
+            phi = np.asarray(phi, dtype=np.float64)
+        if len(phi.shape) != 3 or phi.shape[1] != self.n_sites:
             raise DimensionMismatchError(
                 f"expected samples of shape (T, {self.n_sites}, {self.phys_dim}), "
                 f"got {phi.shape}"

@@ -33,11 +33,27 @@ def _escape(text):
     return html.escape(text, quote=False)
 
 
+def _finite_runs(*columns):
+    """Index lists of the maximal runs of points whose values in every
+    column are finite."""
+    runs, run = [], []
+    for k, values in enumerate(zip(*columns)):
+        if all(math.isfinite(float(v)) for v in values):
+            run.append(k)
+        elif run:
+            runs.append(run)
+            run = []
+    return runs + [run] if run else runs
+
+
 def line_plot(path, series, title="", xlabel="", ylabel="", logy=False):
     """Write an SVG line plot.
 
     ``series`` is a list of dicts with keys: x, y (sequences), and
     optionally band=(lo, hi) for a shaded region and label for the legend.
+    A curve or band breaks at a point with a non-finite value; with no
+    finite y value (none above 0 on a log axis) there is nothing to draw
+    and ValueError names the plot's title.
     """
     xs = [float(v) for s in series for v in s["x"]]
     ys = []
@@ -50,6 +66,8 @@ def line_plot(path, series, title="", xlabel="", ylabel="", logy=False):
     ys = [v for v in ys if math.isfinite(v)]
     if logy:
         ys = [v for v in ys if v > 0]
+    if not ys:
+        raise ValueError(f"plot {title!r} has no finite y value to draw")
 
     def ty(v):
         return math.log10(v) if logy else v
@@ -112,18 +130,22 @@ def line_plot(path, series, title="", xlabel="", ylabel="", logy=False):
 
     for k, s in enumerate(series):
         color = PALETTE[k % len(PALETTE)]
+        x = list(s["x"])
         if s.get("band") is not None:
-            lo, hi = s["band"]
-            pts = [f"{px(x):.1f},{py(v):.1f}" for x, v in zip(s["x"], hi)]
-            pts += [f"{px(x):.1f},{py(v):.1f}"
-                    for x, v in zip(reversed(list(s["x"])), reversed(list(lo)))]
+            lo, hi = (list(b) for b in s["band"])
+            for run in _finite_runs(x, lo, hi):
+                pts = [f"{px(x[i]):.1f},{py(hi[i]):.1f}" for i in run]
+                pts += [f"{px(x[i]):.1f},{py(lo[i]):.1f}"
+                        for i in reversed(run)]
+                parts.append(
+                    f'<polygon points="{" ".join(pts)}" fill="{color}" '
+                    'fill-opacity="0.18" stroke="none"/>')
+        y = list(s["y"])
+        for run in _finite_runs(x, y):
+            pts = " ".join(f"{px(x[i]):.1f},{py(y[i]):.1f}" for i in run)
             parts.append(
-                f'<polygon points="{" ".join(pts)}" fill="{color}" '
-                'fill-opacity="0.18" stroke="none"/>')
-        pts = " ".join(f"{px(x):.1f},{py(v):.1f}" for x, v in zip(s["x"], s["y"]))
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            'stroke-width="1.8"/>')
+                f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                'stroke-width="1.8"/>')
         if s.get("label"):
             ly = MARGIN_T + 16 * k
             parts.append(

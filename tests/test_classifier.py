@@ -1,4 +1,6 @@
+import dataclasses
 import gzip
+import re
 import struct
 import tracemalloc
 
@@ -9,7 +11,7 @@ from mpslab import dmrg
 from mpslab.classify import (ImageDataset, corrupt_labels,
                              export_predictions, featurize_images,
                              init_classifier_mps, load_idx, mnist_feature_map,
-                             predict_proba, preprocess, subset,
+                             predict_proba, preprocess, site_features, subset,
                              train_classifier)
 from mpslab.dmrg import CROSS_ENTROPY, TrainConfig, data_loss, train_arrays
 from mpslab.errors import IdxFormatError
@@ -93,6 +95,15 @@ class TestIdx:
         pl = tmp_path / "short.idx"
         pl.write_bytes(idx_labels_bytes([4]))
         with pytest.raises(IdxFormatError, match="mismatch"):
+            load_idx(pi, pl)
+
+    def test_label_outside_classes(self, tmp_path):
+        """A label byte of 10 or more names the file and its offset: the
+        header is 8 bytes, so label 3 sits at offset 11."""
+        pi, pl = write_pair(tmp_path, np.zeros((5, 2, 2), np.uint8),
+                            [0, 9, 4, 12, 10])
+        with pytest.raises(IdxFormatError,
+                           match=f"{re.escape(str(pl))}: label 12 at offset 11"):
             load_idx(pi, pl)
 
 
@@ -262,10 +273,80 @@ class TestTraining:
         assert trace.max_monotonicity_violation <= 0.0
         assert model.label_site == 2
 
+    def test_labels_outside_classes_rejected_before_training(self):
+        """Every label set is checked against the chain's class axis, by
+        name, before the first sweep."""
+        rng = np.random.default_rng(20)
+        d = ImageDataset(rng.uniform(size=(6, 2, 2)), np.arange(6) % 3,
+                         num_classes=3)
+        w0 = init_classifier_mps(4, 2, seed=0, num_classes=3)
+        phi = featurize_images(d)
+        cfg = TrainConfig(sweeps=1, cg_steps=1, loss_kind=CROSS_ENTROPY,
+                          checkpoint="last")
+        for bad in (3, -1):
+            y = d.labels.copy()
+            y[4] = bad
+            with pytest.raises(ValueError, match=f"y_tr holds label {bad},"):
+                train_arrays(w0, phi, y, config=cfg)
+            with pytest.raises(ValueError, match=f"y_te holds label {bad},"):
+                train_arrays(w0, phi, d.labels, phi_te=phi, y_te=y,
+                             config=cfg)
+        with pytest.raises(ValueError, match="y_tr holds label 12"):
+            train_classifier(ImageDataset(d.images, np.full(6, 12)), None,
+                             None, 2, cfg)
+
+    def test_per_site_training_matches_arrays_bitwise(self):
+        """train_classifier, on per-site features, is train_arrays on the
+        featurize_images arrays bit for bit: every core and every trace
+        entry but the timings, across two sweeps with a test set and the
+        class axis at an interior site."""
+        rng = np.random.default_rng(21)
+        d = ImageDataset(rng.uniform(size=(48, 3, 3)), rng.integers(0, 4, 48),
+                         num_classes=4)
+        test = ImageDataset(rng.uniform(size=(20, 3, 3)),
+                            rng.integers(0, 4, 20), num_classes=4)
+        cfg = TrainConfig(sweeps=2, cg_steps=3, loss_kind=CROSS_ENTROPY,
+                          checkpoint="last", sweep_tol=0.0)
+        model, trace = train_classifier(d, None, test, 3, cfg, seed=22)
+        w0 = init_classifier_mps(9, 3, seed=22, num_classes=4)
+        assert 0 < w0.label_site < 8
+        ref_model, ref_trace = train_arrays(
+            w0, featurize_images(d), d.labels, phi_te=featurize_images(test),
+            y_te=test.labels, config=cfg)
+        assert len(trace.sweeps) == 3 and sum(trace.cg_accepted) > 0
+        for core, ref in zip(model.cores, ref_model.cores, strict=True):
+            assert np.array_equal(core.view(np.uint64), ref.view(np.uint64))
+        for f in dataclasses.fields(trace):
+            if not f.name.endswith("seconds"):
+                assert getattr(trace, f.name) == getattr(ref_trace, f.name), \
+                    f.name
+        p = predict_proba(model, site_features(test))
+        ref_p = predict_proba(model, featurize_images(test))
+        assert np.array_equal(p.view(np.uint64), ref_p.view(np.uint64))
+
+    def test_peak_below_one_featurized_copy(self):
+        """Training from per-site features never holds a (T, N, f) feature
+        array: at chi 1 with two classes the environments are small, and
+        the whole run peaks below the size of one featurized set."""
+        rng = np.random.default_rng(23)
+        d = ImageDataset(rng.uniform(size=(1024, 8, 8)),
+                         rng.integers(0, 2, 1024), num_classes=2)
+        copy_bytes = featurize_images(d).nbytes
+        cfg = TrainConfig(sweeps=1, cg_steps=2, loss_kind=CROSS_ENTROPY,
+                          checkpoint="last", sweep_tol=0.0)
+        tracemalloc.start()
+        try:
+            train_classifier(d, None, d, 1, cfg, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < copy_bytes
+
     def test_one_sweep_memory_bound(self):
         """One training sweep of a 196-site labeled chain on 14 x 14 images
-        holds O(sqrt N) environments of either kind: a peak of about 2.4
-        MB here, where keeping the class-free ones all took 3.1 MB."""
+        holds O(sqrt N) environments of either kind: a peak of about 2.0
+        MB here (2.4 MB with the featurized training set held), where
+        keeping the class-free ones all took 3.1 MB."""
         rng = np.random.default_rng(15)
         d = ImageDataset(rng.uniform(size=(128, 14, 14)),
                          rng.integers(0, 10, 128))

@@ -1,12 +1,13 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpslab.features import (POLYNOMIAL, FeatureMap, featurize_batch,
-                             full_feature_tensor)
+from mpslab.features import (POLYNOMIAL, FeatureMap, SiteFeatures,
+                             featurize_batch, full_feature_tensor)
 
 
 def apply_scalar(fmap, x):
@@ -139,3 +140,72 @@ def test_polynomial_columns_are_running_products(dim, t, values):
         assert np.all(np.abs(phi[:, :, k] - power)
                       <= k * np.spacing(np.abs(power)))
         product = product * x
+
+
+TRIG = FeatureMap(kind="trigonometric", dim=2)
+
+
+def bits(a):
+    """The float64 entries of ``a`` as their bit patterns, so -0.0 and
+    0.0 differ."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@st.composite
+def feature_matrices(draw):
+    """(map, x): a polynomial or trigonometric map and a (T, N) matrix of
+    values it embeds, laid out C-contiguous, Fortran-ordered, or as a
+    strided view.  T reaches past a SIMD tail, so a host whose vector
+    cos/sin rounds a lone column differently from the matrix shows."""
+    fmap = draw(st.sampled_from([FeatureMap(dim=2), FeatureMap(dim=4), TRIG]))
+    t, n = draw(st.integers(1, 40)), draw(st.integers(1, 6))
+    values = (st.floats(0.0, 1.0) if fmap.kind != POLYNOMIAL
+              else FEATURE_VALUES)
+    x = np.array(draw(st.lists(values, min_size=t * n, max_size=t * n)),
+                 dtype=np.float64).reshape(t, n)
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        x = np.asfortranarray(x)
+    elif layout == "strided":
+        padded = np.zeros((2 * t, 3 * n))
+        padded[::2, 1::3] = x
+        x = padded[::2, 1::3]
+    return fmap, x
+
+
+@settings(max_examples=200, deadline=None)
+@given(feature_matrices())
+def test_site_features_columns_are_the_batch_columns(case):
+    """sf[:, j] is featurize_batch(fmap, x)[:, j], bit for bit, for every
+    site: per-site training then reproduces array training exactly."""
+    fmap, x = case
+    sf = SiteFeatures(fmap, x)
+    batch = featurize_batch(fmap, x)
+    assert sf.shape == batch.shape
+    for j in range(x.shape[1]):
+        assert np.array_equal(bits(sf[:, j]), bits(batch[:, j])), j
+
+
+@settings(max_examples=100, deadline=None)
+@given(feature_matrices(), st.data())
+def test_site_features_reject_as_featurize_batch_does(case, data):
+    """A NaN, or a trigonometric value outside [0, 1], raises when the
+    features are made, with featurize_batch's message."""
+    fmap, x = case
+    bad = [np.nan] + ([-0.25, 1.5] if fmap.kind != POLYNOMIAL else [])
+    x = np.array(x)
+    x[data.draw(st.integers(0, x.shape[0] - 1)),
+      data.draw(st.integers(0, x.shape[1] - 1))] = data.draw(
+        st.sampled_from(bad))
+    with pytest.raises(ValueError) as batch_error:
+        featurize_batch(fmap, x)
+    with pytest.raises(ValueError, match=re.escape(str(batch_error.value))):
+        SiteFeatures(fmap, x)
+
+
+def test_site_features_read_one_site():
+    sf = SiteFeatures(TRIG, np.full((3, 4), 0.5))
+    assert sf[:, -1].shape == (3, 2)
+    for key in ((0, 1), (slice(None), slice(0, 2)), 1):
+        with pytest.raises(TypeError):
+            sf[key]

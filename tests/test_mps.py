@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from mpslab.errors import CapacityError, DimensionMismatchError
-from mpslab.features import FeatureMap, featurize_batch, full_feature_tensor
+from mpslab.features import (FeatureMap, SiteFeatures, featurize_batch,
+                             full_feature_tensor)
 from mpslab.mps import (MPS, canonicalize, compress, load_mps, random_init,
                         save_mps, truncate)
 
@@ -74,6 +75,24 @@ class TestEvaluate:
         w = random_init(3, 3, 2, scale=1.0, seed=9)
         with pytest.raises(DimensionMismatchError):
             w.evaluate_batch(featurize_batch(FMAP3, np.array([[1.0, 2.0]])))
+
+    @pytest.mark.parametrize("label_site", [None, 0, 3, 6])
+    def test_site_features_match_array_bitwise(self, label_site):
+        """Per-site features and their (T, N, f) array give the same
+        outputs bit for bit, with or without a class axis."""
+        trig = FeatureMap(kind="trigonometric", dim=2)
+        for fmap, x in ((FMAP3, random_samples(7, 33, 30)),
+                        (trig, np.random.default_rng(31).uniform(
+                            size=(33, 7)))):
+            w = random_init(7, fmap.dim, 4, scale=0.6, seed=32,
+                            label_site=label_site,
+                            label_dim=None if label_site is None else 5)
+            got = w.evaluate_batch(SiteFeatures(fmap, x))
+            want = w.evaluate_batch(featurize_batch(fmap, x))
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        with pytest.raises(DimensionMismatchError):
+            w.evaluate_batch(SiteFeatures(trig, x[:, :6]))
 
 
 class TestFullTensor:

@@ -1,7 +1,11 @@
-"""SVG text escaping: &, < and > become entities, quotes stay as typed
-(the rule of ``xml.sax.saxutils.escape``, which earlier versions used)."""
+"""SVG plot output: text escaping (&, < and > become entities, quotes
+stay as typed, the rule of ``xml.sax.saxutils.escape``, which earlier
+versions used) and point lists that hold only finite numbers."""
 
+import math
 import xml.etree.ElementTree as ET
+
+import pytest
 
 from mpslab.svgplot import line_plot
 
@@ -26,3 +30,34 @@ def test_text_escaping(tmp_path):
              if el.tag.endswith("text")}
     assert texts >= {"Loss & <chi> \"mean\" 'sigma'", "chi < 10 & \"bond\"",
                      "loss > 0 'test'", "a<b & \"c\" > 'd'"}
+
+
+def points_of(path, tag):
+    """The parsed (x, y) pairs of every ``tag`` element's points."""
+    return [[tuple(float(v) for v in pair.split(","))
+             for pair in el.get("points").split()]
+            for el in ET.parse(path).getroot() if el.tag.endswith(tag)]
+
+
+def test_curves_and_bands_break_at_non_finite_values(tmp_path):
+    """A non-finite mean or band value splits the curve or band there;
+    every drawn coordinate is a finite number."""
+    nan, inf = float("nan"), float("inf")
+    path = tmp_path / "figure.svg"
+    line_plot(path, [{"x": [1, 2, 3, 4, 5], "y": [3.0, nan, 1.0, 2.0, 2.5],
+                      "band": ([2.5, 1.0, 0.5, nan, 2.0],
+                               [3.5, 2.0, 1.5, inf, 3.0])}],
+              title="scan")
+    lines, bands = points_of(path, "polyline"), points_of(path, "polygon")
+    assert [len(line) for line in lines] == [1, 3]
+    assert [len(band) for band in bands] == [6, 2]
+    assert all(math.isfinite(v) for shape in lines + bands
+               for point in shape for v in point)
+
+
+def test_nothing_finite_to_plot_names_the_title(tmp_path):
+    nan = float("nan")
+    with pytest.raises(ValueError, match="'fig2: test_loss vs chi'"):
+        line_plot(tmp_path / "figure.svg",
+                  [{"x": [1, 2], "y": [nan, nan], "band": ([nan] * 2,) * 2}],
+                  title="fig2: test_loss vs chi")
