@@ -3,7 +3,10 @@
 Solving the regularized normal equations in the full 3^6-dimensional
 feature space and compressing the solution to bond dimension chi traces
 out a U-shaped test loss: too small underfits, too large overfits the
-finite training set.
+finite training set.  Each training set is one ``inversion_fits`` call,
+the fit a bond scan runs: one ridge solve (the 300 x 300 dual system, as
+300 < 3^6), one compression per chi, and every chi's outputs on the test
+set's half-chain designs.
 
 Run:  python demos/04_inversion_and_bond_scan.py   (a few seconds)
 """
@@ -12,14 +15,13 @@ import numpy as np
 
 from mpslab import FeatureMap, TargetSpec, generate_dataset
 from mpslab.dmrg import MSE, data_loss, frame_labels
-from mpslab.exact import build_design_system, solve_full_weight
+from mpslab.exact import design_halves, inversion_fits
 from mpslab.features import featurize_batch
-from mpslab.mps import compress
 
 fmap = FeatureMap(dim=3)
 spec = TargetSpec(epsilon=0.3, seed=0)
 test = generate_dataset(spec, 1024, seed=999_983)
-phi_test = featurize_batch(fmap, test.features)
+halves_test = design_halves(featurize_batch(fmap, test.features))
 
 chis = list(range(2, 28))
 replicates = 10
@@ -27,15 +29,10 @@ losses = np.zeros((replicates, len(chis)))
 
 for rep in range(replicates):
     train = generate_dataset(spec, 300, seed=1000 + rep)
-    # one ridge solve per training set (the 300x300 dual system, as
-    # 300 < 3^6), then one compression per chi
-    phi_train = featurize_batch(fmap, train.features)
-    full = solve_full_weight(build_design_system(phi_train, train.labels,
-                                                 ridge=1e-6))
+    _, _, (_, pred) = inversion_fits(featurize_batch(fmap, train.features),
+                                     train.labels, 1e-6, chis, halves_test)
     y_test = frame_labels(test, train)
-    for k, chi in enumerate(chis):
-        w, _ = compress(full, chi)
-        losses[rep, k] = data_loss(w.evaluate_batch(phi_test), y_test, MSE)
+    losses[rep] = [data_loss(p, y_test, MSE) for p in pred.T]
 
 mean = losses.mean(axis=0)
 std = losses.std(axis=0, ddof=1)

@@ -8,7 +8,8 @@ the T x T dual system (Z Z^T / T + lambda*I) alpha = y / T as
 w = Z^T alpha (Saunders, Gammerman & Vovk, "Ridge Regression Learning
 Algorithm in Dual Variables", ICML 1998), which is smaller and far better
 conditioned.  Solving by LU and compressing the reshaped solution by
-sequential SVDs yields the "inversion and compression" training method.
+sequential SVDs yields the "inversion and compression" training method,
+which ``inversion_fits`` runs at any list of bond dimensions.
 
 The product feature map factors every row of Z at the middle bond: row t
 is the outer product of a left half L[t] (the first h = N // 2 sites,
@@ -166,10 +167,31 @@ def solve_full_weight(system: DesignSystem) -> np.ndarray:
     return w.reshape(system.shape)
 
 
+def inversion_fits(phi, y, ridge, chi_values, *held_out):
+    """The inversion fit of featurized samples phi (T, N, f) with labels
+    y (T,), compressed to each bond dimension of ``chi_values``.
+
+    Returns (full, models, predictions): the ridge solution of
+    ``build_design_system(phi, y, ridge)`` as the (f, ..., f) weight
+    tensor, its compressions in ``chi_values`` order, and one (T, K)
+    array of the K models' outputs per dataset, the training samples
+    first and then each held-out ``design_halves`` pair in ``held_out``.
+    The compressions share one SVD memo, so each distinct SVD is computed
+    once, and the outputs come from the models' stacked full tensors by
+    ``evaluate_halves``, so no T x f^N design matrix is formed.
+    """
+    system = build_design_system(phi, y, ridge)
+    full = solve_full_weight(system)
+    memo = {}
+    models = [compress(full, chi, memo)[0] for chi in chi_values]
+    stack = np.stack([w.to_full_tensor().ravel() for w in models])
+    return full, models, [evaluate_halves(left, right, stack) for left, right
+                          in ((system.left, system.right), *held_out)]
+
+
 def inversion_and_compression(d: Dataset, fmap: FeatureMap, ridge: float,
                               max_bond: int) -> MPS:
-    """Exact ridge solution compressed to the requested bond dimension."""
+    """Exact ridge solution of dataset ``d`` compressed to the requested
+    bond dimension: the one model of ``inversion_fits``."""
     phi = featurize_batch(fmap, d.features)
-    full = solve_full_weight(build_design_system(phi, d.labels, ridge))
-    w, _ = compress(full, max_bond)
-    return w
+    return inversion_fits(phi, d.labels, ridge, [max_bond])[1][0]

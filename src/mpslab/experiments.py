@@ -21,10 +21,11 @@ from .datagen import TargetSpec, generate_dataset
 from .dmrg import (CROSS_ENTROPY, MSE, TrainConfig, data_loss, frame_labels,
                    train_arrays)
 from .errors import ScanAbortedError
-from .exact import (DESIGN_GUARD, build_design_system, design_halves,
-                    evaluate_halves, solve_full_weight)
+from .exact import DESIGN_GUARD, design_halves, inversion_fits
 from .features import FeatureMap, featurize_batch
-from .mps import compress
+# bound here for perfbench's tracer self-test, which checks that tracing
+# mps.compress rebinds every module's name for it
+from .mps import compress  # noqa: F401
 from .svgplot import line_plot
 from .tables import write_table
 
@@ -317,12 +318,8 @@ def _regression_fits(cfg, eps, ntr, chi_values, rep, test_set, phi_te,
 
     Every dataset is featurized once here and its features serve each chi;
     ``test_set``/``phi_te``/``halves_te`` come from ``_shared_test_set``.
-    The ridge solution is compressed once per chi, all compressions
-    sharing one SVD memo, so each distinct SVD is computed once.  The
-    inversion losses of every chi come from the compressed models' full
-    tensors, stacked as rows, evaluated on the half-chain designs of the
-    training set (shared with the solve) and of the test set by
-    ``evaluate_halves``: no T x f^N design matrix is formed.
+    The inversion models and their outputs on the training and test sets
+    are one ``inversion_fits`` call.
     """
     fmap = cfg.feature_map()
     spec = cfg.target_spec(eps)
@@ -330,13 +327,8 @@ def _regression_fits(cfg, eps, ntr, chi_values, rep, test_set, phi_te,
     phi_tr = featurize_batch(fmap, train_set.features)
     y_tr = train_set.labels
     y_te = frame_labels(test_set, train_set)
-    system = build_design_system(phi_tr, y_tr, cfg.ridge)
-    full = solve_full_weight(system)
-    memo = {}
-    models = [compress(full, chi, memo)[0] for chi in chi_values]
-    stack = np.stack([w.to_full_tensor().ravel() for w in models])
-    pred_tr = evaluate_halves(system.left, system.right, stack)
-    pred_te = evaluate_halves(*halves_te, stack)
+    _, models, (pred_tr, pred_te) = inversion_fits(
+        phi_tr, y_tr, cfg.ridge, chi_values, halves_te)
     training = cfg.method == BOTH
     if training:
         val_set = generate_dataset(spec, cfg.n_test,
@@ -347,12 +339,10 @@ def _regression_fits(cfg, eps, ntr, chi_values, rep, test_set, phi_te,
                          ridge=cfg.ridge)
     for k, (chi, w) in enumerate(zip(chi_values, models)):
         trace = None
-        row = {
-            "axis": chi, "eps": eps, "ntr": ntr, "replicate": rep,
-            "train_seed": cfg.base_seed + rep,
-            "inv_train_loss": data_loss(pred_tr[:, k], y_tr, MSE),
-            "inv_test_loss": data_loss(pred_te[:, k], y_te, MSE),
-        }
+        row = {"axis": chi, "eps": eps, "ntr": ntr, "replicate": rep,
+               "train_seed": cfg.base_seed + rep,
+               "inv_train_loss": data_loss(pred_tr[:, k], y_tr, MSE),
+               "inv_test_loss": data_loss(pred_te[:, k], y_te, MSE)}
         if training:
             w, trace = train_arrays(w, phi_tr, y_tr, phi_val, y_val, phi_te,
                                     y_te, tc)

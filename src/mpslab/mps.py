@@ -244,11 +244,15 @@ def compress(t: np.ndarray, max_bond: int, memo=None):
     shares SVDs between compressions of one tensor at different
     ``max_bond``.  The matrix split at bond j is fixed by the ranks kept
     at bonds 0..j-1, so the memo maps that tuple of ranks to the bond's
-    untruncated ``svd_truncate`` result, and each call truncates it to
-    its own cap.  A call without one uses a fresh memo, and
-    ``svd_truncate(m).truncate(k)`` is ``svd_truncate(m, k)`` bit for
-    bit, so every result is the same with or without a shared memo.
-    Passing the memo with another tensor raises ValueError.
+    untruncated ``svd_truncate`` result, and (ranks, kept rank) to that
+    step's core, discarded weight and next remainder; a call truncates
+    an SVD only at a kept rank the memo has not seen.  A call without
+    one uses a fresh memo, and ``svd_truncate(m).truncate(k)`` is
+    ``svd_truncate(m, k)`` bit for bit, so every result is the same with
+    or without a shared memo.
+    Passing the memo with another tensor raises ValueError: the first
+    use stores a copy of ``t`` under the key None, and every later use
+    compares ``t`` with it.
     """
     t = np.asarray(t, dtype=np.float64)
     n = t.ndim
@@ -266,19 +270,20 @@ def compress(t: np.ndarray, max_bond: int, memo=None):
     cores = []
     discarded = np.zeros(max(n - 1, 0))
     remainder = t.reshape(1, -1)
-    left = 1
     ranks = ()
     for j in range(n - 1):
-        mat = remainder.reshape(left * f, -1)
         if ranks not in memo:
-            memo[ranks] = svd_truncate(mat)
-        res = memo[ranks].truncate(max_bond)
-        cores.append(res.left_factor.reshape(left, f, res.rank))
-        discarded[j] = res.discarded_weight
-        remainder = res.singular_values[:, None] * res.right_factor
-        left = res.rank
-        ranks += (left,)
-    cores.append(remainder.reshape(left, f, 1))
+            memo[ranks] = svd_truncate(remainder.reshape(len(remainder) * f, -1))
+        keep = memo[ranks].kept_rank(max_bond)
+        if (ranks, keep) not in memo:
+            res = memo[ranks].truncate(keep)
+            memo[ranks, keep] = (
+                res.left_factor.reshape(-1, f, keep), res.discarded_weight,
+                res.singular_values[:, None] * res.right_factor)
+        core, discarded[j], remainder = memo[ranks, keep]
+        cores.append(core)
+        ranks += (keep,)
+    cores.append(remainder.reshape(-1, f, 1))
     return MPS(cores), discarded
 
 

@@ -39,9 +39,12 @@ class SvdResult:
         weights = s**2
         rank_tol = (max(self.left_factor.shape[0], self.right_factor.shape[1])
                     * np.finfo(np.float64).eps * (s[0] if len(s) else 0.0))
-        nonzero = min(int(np.count_nonzero(weights > 0.0)),
-                      int(np.count_nonzero(s > rank_tol)))
-        return weights, nonzero
+        return weights, min(int(np.count_nonzero(weights > 0.0)),
+                            int(np.count_nonzero(s > rank_tol)))
+
+    def kept_rank(self, max_rank: int) -> int:
+        """The rank ``truncate(max_rank)`` keeps."""
+        return max(1, min(self._keep_rule[1], max_rank))
 
     def truncate(self, max_rank: int) -> "SvdResult":
         """Keep at most ``max_rank`` leading triples.
@@ -51,13 +54,13 @@ class SvdResult:
         downstream bond extents stay >= 1.  The dropped squared weight is
         added to ``discarded_weight``.
         """
-        weights, nonzero = self._keep_rule
-        keep = max(1, min(nonzero, max_rank))
+        keep = self.kept_rank(max_rank)
         return SvdResult(
             left_factor=self.left_factor[:, :keep],
             singular_values=self.singular_values[:keep],
             right_factor=self.right_factor[:keep, :],
-            discarded_weight=self.discarded_weight + float(weights[keep:].sum()),
+            discarded_weight=(self.discarded_weight
+                              + float(self._keep_rule[0][keep:].sum())),
         )
 
 

@@ -1,3 +1,4 @@
+import csv
 import re
 
 import numpy as np
@@ -5,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpslab import exact
 from mpslab.datagen import Dataset, TargetSpec, generate_dataset
 from mpslab.errors import CapacityError, DimensionMismatchError
-from mpslab.dmrg import MSE, data_loss
+from mpslab.dmrg import MSE, data_loss, frame_labels
 from mpslab.exact import (build_design_system, design_halves, design_matrix,
                           evaluate_halves, inversion_and_compression,
-                          solve_full_weight)
+                          inversion_fits, solve_full_weight)
+from mpslab.experiments import (TEST_SEED_OFFSET, ExperimentConfig,
+                                emit_outputs, run_bond_scan)
 from mpslab.features import FeatureMap, featurize_batch, full_feature_tensor
 from mpslab.mps import compress
 from mpslab.tensor import row_outer, solve_linear
@@ -270,3 +274,64 @@ class TestInversionAndCompression:
         d = generate_dataset(TargetSpec(seed=3), 60, seed=15)
         w = inversion_and_compression(d, FeatureMap(dim=3), 1e-6, 5)
         assert w.max_bond <= 5
+
+
+class TestInversionFits:
+    """``inversion_fits`` is the fit every bond scan, demo 04 and
+    ``inversion_and_compression`` run: these hold it to each of them bit
+    for bit."""
+
+    def test_losses_reproduce_scan_raw_csv(self, tmp_path):
+        cfg = ExperimentConfig(chi_list=(2, 5, 27), ntr_list=(80,),
+                               replicates=2, base_seed=70, n_test=96,
+                               out_dir=str(tmp_path))
+        raw = emit_outputs(run_bond_scan(cfg), cfg, cfg.out_dir)["raw"]
+        with open(raw) as fh:
+            rows = [r for r in csv.DictReader(fh) if r["replicate"] == "1"]
+        spec, fmap = cfg.target_spec(0.3), cfg.feature_map()
+        train = generate_dataset(spec, 80, cfg.base_seed + 1)
+        test = generate_dataset(spec, cfg.n_test,
+                                cfg.base_seed + TEST_SEED_OFFSET)
+        _, _, (pred_tr, pred_te) = inversion_fits(
+            featurize_batch(fmap, train.features), train.labels, cfg.ridge,
+            cfg.chi_list, design_halves(featurize_batch(fmap, test.features)))
+        y_te = frame_labels(test, train)
+        assert [int(r["axis"]) for r in rows] == list(cfg.chi_list)
+        for k, row in enumerate(rows):
+            assert float(row["inv_train_loss"]) == data_loss(
+                pred_tr[:, k], train.labels, MSE)
+            assert float(row["inv_test_loss"]) == data_loss(
+                pred_te[:, k], y_te, MSE)
+
+    def test_models_equal_memo_free_compressions(self, monkeypatch):
+        d = generate_dataset(TargetSpec(epsilon=0.3, seed=0), 120, seed=16)
+        phi = featurize_batch(FeatureMap(dim=3), d.features)
+        chis = [9, 2, 27, 3, 8, 1, 4]
+        calls = []
+
+        def recording(t, max_bond, memo=None):
+            calls.append((max_bond, compress(t, max_bond, memo)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(exact, "compress", recording)
+        full, models, _ = inversion_fits(phi, d.labels, 1e-6, chis)
+        assert [chi for chi, _ in calls] == chis
+        for (chi, (w, discarded)), model in zip(calls, models):
+            want, want_discarded = compress(full, chi)
+            assert w is model
+            assert w.bond_dims == want.bond_dims
+            for a, b in zip(w.cores, want.cores):
+                assert np.array_equal(a, b)
+            assert np.array_equal(discarded, want_discarded)
+
+    def test_inversion_and_compression_is_its_one_model(self):
+        d = generate_dataset(TargetSpec(epsilon=0.3, seed=0), 90, seed=17)
+        fmap = FeatureMap(dim=3)
+        for chi in (1, 6, 27):
+            w = inversion_and_compression(d, fmap, 1e-6, chi)
+            _, (want,), (pred,) = inversion_fits(
+                featurize_batch(fmap, d.features), d.labels, 1e-6, [chi])
+            assert pred.shape == (90, 1)
+            assert w.bond_dims == want.bond_dims
+            for a, b in zip(w.cores, want.cores):
+                assert np.array_equal(a, b)
