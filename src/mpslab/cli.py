@@ -99,9 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mnist", help="train the image classifier")
     _add_image_flags(p, required=True)
+    p.set_defaults(scenario="fig9")
     p.add_argument("--chi", dest="chi_list", type=int, default=6)
-    p.add_argument("--ntr", dest="ntr_list", type=int, default=1024)
-    p.add_argument("--sweeps", type=int, default=100)
+    p.add_argument("--ntr", dest="ntr_list", type=int)
+    p.add_argument("--sweeps", type=int)
     p.add_argument("--cg-steps", type=int)
     p.add_argument("--noise", dest="noise_levels", type=float,
                    help="label corruption fraction")

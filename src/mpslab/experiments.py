@@ -110,13 +110,16 @@ class ExperimentConfig:
             if not 0.0 <= noise <= 1.0:
                 raise ValueError(f"noise_levels values must be in [0, 1], "
                                  f"got {noise}")
-        # a grid no scan of the scenario reads would make a family of
-        # identical scans
-        grid = "eps_list" if self.scenario in IMAGE_SCENARIOS else "noise_levels"
-        if len(getattr(self, grid)) > 1:
-            raise ValueError(f"{grid} is not read by scenario "
-                             f"{self.scenario!r}, got {getattr(self, grid)}")
-        if self.scenario in IMAGE_SCENARIOS:
+        # an entry no scan of the scenario reads: a grid's second value
+        # would make a family of identical scans, and an IDX file would be
+        # recorded in a manifest whose scan never read it
+        image = self.scenario in IMAGE_SCENARIOS
+        for name in ("eps_list",) if image else ("noise_levels", *IDX_FILES):
+            value = getattr(self, name)
+            if len(value) > (1 if name in GRIDS else 0):
+                raise ValueError(f"{name} is not read by scenario "
+                                 f"{self.scenario!r}, got {value!r}")
+        if image:
             return
         # the bounds of the target and feature map, before any scan
         for name, value, least in (
@@ -162,6 +165,7 @@ _PRESETS = {
     "fig9": dict(_IMAGES, noise_levels=(0.0, 0.1, 0.2)),
 }
 _FIELDS = ExperimentConfig.__dataclass_fields__
+IDX_FILES = [name for name in _FIELDS if name.startswith("mnist_")]
 # the type of each entry the reader takes: a field's, a grid's values', and
 # full's, which asks for the preset's paper-scale replicate count
 ENTRY_TYPES = {**{name: f.type for name, f in _FIELDS.items()}, **GRIDS,
@@ -314,7 +318,9 @@ def _regression_fits(cfg, eps, ntr, chi_values, rep, test_set, phi_te,
                      halves_te):
     """One training replicate at each bond dimension: yields (row, model,
     trace) per chi.  The model is the DMRG-trained MPS with its TrainTrace
-    when DMRG runs, else the compressed inversion solution and None.
+    when DMRG runs, else the compressed inversion solution and None.  The
+    trainer sees no test data; the ``dmrg_*`` losses are those of the
+    best-validation checkpoint it returns, scored once on the test set.
 
     Every dataset is featurized once here and its features serve each chi;
     ``test_set``/``phi_te``/``halves_te`` come from ``_shared_test_set``.
@@ -344,16 +350,13 @@ def _regression_fits(cfg, eps, ntr, chi_values, rep, test_set, phi_te,
                "inv_train_loss": data_loss(pred_tr[:, k], y_tr, MSE),
                "inv_test_loss": data_loss(pred_te[:, k], y_te, MSE)}
         if training:
-            w, trace = train_arrays(w, phi_tr, y_tr, phi_val, y_val, phi_te,
-                                    y_te, tc)
+            w, trace = train_arrays(w, phi_tr, y_tr, phi_val, y_val, config=tc)
             best = trace.best_validation_sweep
-            row.update({
-                "dmrg_train_loss": trace.train_loss[-1],
-                "dmrg_val_loss": trace.val_loss[best],
-                "dmrg_test_loss": trace.test_loss[best],
-                "dmrg_best_sweep": best,
-                "dmrg_sweeps_run": trace.sweeps[-1],
-            })
+            row.update(dmrg_train_loss=trace.train_loss[best],
+                       dmrg_val_loss=trace.val_loss[best],
+                       dmrg_test_loss=data_loss(w.evaluate_batch(phi_te),
+                                                y_te, MSE),
+                       dmrg_best_sweep=best, dmrg_sweeps_run=trace.sweeps[-1])
         yield row, w, trace
 
 
@@ -525,14 +528,15 @@ _FAILURE_HEADER = ["replicate", "eps", "ntr", "noise", "error", "message"]
 
 
 def _header_order(key):
-    if key in _HEADER_PRIORITY:
-        return (0, _HEADER_PRIORITY.index(key), key)
-    return (1, 0, key)
+    """_HEADER_PRIORITY's keys in its order, then the rest by name."""
+    return (_HEADER_PRIORITY.index(key) if key in _HEADER_PRIORITY
+            else len(_HEADER_PRIORITY), key)
 
 
 def emit_outputs(scan: ScanResult, cfg: ExperimentConfig, out_dir) -> dict:
     """Write raw.csv, summary.csv, failures.csv, figure.svg, and
-    manifest.json."""
+    manifest.json into ``out_dir``, whose manifest reruns the scan
+    there."""
     os.makedirs(out_dir, exist_ok=True)
     return {
         "raw": write_table(
@@ -570,8 +574,9 @@ def _write_figure_and_manifest(cfg, out_dir, scans, labels, title) -> dict:
 def write_manifest(cfg: ExperimentConfig, path, scans) -> None:
     """The config that reruns the scans, its conventions, their failed
     replicate jobs and wall seconds, and the numerical software.  The
-    config's ``out_dir`` is recorded relative to the manifest's directory,
-    which ``read_config`` resolves it against."""
+    config's ``out_dir`` is recorded as ``.``, the manifest's own
+    directory, which ``read_config`` resolves it against: the manifest
+    reruns the directory it sits in, wherever that is."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "software_version": __version__,
@@ -589,8 +594,7 @@ def write_manifest(cfg: ExperimentConfig, path, scans) -> None:
             "test_seed": f"base_seed + {TEST_SEED_OFFSET}",
             "validation_seed": f"base_seed + {VAL_SEED_OFFSET} + replicate",
         },
-        "config": dict(asdict(cfg), out_dir=os.path.relpath(
-            cfg.out_dir, os.path.dirname(os.path.abspath(path)))),
+        "config": dict(asdict(cfg), out_dir="."),
     }
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -620,18 +624,23 @@ def _emit_family(cfg: ExperimentConfig, family, plan, scans) -> dict:
 
 def _scenario_plan(cfg: ExperimentConfig):
     """A scenario's family grids and the scans it runs, in order, as
-    (directory under out_dir, config) pairs.  fig5 is a bond and a
-    train-size scan.  Otherwise every grid with more than one value but
+    (directory under out_dir, config) pairs; each scan is written to its
+    config's out_dir, which its manifest reruns.  A fig5 bond scan is
+    written to out_dir and followed by the train-size scan in
+    ``trainsize``, so fig5's manifest reruns both and ``trainsize``'s
+    that scan alone.  Otherwise every grid with more than one value but
     the ``scan_axis``'s is a family grid: one scan per point of their
     product, in GRIDS order, at a config whose family grids hold that
     point alone and whose out_dir is the member's directory
     (``eps=0.2/ntr=40``), so its manifest reruns that scan alone, in
     place.  With no family grid the one scan is written to out_dir
     itself."""
-    if cfg.scenario == "fig5":
-        sizes = replace(cfg, **_PRESETS["fig5"]["trainsize"])
-        return [], [("bond", cfg), ("trainsize", sizes)]
     axis = scan_axis(cfg)
+    if cfg.scenario == "fig5":
+        sizes = replace(cfg, **_PRESETS["fig5"]["trainsize"],
+                        out_dir=os.path.join(cfg.out_dir, "trainsize"))
+        return [], [("", cfg)] + (
+            [("trainsize", sizes)] if axis == "chi" else [])
     family = [grid for grid in GRIDS
               if grid != f"{axis}_list" and len(getattr(cfg, grid)) > 1]
     if not family:
@@ -650,10 +659,9 @@ def _scenario_plan(cfg: ExperimentConfig):
 
 def run_scenario(cfg: ExperimentConfig):
     """Run the plan of ``cfg`` as it stands (``config_from_dict`` applies
-    a scenario's preset) and write each scan as it ends, then a family's
-    summary; returns (ScanResults in plan order, paths).  A family
-    member's manifest records the member's config; fig5's two record
-    ``cfg``, whose plan reruns both of its scans."""
+    a scenario's preset) and write each scan to its config's out_dir as
+    it ends, then a family's summary; returns (ScanResults in plan order,
+    paths)."""
     cfg.validate()
     family, plan = _scenario_plan(cfg)
     names = [name for name, _ in plan]
@@ -672,8 +680,7 @@ def run_scenario(cfg: ExperimentConfig):
     scans, paths = [], {}
     for name, config in plan:
         scan = run_scan(config, images)
-        written = emit_outputs(scan, config if family else cfg,
-                               os.path.join(cfg.out_dir, name))
+        written = emit_outputs(scan, config, config.out_dir)
         scans.append(scan)
         if not family:
             paths.update({f"{name}_{k}" if name else k: v

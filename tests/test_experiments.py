@@ -123,6 +123,21 @@ class TestBondScan:
             assert {"inv_test_loss", "dmrg_test_loss",
                     "dmrg_best_sweep"} <= set(row)
 
+    def test_dmrg_columns_describe_the_checkpoint(self):
+        """The dmrg_* losses are those of the model the scan keeps: where
+        validation keeps the initial inversion model (best sweep 0), they
+        are its inv_* losses to roundoff, though later sweeps ran."""
+        cfg = ExperimentConfig(chi_list=(2, 4), ntr_list=(60,), replicates=2,
+                               base_seed=11, n_test=48, method="both",
+                               sweeps=2, cg_steps=2)
+        kept = [row for row in run_bond_scan(cfg).raw_rows
+                if row["dmrg_best_sweep"] == 0]
+        assert kept and all(row["dmrg_sweeps_run"] == 2 for row in kept)
+        for row in kept:
+            for loss in ("train_loss", "test_loss"):
+                assert row[f"dmrg_{loss}"] == pytest.approx(
+                    row[f"inv_{loss}"], rel=1e-12, abs=0.0)
+
     def test_failed_replicate_recorded(self, tmp_path, monkeypatch, caplog):
         self.check_failed_replicate("diverged, at replicate 3", tmp_path,
                                     monkeypatch, caplog)
@@ -211,7 +226,7 @@ def per_chi_rows(cfg):
             if cfg.method == "both":
                 _, trace = train(w, train_set, val_set, test_set, tc, fmap)
                 best = trace.best_validation_sweep
-                row.update({"dmrg_train_loss": trace.train_loss[-1],
+                row.update({"dmrg_train_loss": trace.train_loss[best],
                             "dmrg_val_loss": trace.val_loss[best],
                             "dmrg_test_loss": trace.test_loss[best],
                             "dmrg_best_sweep": best,
@@ -327,6 +342,23 @@ class TestEmit:
         paths2 = emit_outputs(scan2, cfg2, tmp_path / "b")
         assert open(paths["raw"]).read() == open(paths2["raw"]).read()
 
+    def test_manifest_reruns_the_directory_it_is_written_to(self, tmp_path,
+                                                            monkeypatch):
+        """Written to a directory other than the config's out_dir, the
+        manifest records ``.``: rerun without --out it rewrites the
+        directory it sits in, byte for byte, and not the config's."""
+        monkeypatch.chdir(tmp_path)
+        paths = emit_outputs(run_bond_scan(TINY), TINY,
+                             os.path.join("elsewhere", "a"))
+        with open(paths["manifest"]) as fh:
+            assert json.load(fh)["config"]["out_dir"] == "."
+        raw = tmp_path / "elsewhere" / "a" / "raw.csv"
+        written = raw.read_bytes()
+        raw.unlink()
+        assert cli.main(["scan", "--config", paths["manifest"]]) == 0
+        assert raw.read_bytes() == written
+        assert sorted(os.listdir(tmp_path)) == ["elsewhere"]
+
     def test_parallel_jobs_match_serial(self, tmp_path):
         serial = run_bond_scan(TINY)
         parallel = run_bond_scan(dataclasses.replace(TINY, jobs=2))
@@ -440,6 +472,21 @@ class TestConfig:
         with pytest.raises(ValueError, match="^base_seed"):
             run_scan(ExperimentConfig(base_seed=-1, chi_list=(3,),
                                       ntr_list=(40,), replicates=2))
+
+    @pytest.mark.parametrize("scenario", ["custom", "fig2"])
+    def test_idx_entry_rejected_on_artificial_data(self, scenario):
+        """A config records no IDX file its scan never reads: each entry
+        on an artificial-data scenario fails validation by name, and the
+        image scenarios take them."""
+        for name in ("mnist_images", "mnist_labels", "mnist_test_images",
+                     "mnist_test_labels"):
+            with pytest.raises(ValueError, match=f"^{name} is not read by "
+                                                 f"scenario {scenario!r}"):
+                config_from_dict({"scenario": scenario,
+                                  name: "train.idx"}).validate()
+            for image in ("fig5", "fig9"):
+                config_from_dict({"scenario": image,
+                                  name: "train.idx"}).validate()
 
     def test_read_config_resolves_out_dir_against_its_file(self, tmp_path,
                                                           monkeypatch):
@@ -797,6 +844,12 @@ class TestCli:
         # a ridge that is not finite, which no comparison with 0 rejects
         (["--ridge", "nan"], "error: ridge"),
         (["--ridge", "inf"], "error: ridge"),
+        # an IDX file no artificial-data scan reads
+        (["--images", "train.idx", "--labels", "labels.idx",
+          "--test-images", "test.idx", "--test-labels", "tlabels.idx"],
+         "error: mnist_images is not read by scenario 'custom'"),
+        (["--scenario", "fig2", "--images", "train.idx"],
+         "error: mnist_images is not read by scenario 'fig2'"),
     ])
     def test_invalid_value_exits_2_before_any_job(self, flags, field,
                                                   tmp_path, monkeypatch,
@@ -948,9 +1001,8 @@ DISPATCH_CASES = {
     "fig5": (
         dict(scenario="fig5", chi_list=(2, 3), ntr_list=(16,), sweeps=1,
              cg_steps=2, downsample=1),
-        {f"{scan}_{key}" for scan in ("bond", "trainsize")
-         for key in SINGLE_KEYS},
-        {"bond": ([2, 3], 2),
+        SINGLE_KEYS | {f"trainsize_{key}" for key in SINGLE_KEYS},
+        {".": ([2, 3], 2),
          "trainsize": ([128, 256, 512, 1024, 2048, 4096], 6)}),
     "fig9": (
         dict(scenario="fig9", chi_list=(2,), ntr_list=(16,),
@@ -1004,22 +1056,39 @@ class TestScenarioDispatch:
 
     def test_fig5_scans_follow_its_config(self, tmp_path, idx_files):
         """Both fig5 scans train on labels at the config's noise level, and
-        both manifests record the config whose plan reruns them."""
+        each manifest records the config of the scans in its directory:
+        fig5's at out_dir, the train-size scan's in ``trainsize``."""
         fields, _, _ = DISPATCH_CASES["fig5"]
         out = tmp_path / "out"
         cfg = config_from_dict(dict(fields, noise_levels=0.25,
                                     out_dir=str(out), **idx_files))
         experiments.run_scenario(cfg)
-        for name in ("bond", "trainsize"):
-            with open(out / name / "raw.csv") as fh:
+        sizes = dataclasses.replace(
+            cfg, chi_list=(6,), ntr_list=(128, 256, 512, 1024, 2048, 4096),
+            out_dir=str(out / "trainsize"))
+        for directory, config in ((out, cfg), (out / "trainsize", sizes)):
+            with open(directory / "raw.csv") as fh:
                 assert {row["noise"] for row in csv.DictReader(fh)} == {"0.25"}
             assert config_from_dict(
-                read_config(out / name / "manifest.json")) == cfg
+                read_config(directory / "manifest.json")) == config
+
+    @staticmethod
+    def fig5_outputs(root):
+        """Every file under ``root`` by its relative path, each manifest
+        without its wall seconds."""
+        outputs = {}
+        for path in sorted(root.rglob("*")):
+            if path.name == "manifest.json":
+                outputs[path.relative_to(root)] = dict(
+                    json.loads(path.read_text()), seconds=None)
+            elif path.is_file():
+                outputs[path.relative_to(root)] = path.read_bytes()
+        return outputs
 
     def test_fig5_bond_manifest_reruns_in_place(self, tmp_path, idx_files,
                                                 monkeypatch):
-        """fig5's bond/manifest.json records fig5's whole config with
-        out_dir ``..``: rerun from another working directory it rewrites
+        """fig5's bond scan sits at its out_dir, whose manifest records
+        out_dir ``.``: rerun from another working directory it rewrites
         both of fig5's scans in place, byte for byte."""
         fields, _, scans = DISPATCH_CASES["fig5"]
         home, elsewhere = tmp_path / "home", tmp_path / "elsewhere"
@@ -1028,18 +1097,39 @@ class TestScenarioDispatch:
         monkeypatch.chdir(home)
         experiments.run_scenario(config_from_dict(dict(
             fields, replicates=1, out_dir="fig5", **idx_files)))
-        with open(home / "fig5" / "bond" / "manifest.json") as fh:
-            assert json.load(fh)["config"]["out_dir"] == ".."
-        raws = {path: path.read_bytes()
-                for path in (home / "fig5").rglob("raw.csv")}
-        assert len(raws) == len(scans)
-        for path in raws:
+        root = home / "fig5"
+        before = self.fig5_outputs(root)
+        assert sorted(str(path.parent) for path in before
+                      if path.name == "raw.csv") == sorted(scans)
+        assert {before[path]["config"]["out_dir"] for path in before
+                if path.name == "manifest.json"} == {"."}
+        for path in root.rglob("*.csv"):
             path.unlink()
         monkeypatch.chdir(elsewhere)
         assert cli.main(["scan", "--config",
-                         str(home / "fig5" / "bond" / "manifest.json")]) == 0
-        assert {path: path.read_bytes()
-                for path in (home / "fig5").rglob("raw.csv")} == raws
+                         str(root / "manifest.json")]) == 0
+        assert self.fig5_outputs(root) == before
+        assert list(elsewhere.iterdir()) == []
+
+    def test_fig5_trainsize_manifest_reruns_that_scan_alone(
+            self, tmp_path, idx_files, monkeypatch):
+        """``trainsize/manifest.json`` records a train-size scan at out_dir
+        ``.``: rerun from another working directory it rewrites that scan
+        alone, in place, byte for byte, and leaves the bond scan as it
+        was."""
+        fields, _, _ = DISPATCH_CASES["fig5"]
+        root, elsewhere = tmp_path / "fig5", tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        experiments.run_scenario(config_from_dict(dict(
+            fields, replicates=1, out_dir=str(root), **idx_files)))
+        before = self.fig5_outputs(root)
+        bond_raw = (root / "raw.csv").stat().st_mtime_ns
+        (root / "trainsize" / "raw.csv").unlink()
+        monkeypatch.chdir(elsewhere)
+        assert cli.main(["scan", "--config",
+                         str(root / "trainsize" / "manifest.json")]) == 0
+        assert self.fig5_outputs(root) == before
+        assert (root / "raw.csv").stat().st_mtime_ns == bond_raw
         assert list(elsewhere.iterdir()) == []
 
     def test_family_stops_at_non_finite_mean(self, tmp_path, monkeypatch):
@@ -1183,7 +1273,7 @@ class TestFig5:
             experiments.run_scenario(config_from_dict(dict(
                 out_dir=str(out), ntr_list=(16,), **self.FIELDS,
                 **image_files(tmp_path, 4096))))
-        with open(out / "bond" / "raw.csv") as fh:
+        with open(out / "raw.csv") as fh:
             assert len(list(csv.DictReader(fh))) == 2
         assert not (out / "trainsize").exists()
         assert [ntr for ntr, _ in jobs] == [16, 128, 256, 512, 1024, 2048,
