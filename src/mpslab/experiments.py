@@ -92,11 +92,13 @@ class ExperimentConfig:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.method not in (INVERSION, BOTH):
             raise ValueError(f"unknown method {self.method!r}")
+        # a grid in order: the argmin's tie-break, the U-shape's endpoints
+        # and the figure's x order all read it so
         for name in GRIDS:
             values = getattr(self, name)
-            if not values or len(set(values)) < len(values):
-                raise ValueError(f"{name} must be non-empty without repeated "
-                                 f"values, got {values}")
+            if not values or any(a >= b for a, b in zip(values, values[1:])):
+                raise ValueError(f"{name} must be non-empty and strictly "
+                                 f"increasing, got {values}")
         for name, value, least in (
                 ("replicates", self.replicates, 1), ("jobs", self.jobs, 1),
                 ("base_seed", self.base_seed, 0),

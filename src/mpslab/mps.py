@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import CapacityError, DimensionMismatchError
 from .features import SiteFeatures
-from .tensor import row_outer, svd_truncate
+from .tensor import kept_rank, row_outer, svd_truncate
 
 FULL_TENSOR_GUARD = 10**7
 
@@ -244,12 +244,13 @@ def compress(t: np.ndarray, max_bond: int, memo=None):
     shares SVDs between compressions of one tensor at different
     ``max_bond``.  The matrix split at bond j is fixed by the ranks kept
     at bonds 0..j-1, so the memo maps that tuple of ranks to the bond's
-    untruncated ``svd_truncate`` result, and (ranks, kept rank) to that
-    step's core, discarded weight and next remainder; a call truncates
+    untruncated ``svd_truncate`` result and its uncapped ``kept_rank``,
+    and (ranks, kept rank) to that step's core, discarded weight and
+    next remainder, sliced from the untruncated factors; a call slices
     an SVD only at a kept rank the memo has not seen.  A call without
-    one uses a fresh memo, and ``svd_truncate(m).truncate(k)`` is
-    ``svd_truncate(m, k)`` bit for bit, so every result is the same with
-    or without a shared memo.
+    one uses a fresh memo, and those slices are ``svd_truncate(m, k)``
+    bit for bit, so every result is the same with or without a shared
+    memo.
     Passing the memo with another tensor raises ValueError: the first
     use stores a copy of ``t`` under the key None, and every later use
     compares ``t`` with it.
@@ -273,13 +274,17 @@ def compress(t: np.ndarray, max_bond: int, memo=None):
     ranks = ()
     for j in range(n - 1):
         if ranks not in memo:
-            memo[ranks] = svd_truncate(remainder.reshape(len(remainder) * f, -1))
-        keep = memo[ranks].kept_rank(max_bond)
+            m = remainder.reshape(len(remainder) * f, -1)
+            res = svd_truncate(m)
+            memo[ranks] = res, kept_rank(res.singular_values, m.shape)
+        res, rank = memo[ranks]
+        keep = min(rank, max_bond)
         if (ranks, keep) not in memo:
-            res = memo[ranks].truncate(keep)
+            s = res.singular_values
             memo[ranks, keep] = (
-                res.left_factor.reshape(-1, f, keep), res.discarded_weight,
-                res.singular_values[:, None] * res.right_factor)
+                res.left_factor[:, :keep].reshape(-1, f, keep),
+                float((s[keep:]**2).sum()),
+                s[:keep, None] * res.right_factor[:keep])
         core, discarded[j], remainder = memo[ranks, keep]
         cores.append(core)
         ranks += (keep,)

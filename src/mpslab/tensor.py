@@ -6,7 +6,6 @@ module builds on the three operations here.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -31,37 +30,19 @@ class SvdResult:
     def rank(self) -> int:
         return len(self.singular_values)
 
-    @cached_property
-    def _keep_rule(self) -> tuple[np.ndarray, int]:
-        """(squared singular values, count of non-negligible triples),
-        derived once per result however many caps truncate it."""
-        s = self.singular_values
-        weights = s**2
-        rank_tol = (max(self.left_factor.shape[0], self.right_factor.shape[1])
-                    * np.finfo(np.float64).eps * (s[0] if len(s) else 0.0))
-        return weights, min(int(np.count_nonzero(weights > 0.0)),
-                            int(np.count_nonzero(s > rank_tol)))
 
-    def kept_rank(self, max_rank: int) -> int:
-        """The rank ``truncate(max_rank)`` keeps."""
-        return max(1, min(self._keep_rule[1], max_rank))
+def kept_rank(s: np.ndarray, shape, max_rank: int | None = None) -> int:
+    """How many leading triples a truncated SVD keeps: the rank rule.
 
-    def truncate(self, max_rank: int) -> "SvdResult":
-        """Keep at most ``max_rank`` leading triples.
-
-        Triples with sigma_k <= max(m.shape) * eps * sigma_0 (numerical
-        zeros) are dropped as well; at least one is always retained so
-        downstream bond extents stay >= 1.  The dropped squared weight is
-        added to ``discarded_weight``.
-        """
-        keep = self.kept_rank(max_rank)
-        return SvdResult(
-            left_factor=self.left_factor[:, :keep],
-            singular_values=self.singular_values[:keep],
-            right_factor=self.right_factor[:keep, :],
-            discarded_weight=(self.discarded_weight
-                              + float(self._keep_rule[0][keep:].sum())),
-        )
+    ``s`` holds the singular values of a matrix of ``shape``, in
+    descending order.  Triples with sigma_k <= max(shape) * eps * sigma_0
+    or sigma_k**2 == 0 (numerical zeros) are dropped, at most ``max_rank``
+    are kept, and at least one is, so downstream bond extents stay >= 1.
+    """
+    tol = max(shape) * np.finfo(np.float64).eps * (s[0] if len(s) else 0.0)
+    rank = min(int(np.count_nonzero(s**2 > 0.0)),
+               int(np.count_nonzero(s > tol)))
+    return max(1, rank if max_rank is None else min(rank, max_rank))
 
 
 def row_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -89,13 +70,14 @@ def row_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def svd_truncate(m: np.ndarray, max_rank: int | None = None) -> SvdResult:
-    """SVD of matrix ``m``, truncated to at most ``max_rank`` singular
-    triples by ``SvdResult.truncate``.
+    """SVD of matrix ``m``, truncated to the ``kept_rank(s, m.shape,
+    max_rank)`` leading singular triples.
 
     With ``max_rank=None`` the result is untruncated: every triple of the
-    thin SVD, nothing discarded.  ``svd_truncate(m).truncate(k)`` then
-    equals ``svd_truncate(m, k)`` bit for bit, so one SVD serves every
-    cap.
+    thin SVD, nothing discarded.  Its factors sliced to the leading
+    ``k = kept_rank(s, m.shape, cap)`` triples, with discarded weight
+    ``(s[k:]**2).sum()``, then equal ``svd_truncate(m, cap)`` bit for
+    bit, so one SVD serves every cap.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
@@ -106,9 +88,11 @@ def svd_truncate(m: np.ndarray, max_rank: int | None = None) -> SvdResult:
         raise FloatingPointError("matrix has non-finite entries")
 
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    full = SvdResult(left_factor=u, singular_values=s, right_factor=vt,
-                     discarded_weight=0.0)
-    return full if max_rank is None else full.truncate(max_rank)
+    if max_rank is None:
+        return SvdResult(u, s, vt, 0.0)
+    keep = kept_rank(s, m.shape, max_rank)
+    return SvdResult(u[:, :keep], s[:keep], vt[:keep],
+                     float((s[keep:]**2).sum()))
 
 
 def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -97,6 +97,20 @@ class TestIdx:
         with pytest.raises(IdxFormatError, match="mismatch"):
             load_idx(pi, pl)
 
+    @pytest.mark.parametrize("data, message", [
+        (b"\x00\x00\x08", "truncated magic at offset 0"),
+        (b"\x00\x00\x08\x03\x00\x00\x00\x02\x00",
+         "truncated header at offset 9"),
+    ])
+    def test_truncated_magic_or_header(self, tmp_path, data, message):
+        """A file shorter than its magic number, or than the header its
+        magic's dimension count asks for, names the file and the offset."""
+        pi, pl = write_pair(tmp_path, np.zeros((1, 2, 2), np.uint8), [0])
+        pi.write_bytes(data)
+        with pytest.raises(IdxFormatError,
+                           match=f"{re.escape(str(pi))}: {message}"):
+            load_idx(pi, pl)
+
     def test_label_outside_classes(self, tmp_path):
         """A label byte of 10 or more names the file and its offset: the
         header is 8 bytes, so label 3 sits at offset 11."""
@@ -128,6 +142,15 @@ class TestPreprocess:
         d = ImageDataset(np.zeros((1, 5, 4)), np.array([0]))
         with pytest.raises(ValueError):
             preprocess(d, 2)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda d: preprocess(d, 0), "downsample factor must be >= 1, got 0"),
+        (lambda d: subset(d, 4, seed=0), "asked for 4 of 3 images"),
+    ])
+    def test_invalid_argument_rejected(self, call, message):
+        d = ImageDataset(np.zeros((3, 4, 4)), np.arange(3))
+        with pytest.raises(ValueError, match=message):
+            call(d)
 
     def test_mean_preserved(self):
         rng = np.random.default_rng(2)

@@ -153,11 +153,36 @@ class TestTargetMps:
                     featurize_batch(fmap, x[None]))[0]
             assert abs(total) <= 1e-8
 
+    @pytest.mark.parametrize("apply_unitary", [True, False])
+    def test_one_site_core_is_boundary_product(self, apply_unitary):
+        """On one site the core's slice k is w^T (U M U^T)^k v, boundaries
+        and U drawn from spec.seed in build order."""
+        spec = TargetSpec(n_sites=1, phys_dim=3, epsilon=0.4, chi_target=5,
+                          apply_unitary=apply_unitary, seed=4)
+        target = build_target_mps(spec)
+        assert [core.shape for core in target.cores] == [(1, 3, 1)]
+        rng = np.random.default_rng(4)
+        w, v = rng.standard_normal(5), rng.standard_normal(5)
+        u = _haar_orthogonal(5, rng) if apply_unitary else np.eye(5)
+        mj = u @ build_nilpotent(5, 0.4) @ u.T
+        want = [w @ np.linalg.matrix_power(mj, k) @ v for k in range(3)]
+        np.testing.assert_allclose(target.cores[0][0, :, 0], want,
+                                   rtol=1e-12, atol=1e-15)
+
     def test_bond_extents(self):
         spec = TargetSpec(n_sites=5, phys_dim=3, epsilon=0.3, chi_target=9,
                           seed=0)
         target = build_target_mps(spec)
         assert target.bond_dims == [9, 9, 9, 9]
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: TargetSpec(n_sites=0), "need at least one site, got 0"),
+        (lambda: build_nilpotent(0, 0.3), "size must be >= 1, got 0"),
+        (lambda: sample_features(0, 3, 5), "sample count and feature count"),
+    ])
+    def test_invalid_argument_rejected(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):

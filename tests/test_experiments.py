@@ -90,6 +90,20 @@ class TestFindOptimalChi:
                                              r"at chi = \[3\]"):
             has_significant_ushape(scan)
 
+    @pytest.mark.parametrize("means, stds", [
+        # the minimum at an endpoint: monotone curves, either way
+        ([3.0, 2.0, 1.0], None),
+        ([1.0, 2.0, 3.0], None),
+        # an interior minimum 0.1 below the left end, whose pooled standard
+        # error is hypot(1, 1) / sqrt(5) = 0.63
+        ([1.0, 0.9, 2.0], [1.0, 1.0, 1.0]),
+    ])
+    def test_no_ushape_at_an_endpoint_or_within_its_error(self, means, stds):
+        """A flat or monotone curve (fig6's at eps 1.0) is no U-shape; the
+        same interior dip with no spread is one."""
+        assert not has_significant_ushape(synthetic_scan(means, stds))
+        assert has_significant_ushape(synthetic_scan([1.0, 0.9, 2.0]))
+
 
 class TestBondScan:
     def test_single_replicate_zero_sigma(self):
@@ -305,6 +319,20 @@ class TestOtherScans:
         assert scan.axis == [60, 90]
         assert all(r["axis"] == r["ntr"] for r in scan.raw_rows)
 
+    def test_one_site_inversion_scan(self):
+        """A one-site target is a degree-2 polynomial of one feature: the
+        ridge solution has no bond to cut, so every chi reads the same
+        near-zero losses."""
+        cfg = ExperimentConfig(n_sites=1, chi_list=(1, 2), ntr_list=(20,),
+                               replicates=2, n_test=64)
+        scan = run_scan(cfg)
+        assert scan.failures == []
+        by_chi = {chi: [(r["inv_train_loss"], r["inv_test_loss"])
+                        for r in scan.raw_rows if r["axis"] == chi]
+                  for chi in cfg.chi_list}
+        assert by_chi[1] == by_chi[2] and len(by_chi[1]) == 2
+        assert max(scan.mean) < 1e-9
+
 
 class TestEmit:
     def test_files_and_contracts(self, tmp_path, caplog):
@@ -459,6 +487,8 @@ class TestConfig:
         # every grid value's target and the feature map, before any scan;
         # each error names the config field
         for fields, message in ((dict(eps_list=(0.3, 1.5)), "^eps_list"),
+                                (dict(scenario="fig10"),
+                                 "^unknown scenario 'fig10'"),
                                 (dict(chi_target=1), "^chi_target"),
                                 (dict(phys_dim=1), "^phys_dim"),
                                 (dict(n_sites=0), "^n_sites"),
@@ -526,6 +556,29 @@ class TestConfig:
     def test_entry_of_wrong_type_rejected(self, entries, message):
         with pytest.raises(ValueError, match=message):
             config_from_dict(entries)
+
+    @pytest.mark.parametrize("scenario, name, values", [
+        ("custom", "chi_list", (6, 2, 27, 4, 10)),
+        ("custom", "ntr_list", (60, 40)),
+        ("custom", "eps_list", (0.3, 0.2)),
+        ("fig9", "noise_levels", (0.1, 0.0)),
+    ])
+    def test_unsorted_grid_rejected_before_any_job(self, scenario, name,
+                                                   values, monkeypatch):
+        """Every grid is strictly increasing: listed out of order, the
+        same scan would put its argmin at a false endpoint and give
+        another U-shape verdict, so it fails validation by name before
+        any replicate job runs."""
+        monkeypatch.setattr(experiments, "_replicate_rows",
+                            lambda *args: pytest.fail("a job ran"))
+        cfg = ExperimentConfig(**{"scenario": scenario, "ntr_list": (300,),
+                                  "replicates": 4, "n_test": 256,
+                                  name: values})
+        with pytest.raises(ValueError, match=f"^{name} must be non-empty "
+                                             f"and strictly increasing"):
+            run_scan(cfg)
+        ExperimentConfig(scenario=scenario, **{name: tuple(sorted(
+            values))}).validate()
 
     @pytest.mark.parametrize("scenario", ["fig2", "fig9"])
     def test_noise_levels_validated_before_any_scan(self, scenario):
@@ -850,6 +903,9 @@ class TestCli:
          "error: mnist_images is not read by scenario 'custom'"),
         (["--scenario", "fig2", "--images", "train.idx"],
          "error: mnist_images is not read by scenario 'fig2'"),
+        # a grid out of order
+        (["--chi", "6,2,3"], "error: chi_list must be non-empty and "
+                             "strictly increasing"),
     ])
     def test_invalid_value_exits_2_before_any_job(self, flags, field,
                                                   tmp_path, monkeypatch,
@@ -1155,9 +1211,11 @@ class TestScenarioDispatch:
 
 
 def _grid(values):
-    """A strategy for a grid: distinct draws from ``values``."""
+    """A strategy for a grid: distinct draws from ``values``, in the
+    increasing order ``validate`` asks of every grid."""
     return st.lists(st.sampled_from(values), min_size=1,
-                    max_size=len(values), unique=True).map(tuple)
+                    max_size=len(values), unique=True).map(
+                        lambda drawn: tuple(sorted(drawn)))
 
 
 # small grids of a 3-site, f=2 regression and of 2x2-image classifiers

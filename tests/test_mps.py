@@ -369,6 +369,8 @@ class TestSerialization:
          "sites"),
         ("n_sites", np.int64(0),
          "n_sites is stored as 0, an MPS needs at least one core"),
+        ("bond_dims", np.array([3, 6, 3]),
+         "bond_dims lists 3 bonds, 5 cores have 4"),
     ])
     def test_malformed_record_rejected(self, tmp_path, entry, value, message):
         """A raised, lowered or zero n_sites, a missing entry, a wrong
@@ -416,6 +418,27 @@ class TestValidation:
         with pytest.raises(DimensionMismatchError,
                            match="core 1 has physical extent 3, core 0 has 2"):
             MPS([np.ones((1, 2, 1)), np.ones((1, 3, 1))])
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda w: MPS([]), ValueError, "an MPS needs at least one core"),
+        (lambda w: MPS([np.ones((1, 3))]), DimensionMismatchError,
+         r"core 0 must have 3 axes, got shape \(1, 3\)"),
+        (lambda w: w.evaluate_batch(np.ones((2, 3, 2))),
+         DimensionMismatchError, "local vectors have length 2, cores expect 3"),
+        (lambda w: canonicalize(w, 3), ValueError,
+         "center 3 out of range for 3 sites"),
+        (lambda w: compress(w.to_full_tensor(), 0), ValueError,
+         "max_bond must be >= 1, got 0"),
+        (lambda w: truncate(w, 0), ValueError, "max_bond must be >= 1, got 0"),
+        (lambda w: random_init(3, 3, 0, scale=0.5, seed=0), ValueError,
+         "bond dimension must be >= 1, got 0"),
+        (lambda w: random_init(3, 3, 2, scale=0.5, seed=0, label_site=1),
+         ValueError, "label_site needs a label_dim"),
+    ])
+    def test_invalid_argument_rejected(self, call, error, message):
+        w = random_init(3, 3, 2, scale=0.5, seed=37)
+        with pytest.raises(error, match=message):
+            call(w)
 
     @pytest.mark.parametrize("site", [5, 7, -1, -2])
     def test_label_site_off_the_chain_rejected(self, site):

@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from mpslab.svgplot import line_plot
+from mpslab.svgplot import _ticks, line_plot
 
 
 def test_text_escaping(tmp_path):
@@ -61,3 +61,11 @@ def test_nothing_finite_to_plot_names_the_title(tmp_path):
         line_plot(tmp_path / "figure.svg",
                   [{"x": [1, 2], "y": [nan, nan], "band": ([nan] * 2,) * 2}],
                   title="fig2: test_loss vs chi")
+
+
+@pytest.mark.parametrize("lo, hi", [(2.0, 2.0), (3.0, 1.0)])
+def test_ticks_of_an_empty_range_span_one_unit(lo, hi):
+    """Ticks for hi <= lo cover [lo, lo + 1], as ``line_plot`` widens a
+    one-point axis."""
+    assert _ticks(lo, hi) == _ticks(lo, lo + 1.0)
+    assert _ticks(lo, hi)[0] == lo and _ticks(lo, hi)[-1] == lo + 1.0

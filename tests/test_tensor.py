@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpslab.errors import DimensionMismatchError, SingularMatrixError
-from mpslab.tensor import solve_linear, svd_truncate
+from mpslab.mps import compress
+from mpslab.tensor import kept_rank, solve_linear, svd_truncate
 
 
 class TestSvdTruncate:
@@ -57,21 +58,42 @@ class TestSvdTruncate:
         assert res.discarded_weight == pytest.approx(1e-34)
 
     def test_untruncated_slices_bitwise(self):
-        """One SVD serves every cap: truncating the untruncated result
-        equals ``svd_truncate`` at that cap bit for bit."""
+        """One SVD serves every cap: ``compress``'s memo slices the
+        untruncated SVD of each split to ``kept_rank``, and every slice
+        equals ``svd_truncate`` of that split at the cap bit for bit."""
         rng = np.random.default_rng(7)
         m = rng.standard_normal((9, 27)) @ np.diag(
             np.r_[np.ones(6), np.zeros(21)]) @ rng.standard_normal((27, 27))
         full = svd_truncate(m)
         assert full.rank == 9 and full.discarded_weight == 0.0
+        t = m.reshape((3,) * 5)
+        memo = {}
         for cap in range(1, 11):
-            got, want = full.truncate(cap), svd_truncate(m, cap)
-            assert got.rank == want.rank == min(cap, 6)
-            for a, b in ((got.left_factor, want.left_factor),
-                         (got.singular_values, want.singular_values),
-                         (got.right_factor, want.right_factor)):
-                assert np.array_equal(a, b)
-            assert got.discarded_weight == want.discarded_weight
+            assert kept_rank(full.singular_values, m.shape, cap) == (
+                svd_truncate(m, cap).rank) == min(cap, 6)
+            compress(t, cap, memo)
+            ranks, remainder = (), t.reshape(1, -1)
+            for _ in range(4):
+                split = remainder.reshape(len(remainder) * 3, -1)
+                want = svd_truncate(split, cap)
+                core, discarded, remainder = memo[ranks, want.rank]
+                assert np.array_equal(core, want.left_factor.reshape(
+                    -1, 3, want.rank))
+                assert discarded == want.discarded_weight
+                assert np.array_equal(remainder, want.singular_values[:, None]
+                                      * want.right_factor)
+                ranks += (want.rank,)
+            # the second split is (U^T x 1) m, of m's rank 6
+            assert ranks[1] == min(cap, 6)
+
+    @pytest.mark.parametrize("m, max_rank, error, message", [
+        (np.ones(3), None, DimensionMismatchError, r"expected a matrix, got "
+                                                   r"shape \(3,\)"),
+        (np.eye(3), 0, ValueError, "max_rank must be >= 1, got 0"),
+    ])
+    def test_invalid_argument_rejected(self, m, max_rank, error, message):
+        with pytest.raises(error, match=message):
+            svd_truncate(m, max_rank)
 
     def test_nonfinite_raises(self):
         with pytest.raises(FloatingPointError):
