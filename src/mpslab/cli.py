@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", dest="noise_levels", type=float,
                    help="label corruption fraction")
     p.add_argument("--downsample", type=int)
-    p.add_argument("--seed", dest="base_seed", type=int, default=0)
+    p.add_argument("--seed", dest="base_seed", type=int, help="training seed")
     p.add_argument("--out", help="directory for model, trace, predictions")
 
     p = sub.add_parser("scan", help="replicated scans reproducing the figures")

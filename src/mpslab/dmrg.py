@@ -587,8 +587,9 @@ def _initial_step(cache, d, g_dot_d, ridge):
     return -g_dot_d / curvature, dv
 
 
-def _accuracy(outputs: np.ndarray, y: np.ndarray) -> float:
-    # predicted class maximizes the squared, normalized output
+def accuracy(outputs: np.ndarray, y: np.ndarray) -> float:
+    """Fraction of rows whose predicted class, the one maximizing the
+    squared, normalized output, is the label."""
     return float(np.mean(np.argmax(outputs**2, axis=1) == y))
 
 
@@ -670,7 +671,7 @@ def train_arrays(w0: MPS, phi_tr, y_tr, phi_val=None, y_val=None,
             trace.train_loss.append(_cross_entropy(p_true))
             trace.clamped_rows.append(
                 int(np.count_nonzero(p_true < PROB_FLOOR)))
-            trace.train_accuracy.append(_accuracy(outputs, y_tr))
+            trace.train_accuracy.append(accuracy(outputs, y_tr))
         else:
             trace.train_loss.append(data_loss(outputs, y_tr, kind))
         trace.cg_accepted.append(accepted)
@@ -684,7 +685,7 @@ def train_arrays(w0: MPS, phi_tr, y_tr, phi_val=None, y_val=None,
             out = model.evaluate_batch(phi)
             losses.append(data_loss(out, y, kind))
             if classifying:
-                accs.append(_accuracy(out, y))
+                accs.append(accuracy(out, y))
         trace.evaluate_seconds.append(
             time.perf_counter() - tick if sweep else 0.0)
 

@@ -22,7 +22,6 @@ Gram, and only the primal solve (T >= f^N) forms Z.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -40,12 +39,10 @@ class DesignSystem:
     """Ridge system over the design matrix, held as its two half-chain
     designs, with the labels and the ridge.
 
-    Row t of Z is ``row_outer(left, right)[t]``.  Z is built on first
-    access and kept; the normal equations A w = b and the Gram matrix
-    Z Z^T are properties built on each access.  ``solve_full_weight``
-    forms only the Gram (T < f^N) or Z, A and b (otherwise), and
-    ``evaluate_halves`` evaluates full weight tensors on the training
-    samples without Z.
+    Row t of Z is ``row_outer(left, right)[t]``.  ``solve_full_weight``
+    forms the Gram matrix Z Z^T (T < f^N) or Z and the normal equations
+    A w = b (otherwise), and ``evaluate_halves`` evaluates full weight
+    tensors on the training samples without Z.
     """
 
     left: np.ndarray  # (T, f^h) design of the first h = N // 2 sites
@@ -53,30 +50,6 @@ class DesignSystem:
     y: np.ndarray  # (T,) labels
     ridge: float
     shape: tuple  # (f, ..., f) of the weight tensor
-
-    @cached_property
-    def z(self) -> np.ndarray:
-        """The (T, f^N) design matrix, built on first access."""
-        return row_outer(self.left, self.right)
-
-    @property
-    def gram(self) -> np.ndarray:
-        """Z Z^T, (T, T), as the elementwise product of the halves' Grams."""
-        gram = self.left @ self.left.T
-        gram *= self.right @ self.right.T
-        return gram
-
-    @property
-    def a(self) -> np.ndarray:
-        """lambda*I + Z^T Z / T, (f^N, f^N), symmetric positive definite."""
-        a = (self.z.T @ self.z) / self.z.shape[0]
-        a[np.diag_indices_from(a)] += self.ridge
-        return a
-
-    @property
-    def b(self) -> np.ndarray:
-        """Z^T y / T, (f^N,)."""
-        return self.z.T @ self.y / self.z.shape[0]
 
 
 def _site_design(phi: np.ndarray) -> np.ndarray:
@@ -150,20 +123,25 @@ def build_design_system(phi: np.ndarray, y: np.ndarray,
 def solve_full_weight(system: DesignSystem) -> np.ndarray:
     """The ridge solution as the (f, ..., f) weight tensor, by one LU solve.
 
-    With T < f^N this solves the T x T dual system on the halves' Gram and
-    maps back, w = Z^T alpha = L^T diag(alpha) R; otherwise the primal
-    A w = b.
+    With T < f^N this solves the T x T dual system on the halves' Gram,
+    Z Z^T = (L L^T) * (R R^T) elementwise, and maps back,
+    w = Z^T alpha = L^T diag(alpha) R; otherwise it forms Z and solves
+    the primal A w = b, A = lambda*I + Z^T Z / T and b = Z^T y / T.
     """
-    left, right = system.left, system.right
-    t = len(system.y)
+    left, right, y = system.left, system.right, system.y
+    t = len(y)
     if t < left.shape[1] * right.shape[1]:
-        k = system.gram
+        k = left @ left.T
+        k *= right @ right.T
         k /= t
         k[np.diag_indices_from(k)] += system.ridge
-        alpha = solve_linear(k, system.y / t)
+        alpha = solve_linear(k, y / t)
         w = left.T @ (alpha[:, None] * right)
     else:
-        w = solve_linear(system.a, system.b)
+        z = row_outer(left, right)
+        a = (z.T @ z) / t
+        a[np.diag_indices_from(a)] += system.ridge
+        w = solve_linear(a, z.T @ y / t)
     return w.reshape(system.shape)
 
 

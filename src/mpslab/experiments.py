@@ -15,11 +15,11 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .classify import (corrupt_labels, load_idx, preprocess, subset,
-                       train_classifier)
+from .classify import (corrupt_labels, load_idx, preprocess, site_features,
+                       subset, train_classifier)
 from .datagen import TargetSpec, generate_dataset
-from .dmrg import (CROSS_ENTROPY, MSE, TrainConfig, data_loss, frame_labels,
-                   train_arrays)
+from .dmrg import (CROSS_ENTROPY, MSE, TrainConfig, accuracy, data_loss,
+                   frame_labels, train_arrays)
 from .errors import ScanAbortedError
 from .exact import DESIGN_GUARD, design_halves, inversion_fits
 from .features import FeatureMap, featurize_batch
@@ -419,7 +419,8 @@ def load_mnist_pair(cfg: ExperimentConfig):
 
 def _mnist_fits(cfg, noise, ntr, chi_values, rep, train_pool, test_set):
     """One classifier training replicate at each bond dimension: yields
-    (row, model, trace) per chi."""
+    (row, model, trace) per chi.  The trainer sees no test data; the
+    ``test_*`` columns score the model it returns once on the test set."""
     sub = subset(train_pool, ntr, seed=cfg.base_seed + rep)
     if noise > 0.0:
         sub = corrupt_labels(sub, noise,
@@ -427,19 +428,20 @@ def _mnist_fits(cfg, noise, ntr, chi_values, rep, train_pool, test_set):
     tc = TrainConfig(sweeps=cfg.sweeps, cg_steps=cfg.cg_steps, ridge=0.0,
                      loss_kind=CROSS_ENTROPY, checkpoint="last",
                      sweep_tol=0.0)
+    phi_te = site_features(test_set)
     for chi in chi_values:
-        model, trace = train_classifier(sub, None, test_set, chi, tc,
+        model, trace = train_classifier(sub, None, None, chi, tc,
                                         seed=cfg.base_seed + rep)
+        out = model.evaluate_batch(phi_te)
+        test_accuracy = accuracy(out, test_set.labels)
         yield {
             "axis": chi, "ntr": ntr, "noise": noise, "replicate": rep,
             "train_seed": cfg.base_seed + rep,
             "train_loss": trace.train_loss[-1],
             "train_accuracy": trace.train_accuracy[-1],
-            "test_loss": trace.test_loss[-1],
-            "test_accuracy": trace.test_accuracy[-1],
-            "test_error": 1.0 - trace.test_accuracy[-1],
-            "best_test_loss": float(np.nanmin(trace.test_loss)),
-            "best_test_accuracy": float(np.nanmax(trace.test_accuracy)),
+            "test_loss": data_loss(out, test_set.labels, CROSS_ENTROPY),
+            "test_accuracy": test_accuracy,
+            "test_error": 1.0 - test_accuracy,
         }, model, trace
 
 

@@ -11,8 +11,7 @@ PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 
 
 def _ticks(lo, hi, n=5):
-    if hi <= lo:
-        hi = lo + 1.0
+    """About n round tick values in [lo, hi], for hi > lo."""
     raw = (hi - lo) / n
     mag = 10 ** math.floor(math.log10(raw))
     for step in (1, 2, 5, 10):

@@ -59,7 +59,7 @@ def cross_entropy(w, d):
 
 def accuracy(w, d):
     """Classifier accuracy on images, as the trainer records it."""
-    return dmrg._accuracy(w.evaluate_batch(featurize_images(d)), d.labels)
+    return dmrg.accuracy(w.evaluate_batch(featurize_images(d)), d.labels)
 
 
 class TestIdx:

@@ -46,30 +46,59 @@ def brute_force_system(d, fmap, ridge):
     return a, b
 
 
+def normal_equations(phi, y, ridge):
+    """The primal normal equations, written out on ``design_matrix``:
+    A = Z^T Z / T + ridge I and b = Z^T y / T."""
+    z = design_matrix(phi)
+    a = (z.T @ z) / len(y)
+    a[np.diag_indices_from(a)] += ridge
+    return a, z.T @ y / len(y)
+
+
+def primal_weight(phi, y, ridge):
+    """The primal normal-equations solve, written out: one LU solve of
+    ``normal_equations``."""
+    return solve_linear(*normal_equations(phi, y, ridge))
+
+
 class TestBuildDesignSystem:
     def test_single_sample_zero_label(self):
+        """One sample v: the system holds v, its label and the ridge, a
+        zero label gives b = 0 and so w = 0, and a unit label gives
+        w = (0.5 I + v v^T)^-1 v = v / (0.5 + v.v)."""
         fmap = FeatureMap(dim=2)
         d = tiny_dataset(1, 2, seed=0, labels=[0.0])
         sysm = design_system(d, fmap, ridge=0.5)
         v = design_matrix(featurize_batch(fmap, d.features))[0]
-        np.testing.assert_allclose(sysm.a, 0.5 * np.eye(4) + np.outer(v, v),
-                                   atol=1e-14)
-        np.testing.assert_array_equal(sysm.b, np.zeros(4))
+        assert np.array_equal(row_outer(sysm.left, sysm.right)[0], v)
+        assert (sysm.y.tolist(), sysm.ridge) == ([0.0], 0.5)
+        np.testing.assert_array_equal(solve_full_weight(sysm),
+                                      np.zeros((2, 2)))
+        unit = build_design_system(featurize_batch(fmap, d.features),
+                                   np.ones(1), 0.5)
+        np.testing.assert_allclose(solve_full_weight(unit).ravel(),
+                                   v / (0.5 + v @ v), rtol=1e-14)
 
     def test_dimension_n6(self):
         sysm = design_system(
             generate_dataset(TargetSpec(seed=0), 10, seed=1),
             FeatureMap(dim=3), ridge=1e-6)
-        assert sysm.a.shape == (729, 729)
+        assert sysm.left.shape == sysm.right.shape == (10, 27)
         assert sysm.shape == (3,) * 6
+        assert solve_full_weight(sysm).shape == (3,) * 6
 
     def test_matches_brute_force_oracle(self):
         fmap = FeatureMap(dim=2)
         d = tiny_dataset(7, 2, seed=3)
         sysm = design_system(d, fmap, ridge=0.01)
         a, b = brute_force_system(d, fmap, 0.01)
-        np.testing.assert_allclose(sysm.a, a, atol=1e-12)
-        np.testing.assert_allclose(sysm.b, b, atol=1e-12)
+        z = row_outer(sysm.left, sysm.right)
+        np.testing.assert_allclose(z.T @ z / 7 + sysm.ridge * np.eye(4), a,
+                                   atol=1e-12)
+        np.testing.assert_allclose(z.T @ sysm.y / 7, b, atol=1e-12)
+        # 7 samples of f^N = 4 features: the primal path
+        np.testing.assert_allclose(solve_full_weight(sysm).ravel(),
+                                   np.linalg.solve(a, b), rtol=1e-10)
 
     def test_vec_ordering_is_row_major(self):
         # kron order must match to_full_tensor's C-order flattening
@@ -80,10 +109,22 @@ class TestBuildDesignSystem:
         np.testing.assert_allclose(z[0], full.ravel(order="C"), atol=1e-14)
 
     def test_symmetry_and_positive_definiteness(self):
+        """A is symmetric positive definite, so the fit's hat matrix
+        H = Z A^-1 Z^T / T, column j the training outputs of the fit to
+        the j-th unit label, is symmetric with eigenvalues in [0, 1)."""
         d = generate_dataset(TargetSpec(seed=1), 50, seed=2)
-        sysm = design_system(d, FeatureMap(dim=3), ridge=1e-6)
-        assert np.max(np.abs(sysm.a - sysm.a.T)) <= 1e-12
-        np.linalg.cholesky(sysm.a)  # raises if not PD
+        phi = featurize_batch(FeatureMap(dim=3), d.features)
+        a, _ = normal_equations(phi, d.labels, 1e-6)
+        assert np.max(np.abs(a - a.T)) <= 1e-12
+        np.linalg.cholesky(a)  # raises if not PD
+        z = design_matrix(phi)
+        hat = np.stack([z @ solve_full_weight(
+            build_design_system(phi, e, 1e-6)).ravel() for e in np.eye(50)],
+            axis=1)
+        atol = 1e-10  # roundoff of O(1) entries: 2e-14 measured
+        assert np.max(np.abs(hat - hat.T)) <= atol
+        eig = np.linalg.eigvalsh((hat + hat.T) / 2)
+        assert -atol <= eig.min() and eig.max() < 1.0
 
     def test_capacity_guard(self):
         d = tiny_dataset(3, 9, seed=5)
@@ -147,9 +188,10 @@ class TestDesignHalves:
         z = design_matrix(phi)
         assert np.array_equal(z, row_outer(left, right))
         system = build_design_system(phi, rng.standard_normal(t), 1e-3)
-        assert np.array_equal(system.z, z)
+        assert np.array_equal(row_outer(system.left, system.right), z)
         az = np.abs(z)
-        assert np.all(np.abs(system.gram - z @ z.T) <= 1e-12 * (az @ az.T))
+        gram = (system.left @ system.left.T) * (system.right @ system.right.T)
+        assert np.all(np.abs(gram - z @ z.T) <= 1e-12 * (az @ az.T))
         weights = rng.standard_normal((k, f**n))
         pred = evaluate_halves(left, right, weights)
         assert pred.shape == (t, k)
@@ -166,10 +208,11 @@ class TestSolveFullWeight:
 
     def test_stationarity(self):
         d = generate_dataset(TargetSpec(seed=0), 100, seed=8)
-        sysm = design_system(d, FeatureMap(dim=3), 1e-6)
-        w = solve_full_weight(sysm)
-        grad = sysm.a @ w.ravel() - sysm.b
-        assert np.max(np.abs(grad)) <= 1e-8 * max(1.0, np.linalg.norm(sysm.b))
+        phi = featurize_batch(FeatureMap(dim=3), d.features)
+        w = solve_full_weight(build_design_system(phi, d.labels, 1e-6))
+        a, b = normal_equations(phi, d.labels, 1e-6)
+        grad = a @ w.ravel() - b
+        assert np.max(np.abs(grad)) <= 1e-8 * max(1.0, np.linalg.norm(b))
 
     def test_matches_normal_equations_oracle(self):
         fmap = FeatureMap(dim=2)
@@ -196,15 +239,6 @@ class TestSolveFullWeight:
             for lam in (1e-8, 1e-4, 1e-1)]
         assert norms[1] <= norms[0] + 1e-10
         assert norms[2] <= norms[1] + 1e-10
-
-
-def primal_weight(phi, y, ridge):
-    """The primal normal-equations solve, written out: A = Z^T Z / T +
-    ridge I, b = Z^T y / T, one LU solve."""
-    z = design_matrix(phi)
-    a = (z.T @ z) / len(y)
-    a[np.diag_indices_from(a)] += ridge
-    return solve_linear(a, z.T @ y / len(y))
 
 
 # T relative to f^N: below it the dual solve runs, at and above it the primal
@@ -234,13 +268,13 @@ class TestSolveFullWeightProperties:
         w = solve_full_weight(system)
         assert w.shape == (f,) * n
         w = w.ravel()
-        u, s, vt = np.linalg.svd(system.z, full_matrices=False)
+        u, s, vt = np.linalg.svd(design_matrix(phi), full_matrices=False)
         ref = vt.T @ (s / (s**2 + t * ridge) * (u.T @ y))
         scale = max(np.linalg.norm(ref), 1e-300)
         assert np.linalg.norm(w - ref) <= SVD_RTOL * scale
-        residual = system.a @ w - system.b
-        assert np.linalg.norm(residual) <= SVD_RTOL * max(
-            np.linalg.norm(system.b), 1e-300)
+        a, b = normal_equations(phi, y, ridge)
+        assert np.linalg.norm(a @ w - b) <= SVD_RTOL * max(
+            np.linalg.norm(b), 1e-300)
         if t >= dim:
             assert np.array_equal(w, primal_weight(phi, y, ridge))
 

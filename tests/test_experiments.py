@@ -18,8 +18,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mpslab import cli, experiments
+from mpslab.classify import site_features, train_classifier
 from mpslab.datagen import generate_dataset
-from mpslab.dmrg import MSE, TrainConfig, data_loss, frame_labels, train
+from mpslab.dmrg import (CROSS_ENTROPY, MSE, TrainConfig, data_loss,
+                         frame_labels, train)
 from mpslab.errors import ScanAbortedError
 from mpslab.exact import (build_design_system, design_matrix,
                           solve_full_weight)
@@ -465,6 +467,45 @@ class TestMnistScans:
                                base_seed=5, sweeps=1, cg_steps=2)
         scan = run_scan(cfg, images=(pool, test))
         assert scan.axis == [16, 32]
+
+    def test_trainer_sees_no_test_set(self, tiny_images, monkeypatch):
+        """Every classifier an image scan trains is given no test set; the
+        test columns score the model it returns, once."""
+        pool, test = tiny_images
+        calls = []
+
+        def recording(train_set, val_set, test_set, *args, **kwargs):
+            model, trace = train_classifier(train_set, val_set, test_set,
+                                            *args, **kwargs)
+            calls.append((val_set, test_set, model))
+            return model, trace
+
+        monkeypatch.setattr(experiments, "train_classifier", recording)
+        cfg = ExperimentConfig(chi_list=(2, 3), ntr_list=(24,), replicates=2,
+                               base_seed=5, sweeps=2, cg_steps=2)
+        rows = run_scan(cfg, images=(pool, test)).raw_rows
+        assert len(calls) == len(rows) == 4
+        phi_te = site_features(test)
+        for (val_set, test_set, model), row in zip(calls, rows):
+            assert val_set is None and test_set is None
+            out = model.evaluate_batch(phi_te)
+            assert row["test_loss"] == data_loss(out, test.labels,
+                                                 CROSS_ENTROPY)
+            assert row["test_error"] == 1.0 - row["test_accuracy"]
+
+    def test_raw_csv_has_no_best_test_columns(self, tiny_images, tmp_path):
+        """An image scan's raw.csv holds the returned model's test columns
+        alone: no column selected over the sweeps by test data."""
+        pool, test = tiny_images
+        cfg = ExperimentConfig(chi_list=(2, 3), ntr_list=(24,), replicates=2,
+                               base_seed=5, sweeps=2, cg_steps=2,
+                               out_dir=str(tmp_path))
+        raw = emit_outputs(run_scan(cfg, images=(pool, test)), cfg,
+                           cfg.out_dir)["raw"]
+        with open(raw) as fh:
+            header = next(csv.reader(fh))
+        assert {"test_loss", "test_accuracy", "test_error"} <= set(header)
+        assert not [name for name in header if name.startswith("best_test_")]
 
 
 class TestConfig:
@@ -1411,6 +1452,29 @@ class TestSingleRuns:
         assert printed == line.format(
             **{key: _cell(value) for key, value in row.items()})
 
+    def test_mnist_default_seed_is_the_scans(self, tmp_path, capsys):
+        """``mnist`` without ``--seed`` trains at the scan's base seed: it
+        prints the row of a one-point fig9 config with no base_seed."""
+        flags, fields, line = SINGLE_RUNS["mnist"]
+        seed_at = flags.index("--seed")
+        flags = flags[:seed_at] + flags[seed_at + 2:]
+        fields = {name: value for name, value in fields.items()
+                  if name != "base_seed"}
+        files = image_files(tmp_path, 40)
+        assert cli.main(["mnist"] + self.mnist_flags(files) + flags) == 0
+        printed = capsys.readouterr().out.strip()
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(fields, replicates=1, **files)))
+        out = tmp_path / "scan"
+        assert cli.main(["scan", "--config", str(config),
+                         "--out", str(out)]) == 0
+        (raw,) = out.rglob("raw.csv")
+        with open(raw) as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["train_seed"] == str(ExperimentConfig().base_seed)
+        assert printed == line.format(
+            **{key: _cell(value) for key, value in row.items()})
+
     def test_mnist_writes_outputs(self, tmp_path, capsys):
         files = image_files(tmp_path, 40)
         out = tmp_path / "run"
@@ -1424,7 +1488,8 @@ class TestSingleRuns:
         with open(out / "trace.csv") as fh:
             trace = list(csv.DictReader(fh))
         assert [int(r["sweep"]) for r in trace] == [0, 1, 2]
-        assert "test_accuracy" in trace[0]
+        assert "train_accuracy" in trace[0]
+        assert not [name for name in trace[0] if name.startswith("test_")]
         with open(out / "predictions.csv") as fh:
             predictions = list(csv.DictReader(fh))
         assert len(predictions) == 24

@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from mpslab.svgplot import _ticks, line_plot
+from mpslab.svgplot import line_plot
 
 
 def test_text_escaping(tmp_path):
@@ -63,9 +63,21 @@ def test_nothing_finite_to_plot_names_the_title(tmp_path):
                   title="fig2: test_loss vs chi")
 
 
-@pytest.mark.parametrize("lo, hi", [(2.0, 2.0), (3.0, 1.0)])
-def test_ticks_of_an_empty_range_span_one_unit(lo, hi):
-    """Ticks for hi <= lo cover [lo, lo + 1], as ``line_plot`` widens a
-    one-point axis."""
-    assert _ticks(lo, hi) == _ticks(lo, lo + 1.0)
-    assert _ticks(lo, hi)[0] == lo and _ticks(lo, hi)[-1] == lo + 1.0
+def test_one_point_flat_curve_ticks_span_one_unit(tmp_path):
+    """A one-point x axis and a flat curve have empty ranges, which
+    ``line_plot`` widens to one unit: each axis draws finite ticks from
+    the value to one unit above it, the x ticks across the plot width."""
+    path = tmp_path / "figure.svg"
+    line_plot(path, [{"x": [2.0], "y": [3.0]}], title="one point")
+    ticks = {"middle": [], "end": []}  # x and y tick labels by anchor
+    for el in ET.parse(path).getroot():
+        if el.tag.endswith("text") and el.get("font-size") == "11":
+            ticks[el.get("text-anchor")].append(
+                (float(el.text), float(el.get("x")), float(el.get("y"))))
+    for axis, lo in (("middle", 2.0), ("end", 3.0)):
+        values = [t[0] for t in ticks[axis]]
+        assert all(math.isfinite(v) for t in ticks[axis] for v in t)
+        assert (values[0], values[-1]) == (lo, lo + 1.0)
+        assert values == sorted(values)
+    x_px = [t[1] for t in ticks["middle"]]
+    assert (x_px[0], x_px[-1]) == (70.0, 620.0)  # MARGIN_L, WIDTH - MARGIN_R
