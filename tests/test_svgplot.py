@@ -63,18 +63,19 @@ def test_nothing_finite_to_plot_names_the_title(tmp_path):
                   title="fig2: test_loss vs chi")
 
 
-def test_one_point_flat_curve_ticks_span_one_unit(tmp_path):
+@pytest.mark.parametrize("x, y", [(2.0, 2.0), (3.0, 1.0)])
+def test_ticks_of_an_empty_range_span_one_unit(tmp_path, x, y):
     """A one-point x axis and a flat curve have empty ranges, which
     ``line_plot`` widens to one unit: each axis draws finite ticks from
     the value to one unit above it, the x ticks across the plot width."""
     path = tmp_path / "figure.svg"
-    line_plot(path, [{"x": [2.0], "y": [3.0]}], title="one point")
+    line_plot(path, [{"x": [x], "y": [y]}], title="one point")
     ticks = {"middle": [], "end": []}  # x and y tick labels by anchor
     for el in ET.parse(path).getroot():
         if el.tag.endswith("text") and el.get("font-size") == "11":
             ticks[el.get("text-anchor")].append(
                 (float(el.text), float(el.get("x")), float(el.get("y"))))
-    for axis, lo in (("middle", 2.0), ("end", 3.0)):
+    for axis, lo in (("middle", x), ("end", y)):
         values = [t[0] for t in ticks[axis]]
         assert all(math.isfinite(v) for t in ticks[axis] for v in t)
         assert (values[0], values[-1]) == (lo, lo + 1.0)
